@@ -31,7 +31,7 @@ use std::path::{Path, PathBuf};
 use tf_harness::campaign::{fingerprint, CampaignScope, TaskKey};
 use tf_policies::Policy;
 use tf_simcore::{Trace, TraceBuilder};
-use tf_workload::{PoissonWorkload, SizeDist};
+use tf_workload::{splitmix64, PoissonWorkload, SizeDist};
 
 /// Configuration of one fuzz run.
 #[derive(Debug, Clone)]
@@ -135,18 +135,8 @@ impl FuzzSummary {
     }
 }
 
-/// splitmix64 — the workspace's standard seed-derivation step (same as
-/// the adversary hunter's; small, full-period, and serially uncorrelated
-/// enough for instance generation).
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// Tiny deterministic RNG over splitmix64.
+/// Tiny deterministic RNG over splitmix64: a Weyl sequence of states,
+/// each one mixed by [`splitmix64`].
 struct Rng(u64);
 
 impl Rng {
@@ -154,7 +144,9 @@ impl Rng {
         Rng(seed)
     }
     fn next(&mut self) -> u64 {
-        splitmix64(&mut self.0)
+        let z = splitmix64(self.0);
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        z
     }
     /// Uniform integer in `[lo, hi]`.
     fn range(&mut self, lo: u64, hi: u64) -> u64 {
@@ -172,8 +164,7 @@ impl Rng {
 /// Generate the `index`-th instance of a run with master seed `seed`.
 /// Public so a failing index can be regenerated in isolation.
 pub fn gen_instance(seed: u64, index: usize) -> FuzzInstance {
-    let mut ix = index as u64 + 1;
-    let mut rng = Rng::new(seed ^ splitmix64(&mut ix));
+    let mut rng = Rng::new(seed ^ splitmix64(index as u64 + 1));
     let family = rng.range(0, 99);
     if family < 60 {
         gen_integral(&mut rng)

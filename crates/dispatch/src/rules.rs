@@ -19,14 +19,6 @@ pub enum DispatchRule {
         /// Hash seed; same seed ⇒ same assignment.
         seed: u64,
     },
-    /// Largest-job first onto the least-loaded machine \[arXiv
-    /// 2001.07061\]: per-arrival routing is the least-work rule, but
-    /// simultaneous arrivals are dispatched in decreasing size order (the
-    /// simulator reorders each batch — see
-    /// [`DispatchRule::orders_batches_by_size`]). Equivalent to the
-    /// `tf-policies` `MultiList` allocator when the per-machine policy is
-    /// FCFS; a differential test pins the two formulations together.
-    LargestLeastLoaded,
 }
 
 impl DispatchRule {
@@ -36,15 +28,7 @@ impl DispatchRule {
             DispatchRule::Cyclic => "cyclic".into(),
             DispatchRule::LeastWork => "least-work".into(),
             DispatchRule::Random { .. } => "random".into(),
-            DispatchRule::LargestLeastLoaded => "largest-least-loaded".into(),
         }
-    }
-
-    /// True if simultaneous arrivals must be presented to
-    /// [`DispatchRule::route`] (and appended to their machine's queue) in
-    /// decreasing size order rather than trace order.
-    pub fn orders_batches_by_size(&self) -> bool {
-        matches!(self, DispatchRule::LargestLeastLoaded)
     }
 
     /// Route one arrival. `backlogs[i]` is machine `i`'s pending work at
@@ -53,7 +37,7 @@ impl DispatchRule {
     pub fn route(&self, job_index: usize, backlogs: &[f64]) -> usize {
         match *self {
             DispatchRule::Cyclic => job_index % backlogs.len(),
-            DispatchRule::LeastWork | DispatchRule::LargestLeastLoaded => {
+            DispatchRule::LeastWork => {
                 let mut best = 0usize;
                 for (i, &b) in backlogs.iter().enumerate() {
                     if b < backlogs[best] {
@@ -92,22 +76,6 @@ mod tests {
         let r = DispatchRule::LeastWork;
         assert_eq!(r.route(9, &[3.0, 1.0, 2.0]), 1);
         assert_eq!(r.route(9, &[1.0, 1.0, 2.0]), 0);
-    }
-
-    #[test]
-    fn largest_least_loaded_routes_like_least_work() {
-        let r = DispatchRule::LargestLeastLoaded;
-        assert_eq!(r.route(9, &[3.0, 1.0, 2.0]), 1);
-        assert_eq!(r.route(9, &[1.0, 1.0, 2.0]), 0);
-        assert!(r.orders_batches_by_size());
-        assert_eq!(r.label(), "largest-least-loaded");
-        for other in [
-            DispatchRule::Cyclic,
-            DispatchRule::LeastWork,
-            DispatchRule::Random { seed: 1 },
-        ] {
-            assert!(!other.orders_batches_by_size());
-        }
     }
 
     #[test]

@@ -35,37 +35,13 @@ pub fn simulate_dispatch(
 ) -> Result<DispatchOutcome, SimError> {
     MachineConfig::with_speed(m, speed).validate()?;
     let n = trace.len();
-
-    // Dispatch order: trace order, except rules like largest-least-loaded
-    // present each simultaneous-arrival batch in decreasing size order.
-    // The same order drives both routing and per-machine queue building,
-    // so batch reordering is visible to FCFS-style per-machine policies.
     let jobs = trace.jobs();
-    let mut order: Vec<usize> = (0..n).collect();
-    if rule.orders_batches_by_size() {
-        let mut lo = 0;
-        while lo < n {
-            let mut hi = lo + 1;
-            while hi < n && jobs[hi].arrival == jobs[lo].arrival {
-                hi += 1;
-            }
-            order[lo..hi].sort_by(|&a, &b| {
-                jobs[b]
-                    .size
-                    .partial_cmp(&jobs[a].size)
-                    .unwrap()
-                    .then_with(|| a.cmp(&b))
-            });
-            lo = hi;
-        }
-    }
 
     // Phase 1: online routing with exact backlog tracking.
     let mut assignment = vec![0usize; n];
     let mut backlog = vec![0.0f64; m];
     let mut last_t = 0.0f64;
-    for &idx in &order {
-        let j = &jobs[idx];
+    for (idx, j) in jobs.iter().enumerate() {
         let dt = j.arrival - last_t;
         for b in backlog.iter_mut() {
             *b = (*b - dt * speed).max(0.0);
@@ -84,8 +60,7 @@ pub fn simulate_dispatch(
     for machine in 0..m {
         let mut sub = TraceBuilder::new();
         let mut ids: Vec<u32> = Vec::new();
-        for &idx in &order {
-            let j = &jobs[idx];
+        for j in jobs {
             if assignment[j.id as usize] == machine {
                 sub.push_weighted(j.arrival, j.size, j.weight);
                 ids.push(j.id);
@@ -217,56 +192,6 @@ mod tests {
         .unwrap();
         for j in 0..t.len() {
             assert!((out.schedule.completion[j] - direct.completion[j]).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn largest_least_loaded_orders_batches() {
-        // Batch at t=0: sizes 1, 4, 2 → dispatched 4, 2, 1: the size-4 job
-        // claims machine 0, then 2 and 1 stack on machine 1.
-        let t = trace(&[(0.0, 1.0), (0.0, 4.0), (0.0, 2.0)]);
-        let out =
-            simulate_dispatch(&t, DispatchRule::LargestLeastLoaded, Policy::Fcfs, 2, 1.0).unwrap();
-        assert_eq!(out.assignment, vec![1, 0, 1]);
-        // Machine 1 serves size 2 before size 1 (batch order, not trace
-        // order).
-        assert!((out.schedule.completion[2] - 2.0).abs() < 1e-9);
-        assert!((out.schedule.completion[0] - 3.0).abs() < 1e-9);
-        assert!((out.schedule.completion[1] - 4.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn largest_least_loaded_matches_multilist_policy() {
-        // The dispatch-layer formulation (route, then per-machine FCFS)
-        // and the policy-layer MultiList allocator are the same algorithm;
-        // completions must agree on batches, stragglers, and m=1.
-        let t = trace(&[
-            (0.0, 5.0),
-            (0.0, 1.0),
-            (0.0, 3.0),
-            (2.0, 2.0),
-            (2.0, 4.0),
-            (6.0, 1.5),
-        ]);
-        for m in [1usize, 2, 3] {
-            let out = simulate_dispatch(&t, DispatchRule::LargestLeastLoaded, Policy::Fcfs, m, 1.0)
-                .unwrap();
-            let mut ml = Policy::MultiList.make();
-            let direct = simulate(
-                &t,
-                ml.as_mut(),
-                MachineConfig::new(m),
-                SimOptions::default(),
-            )
-            .unwrap();
-            for j in 0..t.len() {
-                assert!(
-                    (out.schedule.completion[j] - direct.completion[j]).abs() < 1e-9,
-                    "m={m} job {j}: dispatch {} vs policy {}",
-                    out.schedule.completion[j],
-                    direct.completion[j]
-                );
-            }
         }
     }
 

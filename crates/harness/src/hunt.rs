@@ -29,6 +29,7 @@ use serde::{Deserialize, Serialize};
 use tf_lowerbound::{exact_slotted_opt, ExactLimits};
 use tf_policies::Policy;
 use tf_simcore::{simulate, MachineConfig, SimOptions, Trace, TraceBuilder};
+use tf_workload::splitmix64;
 
 use crate::campaign::{CampaignScope, TaskKey};
 
@@ -167,15 +168,6 @@ fn mutate(rng: &mut StdRng, jobs: &[(u16, u16)], cfg: &HuntConfig) -> Vec<(u16, 
         _ => {}
     }
     out
-}
-
-/// SplitMix64 finalizer: decorrelates per-candidate seeds derived by
-/// index from one generation seed.
-fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// One restart's journaled outcome: the instance it converged to, its

@@ -10,12 +10,10 @@
 //! objectives and the natural immediate-dispatch baseline for flow-time
 //! frontiers.
 //!
-//! This module is the *policy-side* formulation (a stateful
-//! [`RateAllocator`], so the ordinary batch and streaming engines, ratio
-//! tables, hunts, and audits all apply unchanged); `tf-dispatch`'s
-//! `DispatchRule::LargestLeastLoaded` is the equivalent two-phase
-//! route-then-simulate formulation, and a differential test pins the two
-//! against each other.
+//! The policy is a stateful [`RateAllocator`], so the ordinary batch and
+//! streaming engines, ratio tables, hunts, and audits all apply
+//! unchanged. The audit oracles `P-ML-LARGEST` and `P-ML-LEASTLOAD` check
+//! its service shape and replay its routing.
 //!
 //! ```
 //! use tf_policies::Policy;

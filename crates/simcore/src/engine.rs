@@ -6,12 +6,22 @@
 //! analytically to the earliest next event. For piecewise-constant policies
 //! (RR, SRPT, SJF, FCFS, LAPS) the produced schedule is exact up to
 //! floating-point rounding; there is no time-quantization error.
+//!
+//! One loop serves both entry points. [`simulate`] replays a materialised
+//! [`Trace`] into dense completion vectors and, on request, a full
+//! [`Profile`]; [`crate::simulate_stream`] pulls jobs from an open
+//! [`JobSource`] and retires each one to a sink as it completes. They
+//! differ only in how they resolve their defaults and where completions
+//! go, so a closed trace streamed through [`TraceSource`] reproduces
+//! `simulate` bit for bit.
 
 use crate::alloc::{check_rates, AliveJob, MachineConfig, RateAllocator};
 use crate::error::SimError;
+use crate::job::JobId;
 use crate::profile::Profile;
 use crate::schedule::Schedule;
 use crate::stats::SimStats;
+use crate::stream::{JobSource, TraceSource};
 use crate::trace::Trace;
 use crate::{ABS_EPS, REL_EPS};
 use std::time::Instant;
@@ -77,17 +87,8 @@ pub fn simulate(
     policy.reset();
 
     let mut obs_span = tf_obs::span!("sim", "simulate");
-    // Tracing subsumes the opt-in allocator timing: with a sink installed
-    // the run is diagnostic anyway, so fold the alloc_ns clock reads in.
-    let time_alloc = opts.time_alloc || tf_obs::enabled();
 
     let n = trace.len();
-    let jobs = trace.jobs();
-    let mut completion = vec![f64::NAN; n];
-    let mut flow = vec![f64::NAN; n];
-    let mut profile = opts.record_profile.then(|| Profile::new(cfg.m, cfg.speed));
-    let mut stats = SimStats::default();
-
     let continuous = policy.continuous();
     let max_step = if continuous {
         opts.max_step.unwrap_or_else(|| {
@@ -99,7 +100,7 @@ pub fn simulate(
             (mean / cfg.speed / 64.0).max(ABS_EPS)
         })
     } else {
-        opts.max_step.unwrap_or(f64::INFINITY)
+        f64::INFINITY
     };
     let event_budget = opts.max_events.unwrap_or_else(|| {
         let n64 = n as u64;
@@ -111,34 +112,129 @@ pub fn simulate(
             base
         }
     });
+    let knobs = Knobs {
+        max_step,
+        event_budget,
+        // Tracing subsumes the opt-in allocator timing: with a sink
+        // installed the run is diagnostic anyway, so fold the clock in.
+        time_alloc: opts.time_alloc || tf_obs::enabled(),
+    };
+
+    // Job ids equal trace indices, so completions land in dense vectors.
+    let mut completion = vec![f64::NAN; n];
+    let mut flow = vec![f64::NAN; n];
+    let mut profile = opts.record_profile.then(|| Profile::new(cfg.m, cfg.speed));
+    let end = run(
+        &mut TraceSource::new(trace),
+        policy,
+        cfg,
+        knobs,
+        profile.as_mut(),
+        |a, time| {
+            completion[a.id as usize] = time;
+            flow[a.id as usize] = time - a.arrival;
+        },
+    )?;
+
+    if let Some(p) = profile.as_mut() {
+        let _coalesce_span = tf_obs::span!("sim", "coalesce");
+        p.coalesce(ABS_EPS);
+    }
+
+    let stats = end.stats;
+    if tf_obs::enabled() {
+        obs_span.arg("n", n as f64);
+        obs_span.arg("m", cfg.m as f64);
+        obs_span.arg("speed", cfg.speed);
+        obs_span.arg("events", end.events as f64);
+        tf_obs::counter!("sim", "events", end.events as f64);
+        tf_obs::counter!("sim", "steps", stats.steps() as f64);
+        tf_obs::counter!("sim", "peak_alive", stats.peak_alive as f64);
+        tf_obs::counter!("sim", "alloc_ns", stats.alloc_ns as f64);
+        if stats.segments_recorded > 0 {
+            tf_obs::counter!("sim", "segments_recorded", stats.segments_recorded as f64);
+        }
+    }
+
+    Ok(Schedule {
+        policy: policy.name().to_string(),
+        cfg,
+        completion,
+        flow,
+        profile,
+        events: end.events,
+        stats,
+    })
+}
+
+/// The knobs of one [`run`], resolved by each entry point from its own
+/// options: [`simulate`] derives defaults from the whole trace, a stream
+/// cannot look ahead and takes them as given.
+pub(crate) struct Knobs {
+    /// Longest step for continuously-varying policies; `∞` for the rest.
+    pub max_step: f64,
+    /// Events after which the run fails with
+    /// [`SimError::EventBudgetExhausted`].
+    pub event_budget: u64,
+    /// Clock the policy's `allocate` into [`SimStats::alloc_ns`].
+    pub time_alloc: bool,
+}
+
+/// What a finished [`run`] reports besides the completions it handed to
+/// its sink.
+pub(crate) struct RunEnd {
+    /// Engine events processed (admissions plus steps).
+    pub events: u64,
+    /// Simulation time when the last job completed.
+    pub end_time: f64,
+    /// The engine counters.
+    pub stats: SimStats,
+}
+
+/// The event loop behind [`simulate`] and [`crate::simulate_stream`]:
+/// admit → allocate → `check_rates`/clamp → earliest event → advance →
+/// retire, until `source` is exhausted and no job is alive.
+///
+/// Jobs are pulled one at a time, so at most one not-yet-arrived job is
+/// held. Every positive-length step is recorded into `profile` when one is
+/// given, and every retiring job is handed to `on_complete` with its
+/// completion time, in alive-set order.
+pub(crate) fn run<S: JobSource + ?Sized>(
+    source: &mut S,
+    policy: &mut dyn RateAllocator,
+    cfg: MachineConfig,
+    knobs: Knobs,
+    mut profile: Option<&mut Profile>,
+    mut on_complete: impl FnMut(&AliveJob, f64),
+) -> Result<RunEnd, SimError> {
+    let Knobs {
+        max_step,
+        event_budget,
+        time_alloc,
+    } = knobs;
+    let mut stats = SimStats::default();
 
     // The alive set doubles as the policy's view: arrivals append, steps
     // update `remaining`/`attained` in place, and completions compact it
-    // with a single order-preserving `retain` pass. Job ids equal trace
-    // indices, so no separate index bookkeeping is needed.
+    // with a single order-preserving `retain` pass.
     let mut alive: Vec<AliveJob> = Vec::new();
-    let mut next_arrival = 0usize; // index into jobs
+    let mut next_id: u64 = 0;
+    let mut last_arrival = 0.0_f64;
     let mut time = 0.0_f64;
     let mut events: u64 = 0;
     let mut zero_steps_in_a_row = 0u32;
+
+    // The single look-ahead job: pulled, validated, not yet arrived.
+    let mut pending = pull(source, &mut next_id, &mut last_arrival)?;
 
     // Reusable scratch, sized once per high-water mark.
     let mut rates: Vec<f64> = Vec::new();
 
     loop {
         // Admit all jobs that have arrived by `time`.
-        while next_arrival < n && jobs[next_arrival].arrival <= time {
-            let j = &jobs[next_arrival];
-            alive.push(AliveJob {
-                id: j.id,
-                arrival: j.arrival,
-                size: j.size,
-                weight: j.weight,
-                remaining: j.size,
-                attained: 0.0,
-                seq: j.id,
-            });
-            next_arrival += 1;
+        while pending.as_ref().is_some_and(|p| p.arrival <= time) {
+            alive.push(pending.take().expect("checked above"));
+            pending = pull(source, &mut next_id, &mut last_arrival)?;
             events += 1;
             stats.jobs_admitted += 1;
         }
@@ -147,11 +243,13 @@ pub fn simulate(
         }
 
         if alive.is_empty() {
-            if next_arrival >= n {
-                break; // all done
+            match &pending {
+                None => break, // source exhausted, all work done
+                Some(p) => {
+                    time = p.arrival;
+                    continue;
+                }
             }
-            time = jobs[next_arrival].arrival;
-            continue;
         }
 
         if events > event_budget {
@@ -174,11 +272,11 @@ pub fn simulate(
         // Earliest next event.
         let mut dt = f64::INFINITY;
         let mut reason = StepReason::AdaptiveStep;
-        if next_arrival < n {
-            let d = jobs[next_arrival].arrival - time;
+        if let Some(p) = &pending {
+            let d = p.arrival - time;
             if d < dt {
                 dt = d;
-                reason = StepReason::Arrival(jobs[next_arrival].arrival);
+                reason = StepReason::Arrival(p.arrival);
             }
         }
         for (a, &r) in alive.iter().zip(&rates) {
@@ -199,7 +297,7 @@ pub fn simulate(
                 reason = StepReason::Review;
             }
         }
-        if continuous && max_step < dt {
+        if max_step < dt {
             dt = max_step;
             reason = StepReason::AdaptiveStep;
         }
@@ -228,7 +326,7 @@ pub fn simulate(
         // Advance: record the segment (arena append, no per-segment
         // allocation), deliver work, and detect completions in one pass.
         if dt > 0.0 {
-            if let Some(p) = profile.as_mut() {
+            if let Some(p) = profile.as_deref_mut() {
                 p.push(
                     time,
                     time + dt,
@@ -249,7 +347,7 @@ pub fn simulate(
             StepReason::Arrival(at) => at, // snap exactly onto the arrival
             _ => step_end,
         };
-        if let Some(p) = profile.as_mut() {
+        if let Some(p) = profile.as_deref_mut() {
             // Snapping moves `time` off `t0 + dt` by at most one rounding
             // step of the arrival instant (dt was computed as `at − t0`):
             // stretching the last segment to cover it is floating-point
@@ -274,8 +372,7 @@ pub fn simulate(
         if any_done {
             alive.retain(|a| {
                 if a.remaining <= a.size * REL_EPS + ABS_EPS {
-                    completion[a.id as usize] = time;
-                    flow[a.id as usize] = time - a.arrival;
+                    on_complete(a, time);
                     false
                 } else {
                     true
@@ -284,34 +381,59 @@ pub fn simulate(
         }
     }
 
-    if let Some(p) = profile.as_mut() {
-        let _coalesce_span = tf_obs::span!("sim", "coalesce");
-        p.coalesce(ABS_EPS);
-    }
-
-    if tf_obs::enabled() {
-        obs_span.arg("n", n as f64);
-        obs_span.arg("m", cfg.m as f64);
-        obs_span.arg("speed", cfg.speed);
-        obs_span.arg("events", events as f64);
-        tf_obs::counter!("sim", "events", events as f64);
-        tf_obs::counter!("sim", "steps", stats.steps() as f64);
-        tf_obs::counter!("sim", "peak_alive", stats.peak_alive as f64);
-        tf_obs::counter!("sim", "alloc_ns", stats.alloc_ns as f64);
-        if stats.segments_recorded > 0 {
-            tf_obs::counter!("sim", "segments_recorded", stats.segments_recorded as f64);
-        }
-    }
-
-    Ok(Schedule {
-        policy: policy.name().to_string(),
-        cfg,
-        completion,
-        flow,
-        profile,
+    Ok(RunEnd {
         events,
+        end_time: time,
         stats,
     })
+}
+
+/// Pull and validate the next job from the source, assigning the next
+/// dense id. `last_arrival` enforces monotone arrivals; a [`Trace`] passes
+/// every check by construction ([`crate::TraceBuilder::build`]).
+fn pull<S: JobSource + ?Sized>(
+    source: &mut S,
+    next_id: &mut u64,
+    last_arrival: &mut f64,
+) -> Result<Option<AliveJob>, SimError> {
+    let Some(j) = source.next_job() else {
+        return Ok(None);
+    };
+    if *next_id > JobId::MAX as u64 {
+        return Err(SimError::JobLimitExceeded {
+            limit: JobId::MAX as u64,
+        });
+    }
+    let id = *next_id as JobId;
+    if !j.size.is_finite() || j.size <= 0.0 {
+        return Err(SimError::BadJobSize {
+            job: id,
+            size: j.size,
+        });
+    }
+    if !j.arrival.is_finite() || j.arrival < 0.0 || j.arrival < *last_arrival {
+        return Err(SimError::BadArrival {
+            job: id,
+            arrival: j.arrival,
+        });
+    }
+    if !j.weight.is_finite() || j.weight <= 0.0 {
+        return Err(SimError::BadWeight {
+            job: id,
+            weight: j.weight,
+        });
+    }
+    *next_id += 1;
+    *last_arrival = j.arrival;
+    Ok(Some(AliveJob {
+        id,
+        arrival: j.arrival,
+        size: j.size,
+        weight: j.weight,
+        remaining: j.size,
+        attained: 0.0,
+        seq: id,
+    }))
 }
 
 #[cfg(test)]

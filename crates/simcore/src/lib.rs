@@ -58,8 +58,7 @@ pub use schedule::Schedule;
 pub use sim::Simulation;
 pub use stats::SimStats;
 pub use stream::{
-    simulate_stream, CompletedJob, JobSource, ProfileWindow, SourcedJob, StreamOptions,
-    StreamReport, TraceSource,
+    simulate_stream, CompletedJob, JobSource, SourcedJob, StreamOptions, StreamReport, TraceSource,
 };
 /// Re-export of the observability layer, so downstream code can reach
 /// sinks and the registry without naming `tf_obs` in its own manifest.

@@ -8,31 +8,26 @@
 //!
 //! * [`JobSource`] — a pull-based generator of jobs in arrival order; the
 //!   engine materialises at most **one** not-yet-arrived job at a time.
-//! * [`simulate_stream`] — the same exact event loop as
-//!   [`crate::simulate`] (identical step selection, identical arithmetic,
-//!   so closed traces replay **bit-identically** — pinned by the golden
-//!   tests in `tf-harness`), but completed jobs are *retired*: their
-//!   completion is handed to a caller-supplied sink and their state is
-//!   dropped. Memory is `O(peak alive set + window)`, independent of the
-//!   number of jobs streamed.
-//! * [`ProfileWindow`] — a ring buffer retaining the execution profile
-//!   only over a trailing time window, for dual-fitting-style analyses
-//!   over a sliding horizon.
+//! * [`simulate_stream`] — runs the same event loop as
+//!   [`crate::simulate`] (both entry points call it), so a closed trace
+//!   streamed through [`TraceSource`] replays **bit-identically**, but
+//!   completed jobs are *retired*: their completion is handed to a
+//!   caller-supplied sink and their state is dropped. Memory is
+//!   `O(peak alive set)`, independent of the number of jobs streamed. No
+//!   profile is kept; analyses that need one (the dual-fitting
+//!   certificate) run [`crate::simulate`].
 //!
 //! Flow-time statistics over the full stream are computed by feeding the
 //! sink into the mergeable streaming accumulators of `tf-metrics`
 //! (`StreamingFlowStats`, `StreamingNorm`), which never need the
 //! completion vector either.
 
-use crate::alloc::{check_rates, AliveJob, MachineConfig, RateAllocator};
+use crate::alloc::{AliveJob, MachineConfig, RateAllocator};
+use crate::engine::{run, Knobs};
 use crate::error::SimError;
 use crate::job::JobId;
-use crate::profile::{Segment, SegmentRef};
 use crate::stats::SimStats;
 use crate::trace::Trace;
-use crate::{ABS_EPS, REL_EPS};
-use std::collections::VecDeque;
-use std::time::Instant;
 
 /// One job emitted by a [`JobSource`]: everything a [`crate::Job`] carries
 /// except the id, which the streaming engine assigns densely in emission
@@ -116,30 +111,17 @@ pub struct CompletedJob {
 }
 
 /// Knobs for [`simulate_stream`]. Unlike [`crate::SimOptions`] there is no
-/// full-profile switch — streaming retains at most a [`ProfileWindow`].
+/// profile switch: a stream keeps no profile.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct StreamOptions {
     /// Maximum step length for continuously-varying policies. **Required**
     /// for policies with [`RateAllocator::continuous`] `== true` (the
     /// materialised engine defaults this from the whole-trace mean size,
-    /// which a stream cannot know); ignored otherwise unless set.
+    /// which a stream cannot know); ignored otherwise.
     pub max_step: Option<f64>,
     /// Hard cap on engine events. `None` = unlimited (the stream's own
     /// bound is expected to terminate the run).
     pub max_events: Option<u64>,
-    /// Retain the execution profile over a trailing window of this
-    /// duration (see [`ProfileWindow`]). `None` = record nothing.
-    pub window: Option<f64>,
-}
-
-impl StreamOptions {
-    /// Options with a trailing profile window of duration `w`.
-    pub fn with_window(w: f64) -> Self {
-        StreamOptions {
-            window: Some(w),
-            ..Default::default()
-        }
-    }
 }
 
 /// Summary of one [`simulate_stream`] run. There is deliberately no
@@ -161,131 +143,15 @@ pub struct StreamReport {
     /// The usual engine counters ([`SimStats`]); `peak_alive` is the
     /// memory high-water mark of the run.
     pub stats: SimStats,
-    /// The trailing profile window, when [`StreamOptions::window`] was
-    /// set.
-    pub profile: Option<ProfileWindow>,
-}
-
-/// A sliding-window execution profile: the piecewise-constant rate record
-/// of [`crate::Profile`], but only over the trailing `window` time units.
-/// Segments whose end falls out of the window are evicted from the front
-/// and their rate buffers recycled, so memory is bounded by the event
-/// density of the window — flat in stream length.
-#[derive(Debug, Clone)]
-pub struct ProfileWindow {
-    window: f64,
-    segs: VecDeque<Segment>,
-    /// Recycled rate buffers from evicted segments.
-    pool: Vec<Vec<(JobId, f64)>>,
-    evicted: u64,
-    /// Machine count the schedule ran on.
-    pub m: usize,
-    /// Machine speed the schedule ran at.
-    pub speed: f64,
-}
-
-impl ProfileWindow {
-    /// An empty window of duration `window` for the given environment.
-    pub fn new(window: f64, m: usize, speed: f64) -> Self {
-        ProfileWindow {
-            window,
-            segs: VecDeque::new(),
-            pool: Vec::new(),
-            evicted: 0,
-            m,
-            speed,
-        }
-    }
-
-    /// The configured window duration.
-    #[inline]
-    pub fn window(&self) -> f64 {
-        self.window
-    }
-
-    /// Append a segment and evict everything that has slid out of the
-    /// window ending at `t1`.
-    pub fn push(&mut self, t0: f64, t1: f64, rates: impl IntoIterator<Item = (JobId, f64)>) {
-        let mut buf = self.pool.pop().unwrap_or_default();
-        buf.clear();
-        buf.extend(rates);
-        self.segs.push_back(Segment { t0, t1, rates: buf });
-        self.evict_before(t1 - self.window);
-    }
-
-    /// Drop all segments entirely before `cut` (i.e. with `t1 <= cut`).
-    pub fn evict_before(&mut self, cut: f64) {
-        while self.segs.front().is_some_and(|s| s.t1 <= cut) {
-            let s = self.segs.pop_front().expect("front exists");
-            self.pool.push(s.rates);
-            self.evicted += 1;
-        }
-    }
-
-    /// Extend the last segment's end to `t` if beyond it (the arrival-snap
-    /// adjustment, identical to [`crate::Profile::stretch_last_end`]).
-    pub fn stretch_last_end(&mut self, t: f64) {
-        if let Some(s) = self.segs.back_mut() {
-            s.t1 = s.t1.max(t);
-        }
-    }
-
-    /// Segments currently retained, oldest first.
-    pub fn segments(&self) -> impl Iterator<Item = SegmentRef<'_>> {
-        self.segs.iter().map(|s| s.as_ref())
-    }
-
-    /// Number of retained segments.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.segs.len()
-    }
-
-    /// True iff nothing is retained.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.segs.is_empty()
-    }
-
-    /// Segments evicted so far.
-    #[inline]
-    pub fn evicted(&self) -> u64 {
-        self.evicted
-    }
-
-    /// Start of the oldest retained segment (0 when empty).
-    pub fn start(&self) -> f64 {
-        self.segs.front().map_or(0.0, |s| s.t0)
-    }
-
-    /// End of the newest retained segment (0 when empty).
-    pub fn end(&self) -> f64 {
-        self.segs.back().map_or(0.0, |s| s.t1)
-    }
-
-    /// Work processed across the retained window (`Σ rate·duration`).
-    pub fn total_work(&self) -> f64 {
-        self.segments().map(|s| s.total_rate() * s.duration()).sum()
-    }
-
-    /// Work received by `job` within the retained window.
-    pub fn work_of(&self, job: JobId) -> f64 {
-        self.segments()
-            .filter_map(|s| s.rate_of(job).map(|r| r * s.duration()))
-            .sum()
-    }
 }
 
 /// Simulate `policy` over the jobs pulled from `source`, delivering every
 /// completed job to `on_complete` and retiring it.
 ///
-/// The event loop is numerically identical to [`crate::simulate`]: the
-/// same admission rule, step selection, arrival snapping, and completion
-/// threshold, in the same order — a closed trace streamed through
-/// [`TraceSource`] reproduces the materialised completions **bit for
-/// bit**. The differences are purely about retention: per-job state lives
-/// only while the job is alive, and the profile (if any) covers only a
-/// trailing window.
+/// This runs the one event loop [`crate::simulate`] runs, so a closed
+/// trace streamed through [`TraceSource`] reproduces the materialised
+/// completions **bit for bit**. Only retention differs: per-job state
+/// lives while the job is alive, and no profile is recorded.
 ///
 /// # Errors
 /// Those of [`crate::simulate`], plus [`SimError::MissingMaxStep`] for
@@ -304,258 +170,47 @@ pub fn simulate_stream(
     policy.reset();
 
     let mut obs_span = tf_obs::span!("sim", "stream");
-    let time_alloc = tf_obs::enabled();
 
-    let continuous = policy.continuous();
-    if continuous && opts.max_step.is_none() {
-        return Err(SimError::MissingMaxStep);
-    }
-    let max_step = opts.max_step.unwrap_or(f64::INFINITY);
-    let event_budget = opts.max_events.unwrap_or(u64::MAX);
-
-    let mut profile = opts.window.map(|w| ProfileWindow::new(w, cfg.m, cfg.speed));
-    let mut stats = SimStats::default();
-
-    let mut alive: Vec<AliveJob> = Vec::new();
-    let mut next_id: u64 = 0;
-    let mut last_arrival = 0.0_f64;
-    let mut completed: u64 = 0;
-    let mut time = 0.0_f64;
-    let mut events: u64 = 0;
-    let mut zero_steps_in_a_row = 0u32;
-
-    // The single look-ahead job: pulled, validated, not yet arrived.
-    let mut pending = pull(source, &mut next_id, &mut last_arrival)?;
-
-    // Reusable scratch, sized once per high-water mark.
-    let mut rates: Vec<f64> = Vec::new();
-
-    loop {
-        // Admit all jobs that have arrived by `time` (same rule as the
-        // materialised engine: `arrival <= time`).
-        while pending.as_ref().is_some_and(|p| p.arrival <= time) {
-            alive.push(pending.take().expect("checked above"));
-            pending = pull(source, &mut next_id, &mut last_arrival)?;
-            events += 1;
-            stats.jobs_admitted += 1;
-        }
-        if alive.len() > stats.peak_alive {
-            stats.peak_alive = alive.len();
-        }
-
-        if alive.is_empty() {
-            match &pending {
-                None => break, // stream exhausted, all work done
-                Some(p) => {
-                    time = p.arrival;
-                    continue;
-                }
-            }
-        }
-
-        if events > event_budget {
-            return Err(SimError::EventBudgetExhausted { events });
-        }
-
-        rates.clear();
-        rates.resize(alive.len(), 0.0);
-        let alloc_started = time_alloc.then(Instant::now);
-        policy.allocate(time, &alive, &cfg, &mut rates);
-        if let Some(t0) = alloc_started {
-            stats.alloc_ns += t0.elapsed().as_nanos() as u64;
-        }
-        check_rates(&alive, &cfg, &rates, REL_EPS)?;
-        for r in rates.iter_mut() {
-            *r = r.clamp(0.0, cfg.job_cap());
-        }
-
-        // Earliest next event — identical selection order to `simulate`.
-        let mut dt = f64::INFINITY;
-        let mut reason = StepReason::AdaptiveStep;
-        if let Some(p) = &pending {
-            let d = p.arrival - time;
-            if d < dt {
-                dt = d;
-                reason = StepReason::Arrival(p.arrival);
-            }
-        }
-        for (a, &r) in alive.iter().zip(&rates) {
-            if r > ABS_EPS {
-                let d = a.remaining / r;
-                if d < dt {
-                    dt = d;
-                    reason = StepReason::Completion;
-                }
-            }
-        }
-        if let Some(rev) = policy.review_in(time, &alive, &cfg) {
-            let rev = rev.max(ABS_EPS);
-            if rev < dt {
-                dt = rev;
-                reason = StepReason::Review;
-            }
-        }
-        if continuous && max_step < dt {
-            dt = max_step;
-            reason = StepReason::AdaptiveStep;
-        }
-
-        if !dt.is_finite() {
-            return Err(SimError::Stalled {
-                time,
-                alive: alive.len(),
-            });
-        }
-
-        if dt <= 0.0 {
-            zero_steps_in_a_row += 1;
-            if zero_steps_in_a_row > 2 {
-                return Err(SimError::Stalled {
-                    time,
-                    alive: alive.len(),
-                });
-            }
-        } else {
-            zero_steps_in_a_row = 0;
-        }
-
-        if dt > 0.0 {
-            if let Some(p) = profile.as_mut() {
-                p.push(
-                    time,
-                    time + dt,
-                    alive.iter().zip(&rates).map(|(a, &r)| (a.id, r)),
-                );
-                stats.segments_recorded += 1;
-            }
-        }
-        let mut any_done = false;
-        for (a, &r) in alive.iter_mut().zip(&rates) {
-            let w = r * dt;
-            a.attained += w;
-            a.remaining -= w;
-            any_done |= a.remaining <= a.size * REL_EPS + ABS_EPS;
-        }
-        let step_end = time + dt;
-        time = match reason {
-            StepReason::Arrival(at) => at, // snap exactly onto the arrival
-            _ => step_end,
-        };
-        if let Some(p) = profile.as_mut() {
-            debug_assert!(
-                time - step_end <= ABS_EPS + REL_EPS * time.abs(),
-                "arrival snap stretched the window by {} at t={time}",
-                time - step_end
-            );
-            p.stretch_last_end(time);
-        }
-        events += 1;
-        match reason {
-            StepReason::Arrival(_) => stats.arrival_steps += 1,
-            StepReason::Completion => stats.completion_steps += 1,
-            StepReason::Review => stats.review_steps += 1,
-            StepReason::AdaptiveStep => stats.adaptive_steps += 1,
-        }
-
-        // Retire completed jobs: same compaction as the materialised
-        // engine, but the record goes to the sink instead of a dense Vec.
-        if any_done {
-            alive.retain(|a| {
-                if a.remaining <= a.size * REL_EPS + ABS_EPS {
-                    on_complete(CompletedJob {
-                        id: a.id,
-                        arrival: a.arrival,
-                        size: a.size,
-                        weight: a.weight,
-                        completion: time,
-                        flow: time - a.arrival,
-                    });
-                    completed += 1;
-                    false
-                } else {
-                    true
-                }
-            });
-        }
-    }
+    let max_step = if policy.continuous() {
+        opts.max_step.ok_or(SimError::MissingMaxStep)?
+    } else {
+        f64::INFINITY
+    };
+    let knobs = Knobs {
+        max_step,
+        event_budget: opts.max_events.unwrap_or(u64::MAX),
+        time_alloc: tf_obs::enabled(),
+    };
+    let end = run(source, policy, cfg, knobs, None, |a: &AliveJob, time| {
+        on_complete(CompletedJob {
+            id: a.id,
+            arrival: a.arrival,
+            size: a.size,
+            weight: a.weight,
+            completion: time,
+            flow: time - a.arrival,
+        })
+    })?;
+    let completed = end.stats.jobs_admitted;
 
     if tf_obs::enabled() {
         obs_span.arg("n", completed as f64);
         obs_span.arg("m", cfg.m as f64);
         obs_span.arg("speed", cfg.speed);
-        obs_span.arg("events", events as f64);
-        tf_obs::counter!("sim", "stream_events", events as f64);
+        obs_span.arg("events", end.events as f64);
+        tf_obs::counter!("sim", "stream_events", end.events as f64);
         tf_obs::counter!("sim", "stream_completed", completed as f64);
-        tf_obs::counter!("sim", "peak_alive", stats.peak_alive as f64);
+        tf_obs::counter!("sim", "peak_alive", end.stats.peak_alive as f64);
     }
 
     Ok(StreamReport {
         policy: policy.name().to_string(),
         cfg,
         completed,
-        events,
-        end_time: time,
-        stats,
-        profile,
+        events: end.events,
+        end_time: end.end_time,
+        stats: end.stats,
     })
-}
-
-/// Pull and validate the next job from the source, assigning the next
-/// dense id. `last_arrival` enforces stream monotonicity.
-fn pull(
-    source: &mut dyn JobSource,
-    next_id: &mut u64,
-    last_arrival: &mut f64,
-) -> Result<Option<AliveJob>, SimError> {
-    let Some(j) = source.next_job() else {
-        return Ok(None);
-    };
-    if *next_id > JobId::MAX as u64 {
-        return Err(SimError::JobLimitExceeded {
-            limit: JobId::MAX as u64,
-        });
-    }
-    let id = *next_id as JobId;
-    if !j.size.is_finite() || j.size <= 0.0 {
-        return Err(SimError::BadJobSize {
-            job: id,
-            size: j.size,
-        });
-    }
-    if !j.arrival.is_finite() || j.arrival < 0.0 || j.arrival < *last_arrival {
-        return Err(SimError::BadArrival {
-            job: id,
-            arrival: j.arrival,
-        });
-    }
-    if !j.weight.is_finite() || j.weight <= 0.0 {
-        return Err(SimError::BadWeight {
-            job: id,
-            weight: j.weight,
-        });
-    }
-    *next_id += 1;
-    *last_arrival = j.arrival;
-    Ok(Some(AliveJob {
-        id,
-        arrival: j.arrival,
-        size: j.size,
-        weight: j.weight,
-        remaining: j.size,
-        attained: 0.0,
-        seq: id,
-    }))
-}
-
-/// Why the engine chose a particular step length (mirror of the private
-/// enum in `engine.rs`; kept local so the two loops stay independently
-/// readable).
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum StepReason {
-    Arrival(f64),
-    Completion,
-    Review,
-    AdaptiveStep,
 }
 
 #[cfg(test)]
@@ -626,21 +281,6 @@ mod tests {
         assert!(c.is_empty());
         assert_eq!(report.completed, 0);
         assert_eq!(report.end_time, 0.0);
-    }
-
-    #[test]
-    fn window_profile_is_bounded_and_covers_the_tail() {
-        // 50 well-separated unit jobs: the full profile would hold 50
-        // segments; a window of 5 time units holds a bounded suffix.
-        let t = Trace::from_pairs((0..50).map(|i| (2.0 * i as f64, 1.0))).unwrap();
-        let (_, report) = stream_completions(&t, StreamOptions::with_window(5.0));
-        let w = report.profile.unwrap();
-        assert!(w.len() <= 4, "window retained {} segments", w.len());
-        assert!(w.evicted() > 40);
-        assert_eq!(w.end(), report.end_time);
-        assert!(w.end() - w.start() <= 5.0 + 1e-9);
-        // The tail work is intact: last job ran at rate 1 for 1 unit.
-        assert!((w.work_of(49) - 1.0).abs() < 1e-9);
     }
 
     #[test]

@@ -29,20 +29,12 @@
 
 use crate::error::WorkloadError;
 use crate::sizes::SizeDist;
+use crate::splitmix64;
 use crate::stream::{OpenJobStream, OpenWorkload, StreamArrivals, StreamBound};
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 use std::rc::Rc;
 use tf_simcore::{JobId, JobSource, SourcedJob, Trace, TraceBuilder};
-
-/// splitmix64 finalizer (same sequence as the stream module's): derives
-/// a decorrelated per-flow seed from the set seed and the flow index.
-fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// One traffic class: every job this flow emits carries `weight`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]

@@ -46,3 +46,14 @@ pub use flows::{FlowJobStream, FlowLog, FlowMap, FlowSet, FlowSpec};
 pub use sizes::SizeDist;
 pub use spec::{PoissonWorkload, WorkloadSpec};
 pub use stream::{Histogram, OpenJobStream, OpenWorkload, StreamArrivals, StreamBound};
+
+/// The splitmix64 finalizer, the workspace's one seed-derivation step:
+/// maps a seed (or seed ⊕ index) to a decorrelated 64-bit value, so a
+/// one-bit difference in the input decorrelates the outputs. Generators
+/// derive per-stream, per-flow, per-restart and per-instance seeds with it.
+pub fn splitmix64(x: u64) -> u64 {
+    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}

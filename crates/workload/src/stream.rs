@@ -26,20 +26,11 @@
 use crate::arrivals::ArrivalProcess;
 use crate::error::WorkloadError;
 use crate::sizes::SizeDist;
+use crate::splitmix64;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use tf_simcore::{JobSource, SourcedJob};
-
-/// splitmix64 finalizer: derives independent per-stream seeds from one
-/// workload seed (the standard seed-sequencing trick; a single increment
-/// difference in input decorrelates the outputs).
-fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// An empirical distribution over a binned histogram: bin `i` spans
 /// `[edges[i], edges[i+1])` and carries probability mass proportional to
