@@ -13,9 +13,11 @@
 //!   least-attained priority, LAPS latest-β support, FCFS front-running,
 //!   the SRPT+FCFS hybrid's starvation promotion and SRPT-below-threshold
 //!   orders, the multi-list dispatcher's largest-first batches and
-//!   least-loaded routing), and do the differential optimality oracles
+//!   least-loaded routing), do the differential optimality oracles
 //!   hold (SRPT minimizes
-//!   total flow on `m = 1`, FCFS minimizes max flow on `m = 1`)?
+//!   total flow on `m = 1`, FCFS minimizes max flow on `m = 1`), and does
+//!   RR's virtual-time loop reproduce the general loop bit for bit
+//!   (P-RR-FAST)?
 //! * **W-checks** — weighted-fairness oracles: WRR grants rates
 //!   proportional to weight within contended segments (W-SHARE, a
 //!   water-filling invariant verified without re-running the allocator),
@@ -37,7 +39,10 @@ use tf_lowerbound::{
 };
 use tf_policies::{Policy, RoundRobin};
 use tf_simcore::validate::validate_schedule;
-use tf_simcore::{simulate, MachineConfig, Profile, Schedule, SimOptions, Trace, TraceBuilder};
+use tf_simcore::{
+    simulate, AliveJob, MachineConfig, Profile, RateAllocator, Schedule, SimOptions, Trace,
+    TraceBuilder,
+};
 
 /// Configuration shared by every audit entry point.
 #[derive(Debug, Clone, Copy)]
@@ -490,7 +495,7 @@ fn check_rr_structure(
     rep.ran();
     rep.ran();
     for (si, seg) in profile.segments().enumerate() {
-        let want = RoundRobin::share(&mcfg, seg.n_alive());
+        let want = mcfg.equal_share(seg.n_alive());
         for &(id, r) in seg.rates {
             if (r - want).abs() > tol {
                 rep.fail(
@@ -651,6 +656,75 @@ fn check_unit_weight_reduction(trace: &Trace, m: usize, speed: f64, rep: &mut Au
     }
 }
 
+/// Round Robin behind a wrapper that forwards every method except
+/// [`RateAllocator::equal_share`], so the engine runs it through the
+/// general loop.
+struct Undeclared(RoundRobin);
+
+impl RateAllocator for Undeclared {
+    fn name(&self) -> &'static str {
+        self.0.name()
+    }
+    fn allocate(&mut self, now: f64, alive: &[AliveJob], cfg: &MachineConfig, rates: &mut [f64]) {
+        self.0.allocate(now, alive, cfg, rates);
+    }
+    fn review_in(&self, now: f64, alive: &[AliveJob], cfg: &MachineConfig) -> Option<f64> {
+        self.0.review_in(now, alive, cfg)
+    }
+    fn continuous(&self) -> bool {
+        self.0.continuous()
+    }
+    fn reset(&mut self) {
+        self.0.reset();
+    }
+}
+
+/// P-RR-FAST: Round Robin declares [`RateAllocator::equal_share`], so the
+/// engine runs it in virtual time. The general loop must compute the same
+/// schedule: RR through the virtual-time loop and RR behind a wrapper
+/// that does not declare must agree on the event count and on every
+/// completion, bit for bit.
+fn check_rr_fast_path(trace: &Trace, m: usize, speed: f64, rep: &mut AuditReport) {
+    rep.ran();
+    let mcfg = MachineConfig::with_speed(m, speed);
+    let fast = simulate(trace, &mut RoundRobin, mcfg, SimOptions::default());
+    let general = simulate(
+        trace,
+        &mut Undeclared(RoundRobin),
+        mcfg,
+        SimOptions::default(),
+    );
+    let (Ok(fast), Ok(general)) = (fast, general) else {
+        rep.fail("P-RR-FAST", Some("RR"), "simulation failed".into());
+        return;
+    };
+    let differs = |(a, b): (&f64, &f64)| a.to_bits() != b.to_bits();
+    if let Some(j) = fast
+        .completion
+        .iter()
+        .zip(&general.completion)
+        .position(differs)
+    {
+        rep.fail(
+            "P-RR-FAST",
+            Some("RR"),
+            format!(
+                "virtual-time completion[{j}] = {} != general loop's {} (must be bitwise)",
+                fast.completion[j], general.completion[j]
+            ),
+        );
+    } else if fast.events != general.events {
+        rep.fail(
+            "P-RR-FAST",
+            Some("RR"),
+            format!(
+                "virtual-time loop took {} events, the general loop {}",
+                fast.events, general.events
+            ),
+        );
+    }
+}
+
 /// P-SETF-ORDER: SETF serves by least attained service — sorting a
 /// segment's alive jobs by their attained service at the segment start,
 /// rates must be non-increasing (priority groups drain capacity in
@@ -758,7 +832,8 @@ fn check_fcfs_structure(profile: &Profile, cfg: &AuditConfig, rep: &mut AuditRep
 /// Simulate every policy in `policies` on `trace` (with profiles) and run
 /// the whole catalogue: S- and structural P-checks per schedule, the
 /// differential optimality oracles (P-SRPT-OPT, P-FCFS-MAXFLOW on
-/// `m = 1`), and the cross-layer X-checks.
+/// `m = 1`), the bitwise reductions (W-UNIT-REDUCE, P-RR-FAST), and the
+/// cross-layer X-checks.
 ///
 /// `speed` is the common speed every policy runs at; the lower-bound
 /// dominance check X1 compares against the *speed-1* optimum and is
@@ -813,6 +888,7 @@ pub fn audit_trace(
 
     if !trace.is_empty() {
         check_unit_weight_reduction(trace, m, speed, &mut rep);
+        check_rr_fast_path(trace, m, speed, &mut rep);
     }
 
     cross_layer_checks(trace, m, speed, &schedules, cfg, &mut rep);
@@ -1036,8 +1112,6 @@ fn cross_layer_checks(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tf_simcore::AliveJob;
-    use tf_simcore::RateAllocator;
 
     fn small_trace() -> Trace {
         Trace::from_pairs([(0.0, 2.0), (0.0, 1.0), (1.0, 3.0), (4.0, 1.0)]).unwrap()

@@ -13,12 +13,17 @@
 //! the materialised statistics on the same schedules: exact agreement
 //! for moments and norms, rank-error-bounded agreement for the t-digest
 //! percentiles.
+//!
+//! A third group pins Round Robin's virtual-time loop, which runs when a
+//! policy declares `equal_share` and no profile is kept, to the general
+//! loop: every way of running RR through the general loop must give the
+//! same completions, event count and step counts, bit for bit.
 
 use tf_metrics::{flow_stats, lk_norm, StreamingFlowStats, StreamingNorm};
-use tf_policies::Policy;
+use tf_policies::{Policy, RoundRobin, WeightedRoundRobin};
 use tf_simcore::{
-    simulate, simulate_stream, CompletedJob, MachineConfig, SimOptions, StreamOptions, Trace,
-    TraceSource, ABS_EPS,
+    simulate, simulate_stream, AliveJob, CompletedJob, MachineConfig, RateAllocator, Schedule,
+    SimOptions, SimStats, StreamOptions, Trace, TraceSource, ABS_EPS,
 };
 use tf_workload::{PoissonWorkload, SizeDist};
 
@@ -232,6 +237,193 @@ fn streaming_accumulators_match_materialised_stats_on_schedules() {
             linf.value().to_bits(),
             exact.max.to_bits(),
             "{label}: l-infinity"
+        );
+    }
+}
+
+/// Poisson traces over the machine counts, speeds, loads and size laws
+/// on which Round Robin's virtual-time loop must match the general loop.
+fn poisson_family() -> Vec<(String, Trace, MachineConfig)> {
+    let sizes = [
+        ("exp", SizeDist::Exponential { mean: 1.0 }),
+        (
+            "pareto",
+            SizeDist::Pareto {
+                alpha: 1.8,
+                min: 0.5,
+            },
+        ),
+        ("uniform", SizeDist::Uniform { lo: 0.1, hi: 3.0 }),
+    ];
+    let mut out = Vec::new();
+    let mut seed = 100;
+    for m in 1..=4 {
+        for speed in [0.7, 1.0, 1.5, 4.4] {
+            for (law, dist) in sizes {
+                for rho in [0.7, 0.85, 1.0, 1.15, 1.3] {
+                    seed += 1;
+                    let t = PoissonWorkload::new(800, rho, m, dist, seed).generate();
+                    out.push((
+                        format!("{law}-m{m}-s{speed}-rho{rho}"),
+                        t,
+                        MachineConfig::with_speed(m, speed),
+                    ));
+                }
+            }
+        }
+    }
+    out
+}
+
+/// Round Robin that declares `equal_share` and counts `allocate` calls.
+/// The engine must make none.
+#[derive(Default)]
+struct CountingRr {
+    calls: u64,
+}
+
+impl RateAllocator for CountingRr {
+    fn name(&self) -> &'static str {
+        "RR"
+    }
+    fn allocate(&mut self, now: f64, alive: &[AliveJob], cfg: &MachineConfig, rates: &mut [f64]) {
+        self.calls += 1;
+        RoundRobin.allocate(now, alive, cfg, rates);
+    }
+    fn equal_share(&self) -> bool {
+        true
+    }
+}
+
+/// A wrapper that forwards only the five methods every policy had before
+/// `equal_share`, as a probing wrapper does, so it keeps the default and
+/// runs the general loop.
+struct Forwarding<A>(A);
+
+impl<A: RateAllocator> RateAllocator for Forwarding<A> {
+    fn name(&self) -> &'static str {
+        self.0.name()
+    }
+    fn allocate(&mut self, now: f64, alive: &[AliveJob], cfg: &MachineConfig, rates: &mut [f64]) {
+        self.0.allocate(now, alive, cfg, rates);
+    }
+    fn review_in(&self, now: f64, alive: &[AliveJob], cfg: &MachineConfig) -> Option<f64> {
+        self.0.review_in(now, alive, cfg)
+    }
+    fn continuous(&self) -> bool {
+        self.0.continuous()
+    }
+    fn reset(&mut self) {
+        self.0.reset();
+    }
+}
+
+/// Named "RR", with an off-by-one share `s·min(1, m/(n+1))`, and not
+/// declaring `equal_share`: the engine must run its own allocation.
+struct OffByOneRr;
+
+impl RateAllocator for OffByOneRr {
+    fn name(&self) -> &'static str {
+        "RR"
+    }
+    fn allocate(&mut self, _: f64, alive: &[AliveJob], cfg: &MachineConfig, rates: &mut [f64]) {
+        rates.fill(cfg.speed * (cfg.m as f64 / (alive.len() + 1) as f64).min(1.0));
+    }
+}
+
+/// The step counters two runs of one schedule must share (`alloc_ns` is
+/// wall-clock and `segments_recorded` counts the profile).
+fn step_counts(s: &SimStats) -> [u64; 6] {
+    [
+        s.arrival_steps,
+        s.completion_steps,
+        s.review_steps,
+        s.adaptive_steps,
+        s.jobs_admitted,
+        s.peak_alive as u64,
+    ]
+}
+
+fn bits(xs: &[f64]) -> Vec<u64> {
+    xs.iter().map(|x| x.to_bits()).collect()
+}
+
+#[test]
+fn rr_virtual_time_loop_matches_the_general_loop_bit_for_bit() {
+    let cases = golden_instances().into_iter().chain(poisson_family());
+    let mut traces = 0;
+    for (label, trace, cfg) in cases {
+        traces += 1;
+        let run = |alloc: &mut dyn RateAllocator, opts: SimOptions| -> Schedule {
+            simulate(&trace, alloc, cfg, opts)
+                .unwrap_or_else(|e| panic!("{label}/{}: run failed: {e}", alloc.name()))
+        };
+        let mut declared = CountingRr::default();
+        let fast = run(&mut declared, SimOptions::default());
+        assert_eq!(declared.calls, 0, "{label}: the declared RR was allocated");
+
+        let general = [
+            (
+                "forwarding wrapper",
+                run(&mut Forwarding(RoundRobin), SimOptions::default()),
+            ),
+            (
+                "recorded profile",
+                run(&mut RoundRobin, SimOptions::with_profile()),
+            ),
+            (
+                "unit-weight WRR",
+                run(&mut WeightedRoundRobin::new(), SimOptions::default()),
+            ),
+        ];
+        for (how, sched) in &general {
+            assert_eq!(
+                bits(&sched.completion),
+                bits(&fast.completion),
+                "{label}: RR via {how} completes differently"
+            );
+            assert_eq!(sched.events, fast.events, "{label}: {how}: events");
+            assert_eq!(
+                step_counts(&sched.stats),
+                step_counts(&fast.stats),
+                "{label}: {how}: step counts"
+            );
+        }
+
+        let mut streamed = vec![f64::NAN; trace.len()];
+        let report = simulate_stream(
+            &mut TraceSource::new(&trace),
+            &mut RoundRobin,
+            cfg,
+            StreamOptions::default(),
+            &mut |c| streamed[c.id as usize] = c.completion,
+        )
+        .unwrap_or_else(|e| panic!("{label}: streamed run failed: {e}"));
+        assert_eq!(
+            bits(&streamed),
+            bits(&fast.completion),
+            "{label}: streamed RR completes differently"
+        );
+        assert_eq!(report.events, fast.events, "{label}: streamed events");
+        assert_eq!(
+            step_counts(&report.stats),
+            step_counts(&fast.stats),
+            "{label}: streamed step counts"
+        );
+    }
+    assert_eq!(traces, 4 + 240);
+}
+
+#[test]
+fn an_undeclared_allocator_named_rr_keeps_its_own_schedule() {
+    for (label, trace, cfg) in golden_instances() {
+        let rr = simulate(&trace, &mut RoundRobin, cfg, SimOptions::default()).unwrap();
+        let bad = simulate(&trace, &mut OffByOneRr, cfg, SimOptions::default()).unwrap();
+        assert_eq!(bad.policy, "RR");
+        assert_ne!(
+            bits(&bad.completion),
+            bits(&rr.completion),
+            "{label}: the off-by-one share got Round Robin's schedule"
         );
     }
 }

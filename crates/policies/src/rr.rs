@@ -34,12 +34,6 @@ impl RoundRobin {
     pub fn new() -> Self {
         RoundRobin
     }
-
-    /// The RR share at speed `s` with `m` machines and `n` alive jobs.
-    #[inline]
-    pub fn share(cfg: &MachineConfig, n: usize) -> f64 {
-        cfg.speed * (cfg.m as f64 / n as f64).min(1.0)
-    }
 }
 
 impl RateAllocator for RoundRobin {
@@ -51,7 +45,13 @@ impl RateAllocator for RoundRobin {
         if alive.is_empty() {
             return;
         }
-        rates.fill(Self::share(cfg, alive.len()));
+        rates.fill(cfg.equal_share(alive.len()));
+    }
+
+    /// RR is processor sharing, so the engine runs it in virtual time
+    /// without calling [`RateAllocator::allocate`].
+    fn equal_share(&self) -> bool {
+        true
     }
 }
 
@@ -85,7 +85,7 @@ impl RateAllocator for WeightedRoundRobin {
         // also the fast path).
         if let Some((first, rest)) = alive.split_first() {
             if first.weight > 0.0 && rest.iter().all(|a| a.weight == first.weight) {
-                rates.fill(RoundRobin::share(cfg, alive.len()));
+                rates.fill(cfg.equal_share(alive.len()));
                 return;
             }
         }
@@ -117,9 +117,9 @@ mod tests {
     #[test]
     fn rr_share_formula() {
         let c = cfg(3, 2.0);
-        assert_eq!(RoundRobin::share(&c, 2), 2.0); // underloaded: full machine
-        assert_eq!(RoundRobin::share(&c, 3), 2.0); // exactly loaded
-        assert_eq!(RoundRobin::share(&c, 6), 1.0); // overloaded: m/n = 1/2
+        assert_eq!(c.equal_share(2), 2.0); // underloaded: full machine
+        assert_eq!(c.equal_share(3), 2.0); // exactly loaded
+        assert_eq!(c.equal_share(6), 1.0); // overloaded: m/n = 1/2
     }
 
     #[test]

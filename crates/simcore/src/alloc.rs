@@ -40,6 +40,16 @@ impl MachineConfig {
         self.m as f64 * self.speed
     }
 
+    /// The processor-sharing rate `s·min(1, m/n)` each of `n` alive jobs
+    /// gets when the machines are split equally — Round Robin's allocation
+    /// (paper, Section 1.1). This one expression is what a policy
+    /// declaring [`RateAllocator::equal_share`] promises to fill, and what
+    /// the engine uses in its place.
+    #[inline]
+    pub fn equal_share(&self, n: usize) -> f64 {
+        self.speed * (self.m as f64 / n as f64).min(1.0)
+    }
+
     /// Validate the configuration.
     pub fn validate(&self) -> Result<(), SimError> {
         if self.m == 0 {
@@ -126,6 +136,23 @@ pub trait RateAllocator {
     /// Reset internal state before a fresh simulation run. Stateless
     /// policies need not override this.
     fn reset(&mut self) {}
+
+    /// True if this policy is processor sharing: `allocate` always fills
+    /// every rate with [`MachineConfig::equal_share`]`(alive.len())`,
+    /// [`RateAllocator::review_in`] is always `None`, and
+    /// [`RateAllocator::continuous`] is `false`. Only Round Robin makes
+    /// this promise.
+    ///
+    /// The engine then never calls `allocate`: when no profile is
+    /// recorded it runs Round Robin in virtual time, one shared service
+    /// counter plus a heap of finish points, at O(log alive) per event
+    /// instead of O(alive). The general loop computes the same bits on
+    /// every step whose rates are all equal, so a wrapper that forwards
+    /// the other methods and leaves this one `false` gets the same
+    /// schedule, only slower.
+    fn equal_share(&self) -> bool {
+        false
+    }
 }
 
 /// Check an allocation against the feasibility constraints with relative
@@ -137,30 +164,64 @@ pub fn check_rates(
     rel_eps: f64,
 ) -> Result<(), SimError> {
     debug_assert_eq!(alive.len(), rates.len());
-    let cap = cfg.job_cap();
-    let tol = cap * rel_eps + crate::ABS_EPS;
+    let rules = RateRules::new(cfg, rel_eps);
     let mut total = 0.0;
     for (a, &r) in alive.iter().zip(rates) {
-        if !r.is_finite() || r < -tol {
-            return Err(SimError::BadRate { job: a.id, rate: r });
-        }
-        if r > cap + tol {
-            return Err(SimError::RateCapViolated {
-                job: a.id,
-                rate: r,
-                cap,
-            });
-        }
+        rules.rate(a.id, r)?;
         total += r;
     }
-    let total_cap = cfg.total_cap();
-    if total > total_cap * (1.0 + rel_eps) + crate::ABS_EPS {
-        return Err(SimError::TotalRateViolated {
-            total,
-            cap: total_cap,
-        });
+    rules.total(total)
+}
+
+/// The rules [`check_rates`] applies, one rate at a time, so the engine
+/// can fold them into its own single pass over an allocation. Checking
+/// every rate in job order and then the sum of the unclamped rates
+/// reports the same first violation `check_rates` does.
+pub(crate) struct RateRules {
+    cap: f64,
+    tol: f64,
+    total_cap: f64,
+    rel_eps: f64,
+}
+
+impl RateRules {
+    pub(crate) fn new(cfg: &MachineConfig, rel_eps: f64) -> Self {
+        let cap = cfg.job_cap();
+        RateRules {
+            cap,
+            tol: cap * rel_eps + crate::ABS_EPS,
+            total_cap: cfg.total_cap(),
+            rel_eps,
+        }
     }
-    Ok(())
+
+    /// `rate` must be finite and within `[0, cap]` up to the tolerance.
+    #[inline]
+    pub(crate) fn rate(&self, job: crate::JobId, rate: f64) -> Result<(), SimError> {
+        if !rate.is_finite() || rate < -self.tol {
+            return Err(SimError::BadRate { job, rate });
+        }
+        if rate > self.cap + self.tol {
+            return Err(SimError::RateCapViolated {
+                job,
+                rate,
+                cap: self.cap,
+            });
+        }
+        Ok(())
+    }
+
+    /// The rates' sum must stay within the aggregate cap `m·s`.
+    #[inline]
+    pub(crate) fn total(&self, total: f64) -> Result<(), SimError> {
+        if total > self.total_cap * (1.0 + self.rel_eps) + crate::ABS_EPS {
+            return Err(SimError::TotalRateViolated {
+                total,
+                cap: self.total_cap,
+            });
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]

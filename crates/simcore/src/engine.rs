@@ -7,15 +7,25 @@
 //! (RR, SRPT, SJF, FCFS, LAPS) the produced schedule is exact up to
 //! floating-point rounding; there is no time-quantization error.
 //!
-//! One loop serves both entry points. [`simulate`] replays a materialised
+//! Both entry points share one engine. [`simulate`] replays a materialised
 //! [`Trace`] into dense completion vectors and, on request, a full
 //! [`Profile`]; [`crate::simulate_stream`] pulls jobs from an open
 //! [`JobSource`] and retires each one to a sink as it completes. They
 //! differ only in how they resolve their defaults and where completions
 //! go, so a closed trace streamed through [`TraceSource`] reproduces
 //! `simulate` bit for bit.
+//!
+//! The engine has two loops and one set of bits. The general loop asks
+//! the policy for rates at every event, an O(alive) pass. A policy that
+//! declares [`RateAllocator::equal_share`] (Round Robin) runs, when no
+//! profile is kept, in a virtual-time loop at O(log alive) per event: one
+//! shared service counter and a heap of finish points, no `allocate`
+//! call. On every step where all rates are equal the general loop keeps
+//! work the same way, so RR behind a wrapper that does not declare, RR
+//! with a profile, and weighted RR at equal weights all reproduce the
+//! virtual-time schedule bit for bit.
 
-use crate::alloc::{check_rates, AliveJob, MachineConfig, RateAllocator};
+use crate::alloc::{AliveJob, MachineConfig, RateAllocator, RateRules};
 use crate::error::SimError;
 use crate::job::JobId;
 use crate::profile::Profile;
@@ -24,6 +34,8 @@ use crate::stats::SimStats;
 use crate::stream::{JobSource, TraceSource};
 use crate::trace::Trace;
 use crate::{ABS_EPS, REL_EPS};
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 use std::time::Instant;
 
 /// Engine knobs. `SimOptions::default()` is right for almost all uses.
@@ -69,6 +81,51 @@ enum StepReason {
     Completion,
     Review,
     AdaptiveStep,
+}
+
+impl StepReason {
+    /// The step to the pending arrival, if any; otherwise unbounded.
+    fn until_arrival(pending: Option<&AliveJob>, time: f64) -> (f64, StepReason) {
+        match pending {
+            Some(p) => (p.arrival - time, StepReason::Arrival(p.arrival)),
+            None => (f64::INFINITY, StepReason::AdaptiveStep),
+        }
+    }
+
+    /// Count a step under this reason and return the time it ends at: an
+    /// arrival step snaps exactly onto the arrival instant.
+    fn end(self, step_end: f64, stats: &mut SimStats) -> f64 {
+        match self {
+            StepReason::Arrival(at) => {
+                stats.arrival_steps += 1;
+                return at;
+            }
+            StepReason::Completion => stats.completion_steps += 1,
+            StepReason::Review => stats.review_steps += 1,
+            StepReason::AdaptiveStep => stats.adaptive_steps += 1,
+        }
+        step_end
+    }
+}
+
+/// Fail a step that can never end (work remains, nothing runs, and no
+/// arrival is pending: the policy has stalled the system) or that is the
+/// third in a row to make no progress.
+fn guard_progress(
+    dt: f64,
+    zero_steps_in_a_row: &mut u32,
+    time: f64,
+    alive: usize,
+) -> Result<(), SimError> {
+    if dt <= 0.0 {
+        *zero_steps_in_a_row += 1;
+    } else {
+        *zero_steps_in_a_row = 0;
+    }
+    if !dt.is_finite() || *zero_steps_in_a_row > 2 {
+        return Err(SimError::Stalled { time, alive });
+    }
+    Ok(())
 }
 
 /// Simulate `policy` on `trace` under `cfg`.
@@ -192,13 +249,27 @@ pub(crate) struct RunEnd {
 }
 
 /// The event loop behind [`simulate`] and [`crate::simulate_stream`]:
-/// admit → allocate → `check_rates`/clamp → earliest event → advance →
-/// retire, until `source` is exhausted and no job is alive.
+/// admit → allocate → one pass that checks, clamps and finds the earliest
+/// completion → advance → retire, until `source` is exhausted and no job
+/// is alive. A policy that declares [`RateAllocator::equal_share`] runs
+/// in [`run_equal_share`] instead when no profile is recorded.
 ///
 /// Jobs are pulled one at a time, so at most one not-yet-arrived job is
 /// held. Every positive-length step is recorded into `profile` when one is
 /// given, and every retiring job is handed to `on_complete` with its
-/// completion time, in alive-set order.
+/// completion time, in arrival order. The sink may read only the job's
+/// identity (`id`, `arrival`, `size`, `weight`): the virtual-time loop
+/// keeps no per-job progress.
+///
+/// Work is kept as in [`run_equal_share`] while every job gets the same
+/// rate: a shared service counter `v` and, per job, a finish point `fin`
+/// with `remaining = fin − v`, so the two loops compute the same bits on
+/// such steps. A job admitted while `v > 0` gets `fin = v + size`. A step
+/// with unequal rates subtracts `rate·dt` from each job's remaining work,
+/// as the loop always did, and restarts the counter at 0; so does an
+/// empty alive set. At `v = 0` every job's finish point is its remaining
+/// work, so `fin` is kept only while `v > 0` and is rebuilt from
+/// `remaining` by the first equal-rate step after a restart.
 pub(crate) fn run<S: JobSource + ?Sized>(
     source: &mut S,
     policy: &mut dyn RateAllocator,
@@ -207,17 +278,24 @@ pub(crate) fn run<S: JobSource + ?Sized>(
     mut profile: Option<&mut Profile>,
     mut on_complete: impl FnMut(&AliveJob, f64),
 ) -> Result<RunEnd, SimError> {
+    if profile.is_none() && policy.equal_share() {
+        return run_equal_share(source, cfg, knobs.event_budget, on_complete);
+    }
     let Knobs {
         max_step,
         event_budget,
         time_alloc,
     } = knobs;
     let mut stats = SimStats::default();
+    let rules = RateRules::new(&cfg, REL_EPS);
+    let cap = cfg.job_cap();
 
     // The alive set doubles as the policy's view: arrivals append, steps
     // update `remaining`/`attained` in place, and completions compact it
-    // with a single order-preserving `retain` pass.
+    // in order. While `v > 0`, `fin` runs beside it, one point per job.
     let mut alive: Vec<AliveJob> = Vec::new();
+    let mut fin: Vec<f64> = Vec::new();
+    let mut v = 0.0_f64;
     let mut next_id: u64 = 0;
     let mut last_arrival = 0.0_f64;
     let mut time = 0.0_f64;
@@ -232,8 +310,13 @@ pub(crate) fn run<S: JobSource + ?Sized>(
 
     loop {
         // Admit all jobs that have arrived by `time`.
-        while pending.as_ref().is_some_and(|p| p.arrival <= time) {
-            alive.push(pending.take().expect("checked above"));
+        while let Some(mut a) = pending.take_if(|p| p.arrival <= time) {
+            if v > 0.0 {
+                let f = v + a.size;
+                a.remaining = f - v;
+                fin.push(f);
+            }
+            alive.push(a);
             pending = pull(source, &mut next_id, &mut last_arrival)?;
             events += 1;
             stats.jobs_admitted += 1;
@@ -263,31 +346,29 @@ pub(crate) fn run<S: JobSource + ?Sized>(
         if let Some(t0) = alloc_started {
             stats.alloc_ns += t0.elapsed().as_nanos() as u64;
         }
-        check_rates(&alive, &cfg, &rates, REL_EPS)?;
-        // Clamp tolerated overshoot so downstream stays exactly feasible.
-        for r in rates.iter_mut() {
-            *r = r.clamp(0.0, cfg.job_cap());
-        }
 
-        // Earliest next event.
-        let mut dt = f64::INFINITY;
-        let mut reason = StepReason::AdaptiveStep;
-        if let Some(p) = &pending {
-            let d = p.arrival - time;
-            if d < dt {
-                dt = d;
-                reason = StepReason::Arrival(p.arrival);
-            }
-        }
-        for (a, &r) in alive.iter().zip(&rates) {
-            if r > ABS_EPS {
-                let d = a.remaining / r;
+        // Earliest next event. One pass over the allocation checks each
+        // rate, clamps tolerated overshoot so downstream stays exactly
+        // feasible, finds the earliest completion and tests whether every
+        // job got the same rate.
+        let (mut dt, mut reason) = StepReason::until_arrival(pending.as_ref(), time);
+        let shared = rates[0].clamp(0.0, cap);
+        let mut uniform = true;
+        let mut total = 0.0;
+        for (a, r) in alive.iter().zip(rates.iter_mut()) {
+            rules.rate(a.id, *r)?;
+            total += *r;
+            *r = r.clamp(0.0, cap);
+            uniform &= *r == shared;
+            if *r > ABS_EPS {
+                let d = a.remaining / *r;
                 if d < dt {
                     dt = d;
                     reason = StepReason::Completion;
                 }
             }
         }
+        rules.total(total)?;
         if let Some(rev) = policy.review_in(time, &alive, &cfg) {
             // A review in the past or at `now` would spin; insist on a
             // minimal positive advance.
@@ -302,26 +383,7 @@ pub(crate) fn run<S: JobSource + ?Sized>(
             reason = StepReason::AdaptiveStep;
         }
 
-        if !dt.is_finite() {
-            // Work remains, nothing is running, and no arrival will change
-            // that: the policy has stalled the system.
-            return Err(SimError::Stalled {
-                time,
-                alive: alive.len(),
-            });
-        }
-
-        if dt <= 0.0 {
-            zero_steps_in_a_row += 1;
-            if zero_steps_in_a_row > 2 {
-                return Err(SimError::Stalled {
-                    time,
-                    alive: alive.len(),
-                });
-            }
-        } else {
-            zero_steps_in_a_row = 0;
-        }
+        guard_progress(dt, &mut zero_steps_in_a_row, time, alive.len())?;
 
         // Advance: record the segment (arena append, no per-segment
         // allocation), deliver work, and detect completions in one pass.
@@ -336,17 +398,34 @@ pub(crate) fn run<S: JobSource + ?Sized>(
             }
         }
         let mut any_done = false;
-        for (a, &r) in alive.iter_mut().zip(&rates) {
-            let w = r * dt;
-            a.attained += w;
-            a.remaining -= w;
-            any_done |= a.remaining <= a.size * REL_EPS + ABS_EPS;
+        if uniform {
+            // One rate for all: work moves the shared counter, exactly as
+            // in the virtual-time loop. From 0, finish points are the
+            // remaining work.
+            if v == 0.0 {
+                fin.clear();
+                fin.extend(alive.iter().map(|a| a.remaining));
+            }
+            debug_assert_eq!(fin.len(), alive.len(), "fin runs beside alive");
+            let w = shared * dt;
+            v += w;
+            for (a, &f) in alive.iter_mut().zip(&fin) {
+                a.attained += w;
+                a.remaining = f - v;
+                any_done |= a.remaining <= a.size * REL_EPS + ABS_EPS;
+            }
+        } else {
+            // Unequal rates: per-job work, and the counter restarts.
+            v = 0.0;
+            for (a, &r) in alive.iter_mut().zip(&rates) {
+                let w = r * dt;
+                a.attained += w;
+                a.remaining -= w;
+                any_done |= a.remaining <= a.size * REL_EPS + ABS_EPS;
+            }
         }
         let step_end = time + dt;
-        time = match reason {
-            StepReason::Arrival(at) => at, // snap exactly onto the arrival
-            _ => step_end,
-        };
+        time = reason.end(step_end, &mut stats);
         if let Some(p) = profile.as_deref_mut() {
             // Snapping moves `time` off `t0 + dt` by at most one rounding
             // step of the arrival instant (dt was computed as `at − t0`):
@@ -360,24 +439,171 @@ pub(crate) fn run<S: JobSource + ?Sized>(
             p.stretch_last_end(time); // keep profile contiguous after snapping
         }
         events += 1;
-        match reason {
-            StepReason::Arrival(_) => stats.arrival_steps += 1,
-            StepReason::Completion => stats.completion_steps += 1,
-            StepReason::Review => stats.review_steps += 1,
-            StepReason::AdaptiveStep => stats.adaptive_steps += 1,
-        }
 
         // Complete jobs whose remaining work has (numerically) vanished:
         // one order-preserving compaction, however many finish at once.
         if any_done {
+            let mut kept = 0;
             alive.retain(|a| {
                 if a.remaining <= a.size * REL_EPS + ABS_EPS {
                     on_complete(a, time);
+                    if v > 0.0 {
+                        fin.remove(kept);
+                    }
                     false
                 } else {
+                    kept += 1;
                     true
                 }
             });
+            if alive.is_empty() {
+                v = 0.0;
+            }
+        }
+    }
+
+    Ok(RunEnd {
+        events,
+        end_time: time,
+        stats,
+    })
+}
+
+/// One entry of [`run_equal_share`]'s heap: a job and its finish point on
+/// the shared service counter. The heap is a max-heap, so the order is
+/// reversed to pop the earliest finish first; equal finishes pop in
+/// arrival order.
+struct Finish {
+    fin: f64,
+    job: AliveJob,
+}
+
+impl Ord for Finish {
+    fn cmp(&self, other: &Self) -> Ordering {
+        other
+            .fin
+            .total_cmp(&self.fin)
+            .then(other.job.seq.cmp(&self.job.seq))
+    }
+}
+
+impl PartialOrd for Finish {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Finish {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for Finish {}
+
+/// [`run`] for a policy that declares [`RateAllocator::equal_share`]:
+/// Round Robin in virtual time.
+///
+/// Every alive job runs at `r = cfg.equal_share(n)`, so all gain service
+/// together. One counter `v` grows by `r·dt` each step and restarts at 0
+/// when the alive set empties; a job admitted at counter `v` finishes when
+/// it reaches `fin = v + size`. The earliest completion is
+/// `(fin_min − v)/r` away, and an event costs a heap operation instead of
+/// a pass over the alive set.
+///
+/// Each step computes what [`run`] computes for that policy — the same
+/// step lengths, step reasons, completion tests (`fin − v` against each
+/// job's own tolerance) and completion order — so the two loops agree bit
+/// for bit. Because the tolerance grows with size, a job may pass the test
+/// before one with a smaller `fin`: every job with `fin − v` within the
+/// largest tolerance admitted since the alive set was last empty is
+/// popped, tested, and pushed back when it is not done.
+fn run_equal_share<S: JobSource + ?Sized>(
+    source: &mut S,
+    cfg: MachineConfig,
+    event_budget: u64,
+    mut on_complete: impl FnMut(&AliveJob, f64),
+) -> Result<RunEnd, SimError> {
+    let mut stats = SimStats::default();
+    let mut heap: BinaryHeap<Finish> = BinaryHeap::new();
+    let mut v = 0.0_f64;
+    let mut max_size = 0.0_f64;
+    let mut next_id: u64 = 0;
+    let mut last_arrival = 0.0_f64;
+    let mut time = 0.0_f64;
+    let mut events: u64 = 0;
+    let mut zero_steps_in_a_row = 0u32;
+    let mut pending = pull(source, &mut next_id, &mut last_arrival)?;
+
+    // Scratch for one step's candidates: finished, and popped but not.
+    let mut done: Vec<AliveJob> = Vec::new();
+    let mut unfinished: Vec<Finish> = Vec::new();
+
+    loop {
+        // Admit all jobs that have arrived by `time`.
+        while let Some(job) = pending.take_if(|p| p.arrival <= time) {
+            max_size = max_size.max(job.size);
+            heap.push(Finish {
+                fin: v + job.size,
+                job,
+            });
+            pending = pull(source, &mut next_id, &mut last_arrival)?;
+            events += 1;
+            stats.jobs_admitted += 1;
+        }
+        stats.peak_alive = stats.peak_alive.max(heap.len());
+
+        let Some(first) = heap.peek() else {
+            match &pending {
+                None => break,
+                Some(p) => {
+                    time = p.arrival;
+                    continue;
+                }
+            }
+        };
+
+        if events > event_budget {
+            return Err(SimError::EventBudgetExhausted { events });
+        }
+
+        let r = cfg.equal_share(heap.len());
+        let (mut dt, mut reason) = StepReason::until_arrival(pending.as_ref(), time);
+        if r > ABS_EPS {
+            let d = (first.fin - v) / r;
+            if d < dt {
+                dt = d;
+                reason = StepReason::Completion;
+            }
+        }
+
+        guard_progress(dt, &mut zero_steps_in_a_row, time, heap.len())?;
+
+        v += r * dt;
+        time = reason.end(time + dt, &mut stats);
+        events += 1;
+
+        // Retire every job whose remaining work `fin − v` has
+        // (numerically) vanished, in arrival order.
+        let reach = max_size * REL_EPS + ABS_EPS;
+        while heap.peek().is_some_and(|e| e.fin - v <= reach) {
+            let Finish { fin, job } = heap.pop().expect("peeked");
+            if fin - v <= job.size * REL_EPS + ABS_EPS {
+                done.push(job);
+            } else {
+                unfinished.push(Finish { fin, job });
+            }
+        }
+        heap.extend(unfinished.drain(..));
+        if !done.is_empty() {
+            done.sort_unstable_by_key(|a| a.seq);
+            for a in done.drain(..) {
+                on_complete(&a, time);
+            }
+            if heap.is_empty() {
+                v = 0.0;
+                max_size = 0.0;
+            }
         }
     }
 
@@ -456,6 +682,21 @@ mod tests {
         ) {
             let share = cfg.speed * (cfg.m as f64 / alive.len() as f64).min(1.0);
             rates.fill(share);
+        }
+    }
+
+    /// Round Robin declaring processor sharing: it runs in virtual time,
+    /// which never calls `allocate`.
+    struct FastRr;
+    impl RateAllocator for FastRr {
+        fn name(&self) -> &'static str {
+            "RR"
+        }
+        fn allocate(&mut self, _: f64, _: &[AliveJob], _: &MachineConfig, _: &mut [f64]) {
+            unreachable!("the virtual-time loop never allocates")
+        }
+        fn equal_share(&self) -> bool {
+            true
         }
     }
 
@@ -553,6 +794,23 @@ mod tests {
         for j in 0..4 {
             assert!((s.completion[j] - 2.0).abs() < 1e-12);
         }
+    }
+
+    #[test]
+    fn virtual_time_retires_a_large_job_behind_the_heap_top() {
+        // The 10⁶ job's completion tolerance (size·REL_EPS = 10⁻³) covers
+        // its last 5·10⁻⁴ of work when the third job arrives, while the
+        // second job, 10⁻⁴ from its earlier finish point, is not done: the
+        // large job must retire at that arrival in both loops.
+        let t = trace(&[(0.0, 1e6), (1e6 - 2.0, 1.9996), (1e6 + 1.999, 1.0)]);
+        let cfg = MachineConfig::new(1);
+        let fast = simulate(&t, &mut FastRr, cfg, SimOptions::default()).unwrap();
+        let general = simulate(&t, &mut Rr, cfg, SimOptions::default()).unwrap();
+        let bits = |s: &Schedule| s.completion.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&fast), bits(&general));
+        assert_eq!((fast.events, fast.stats), (general.events, general.stats));
+        assert_eq!(fast.completion[0], t.jobs()[2].arrival);
+        assert!(fast.completion[1] > fast.completion[0]);
     }
 
     #[test]

@@ -23,7 +23,9 @@ pub struct SimStats {
     pub adaptive_steps: u64,
     /// Jobs admitted into the alive set (equals the trace size on success).
     pub jobs_admitted: u64,
-    /// Total wall-clock nanoseconds spent inside the policy's `allocate`.
+    /// Total wall-clock nanoseconds spent inside the policy's `allocate`;
+    /// 0 for Round Robin without a profile, whose virtual-time loop never
+    /// calls it.
     pub alloc_ns: u64,
     /// Largest simultaneous alive-set size observed.
     pub peak_alive: usize,

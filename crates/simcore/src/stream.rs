@@ -8,14 +8,16 @@
 //!
 //! * [`JobSource`] — a pull-based generator of jobs in arrival order; the
 //!   engine materialises at most **one** not-yet-arrived job at a time.
-//! * [`simulate_stream`] — runs the same event loop as
-//!   [`crate::simulate`] (both entry points call it), so a closed trace
-//!   streamed through [`TraceSource`] replays **bit-identically**, but
-//!   completed jobs are *retired*: their completion is handed to a
-//!   caller-supplied sink and their state is dropped. Memory is
-//!   `O(peak alive set)`, independent of the number of jobs streamed. No
-//!   profile is kept; analyses that need one (the dual-fitting
-//!   certificate) run [`crate::simulate`].
+//! * [`simulate_stream`] — runs the same engine as [`crate::simulate`]
+//!   (both entry points call it), so a closed trace streamed through
+//!   [`TraceSource`] replays **bit-identically**, but completed jobs are
+//!   *retired*: their completion is handed to a caller-supplied sink and
+//!   their state is dropped. Memory is `O(peak alive set)`, independent
+//!   of the number of jobs streamed. No profile is kept; analyses that
+//!   need one (the dual-fitting certificate) run [`crate::simulate`].
+//!   Round Robin therefore always streams through the engine's
+//!   virtual-time loop, which the general loop reproduces bit for bit
+//!   (see [`crate::engine`]).
 //!
 //! Flow-time statistics over the full stream are computed by feeding the
 //! sink into the mergeable streaming accumulators of `tf-metrics`
@@ -148,8 +150,8 @@ pub struct StreamReport {
 /// Simulate `policy` over the jobs pulled from `source`, delivering every
 /// completed job to `on_complete` and retiring it.
 ///
-/// This runs the one event loop [`crate::simulate`] runs, so a closed
-/// trace streamed through [`TraceSource`] reproduces the materialised
+/// This runs the engine [`crate::simulate`] runs, so a closed trace
+/// streamed through [`TraceSource`] reproduces the materialised
 /// completions **bit for bit**. Only retention differs: per-job state
 /// lives while the job is alive, and no profile is recorded.
 ///
