@@ -33,10 +33,7 @@
 //!   bound (X4), and the interval-aggregated bound sandwiches the exact
 //!   LP without ever beating the exact combined bound (X5).
 
-use tf_lowerbound::{
-    lk_lower_bound, lk_lower_bound_aggregated, lk_lower_bound_colgen_budgeted,
-    lk_lower_bound_reference, AggConfig, SolveBudget,
-};
+use tf_lowerbound::{lk_lower_bound, lower_bound, LbRequest, LowerBound, Method};
 use tf_policies::{Policy, RoundRobin};
 use tf_simcore::validate::validate_schedule;
 use tf_simcore::{
@@ -970,10 +967,14 @@ fn cross_layer_checks(
         return;
     }
     let kf = f64::from(cfg.k);
+    // X1 and X4/X5 all compare against the same exact bound: solve it
+    // once per (trace, m), on first use.
+    let mut exact_bound: Option<LowerBound> = None;
+    let mut exact_lb = || *exact_bound.get_or_insert_with(|| lk_lower_bound(trace, m, cfg.k));
 
     if cfg.check_lower_bound && speed == 1.0 {
         rep.ran();
-        let lb = lk_lower_bound(trace, m, cfg.k);
+        let lb = exact_lb();
         for (p, s) in schedules {
             let obj = s.flow_power_sum(kf);
             if lb.value > obj * (1.0 + cfg.rel_tol) + cfg.rel_tol {
@@ -993,7 +994,11 @@ fn cross_layer_checks(
             && trace.is_integral(1e-9)
         {
             rep.ran();
-            let reference = lk_lower_bound_reference(trace, m, cfg.k);
+            let reference = LbRequest {
+                method: Method::Reference,
+                ..LbRequest::new(m, cfg.k)
+            };
+            let reference = lower_bound(trace, &reference).bound;
             let tol = cfg.rel_tol * lb.value.abs().max(1.0);
             if (lb.value - reference.value).abs() > tol
                 || (lb.lp_raw - reference.lp_raw).abs() > tol
@@ -1017,73 +1022,70 @@ fn cross_layer_checks(
         && trace.len() <= cfg.max_exact_jobs
         && trace.is_integral(1e-9)
     {
-        let exact = lk_lower_bound(trace, m, cfg.k);
+        let exact = exact_lb();
         let tol = cfg.rel_tol * exact.value.abs().max(1.0);
 
         if cfg.check_warm_start {
             rep.ran();
             // Seed the handle from a *different* instance (m+1) so the
             // check exercises genuine dual remapping, not a no-op reuse.
-            let unlimited = SolveBudget::unlimited();
-            let neighbour = lk_lower_bound_colgen_budgeted(trace, m + 1, cfg.k, &unlimited, None);
-            let handle = neighbour.as_ref().map(|(_, h, _)| h);
-            match lk_lower_bound_colgen_budgeted(trace, m, cfg.k, &unlimited, handle) {
-                Some((warm, _, _)) => {
-                    if (warm.value - exact.value).abs() > tol {
-                        rep.fail(
-                            "X4-WARMSTART-EQUIV",
-                            None,
-                            format!(
-                                "warm-started colgen bound {} != cold exact {} (m={m}, k={})",
-                                warm.value, exact.value, cfg.k
-                            ),
-                        );
-                    }
-                }
-                None => rep.fail(
+            let colgen = |m, warm| LbRequest {
+                method: Method::Colgen(warm),
+                ..LbRequest::new(m, cfg.k)
+            };
+            let neighbour = lower_bound(trace, &colgen(m + 1, None));
+            let warm = lower_bound(trace, &colgen(m, Some(&neighbour.warm)));
+            if warm.degraded {
+                rep.fail(
                     "X4-WARMSTART-EQUIV",
                     None,
                     "unlimited-budget colgen solve reported a budget trip".to_string(),
-                ),
+                );
+            } else if (warm.bound.value - exact.value).abs() > tol {
+                rep.fail(
+                    "X4-WARMSTART-EQUIV",
+                    None,
+                    format!(
+                        "warm-started colgen bound {} != cold exact {} (m={m}, k={})",
+                        warm.bound.value, exact.value, cfg.k
+                    ),
+                );
             }
         }
 
         if cfg.check_aggregation {
             rep.ran();
-            match lk_lower_bound_aggregated(
-                trace,
-                m,
-                cfg.k,
-                &AggConfig::default(),
-                &SolveBudget::unlimited(),
-            ) {
-                Some(agg) => {
-                    let lp_tol = cfg.rel_tol * exact.lp_raw.abs().max(1.0);
-                    if agg.lp_lo > exact.lp_raw + lp_tol || exact.lp_raw > agg.lp_hi + lp_tol {
-                        rep.fail(
-                            "X5-AGG-SOUND",
-                            None,
-                            format!(
-                                "aggregated LP sandwich [{}, {}] misses the exact LP {} (m={m}, k={})",
-                                agg.lp_lo, agg.lp_hi, exact.lp_raw, cfg.k
-                            ),
-                        );
-                    } else if agg.value > exact.value + tol {
-                        rep.fail(
-                            "X5-AGG-SOUND",
-                            None,
-                            format!(
-                                "aggregated bound {} beats the exact bound {} (m={m}, k={})",
-                                agg.value, exact.value, cfg.k
-                            ),
-                        );
-                    }
-                }
-                None => rep.fail(
+            let agg = LbRequest {
+                method: Method::Agg,
+                ..LbRequest::new(m, cfg.k)
+            };
+            let agg = lower_bound(trace, &agg);
+            let lp_tol = cfg.rel_tol * exact.lp_raw.abs().max(1.0);
+            if agg.degraded {
+                rep.fail(
                     "X5-AGG-SOUND",
                     None,
                     "unlimited-budget aggregated solve reported a budget trip".to_string(),
-                ),
+                );
+            } else if agg.bound.lp_raw > exact.lp_raw + lp_tol || exact.lp_raw > agg.lp_hi + lp_tol
+            {
+                rep.fail(
+                    "X5-AGG-SOUND",
+                    None,
+                    format!(
+                        "aggregated LP sandwich [{}, {}] misses the exact LP {} (m={m}, k={})",
+                        agg.bound.lp_raw, agg.lp_hi, exact.lp_raw, cfg.k
+                    ),
+                );
+            } else if agg.bound.value > exact.value + tol {
+                rep.fail(
+                    "X5-AGG-SOUND",
+                    None,
+                    format!(
+                        "aggregated bound {} beats the exact bound {} (m={m}, k={})",
+                        agg.bound.value, exact.value, cfg.k
+                    ),
+                );
             }
         }
     }
@@ -1408,6 +1410,18 @@ mod tests {
             &mut rep,
         );
         assert!(rep.has("X1-LB-DOMINANCE"), "{:?}", rep.violations);
+    }
+
+    /// A size within `is_integral`'s tolerance of 0 must not reach the
+    /// LP, whose arc cost divides by the size: at 1e-310 the cost is
+    /// infinite and the solver panics.
+    #[test]
+    fn near_zero_size_audits_cleanly() {
+        let t = Trace::from_pairs([(0.0, 3.0), (0.0, 1e-310)]).unwrap();
+        for m in [1usize, 2] {
+            let rep = audit_trace(&t, m, 1.0, &Policy::all(), &AuditConfig::default());
+            assert!(rep.ok(), "m={m}: {:?}", rep.violations);
+        }
     }
 
     #[test]

@@ -18,7 +18,7 @@ use std::io::Write as _;
 use std::time::Duration;
 use tf_bench::{bench_trace, bench_trace_integral};
 use tf_harness::hunt::{hunt, HuntConfig};
-use tf_lowerbound::{lk_lower_bound, lk_lower_bound_reference};
+use tf_lowerbound::{lk_lower_bound, lower_bound, LbRequest, Method};
 use tf_policies::Policy;
 use tf_simcore::alloc::check_rates;
 use tf_simcore::{
@@ -272,10 +272,14 @@ fn bench_lower_bound_ssp(c: &mut Criterion) {
     g.warm_up_time(Duration::from_millis(300));
     g.measurement_time(Duration::from_secs(1));
     g.sample_size(10);
+    let reference = LbRequest {
+        method: Method::Reference,
+        ..LbRequest::new(2, 2)
+    };
     for &n in &[40usize, 80] {
         let trace = bench_trace_integral(n, 19);
         g.bench_with_input(BenchmarkId::new("lk_k2_m2", n), &trace, |b, t| {
-            b.iter(|| black_box(lk_lower_bound_reference(t, 2, 2)))
+            b.iter(|| black_box(lower_bound(t, &reference).bound))
         });
     }
     g.finish();

@@ -22,13 +22,23 @@ use std::hint::black_box;
 use std::io::Write as _;
 use std::time::Instant;
 use tf_bench::bench_trace_integral;
-use tf_lowerbound::{
-    lk_lower_bound, lk_lower_bound_aggregated, lk_lower_bound_colgen_budgeted, AggConfig,
-    SolveBudget,
-};
+use tf_lowerbound::{lk_lower_bound, lower_bound, LbOutcome, LbRequest, Method};
 
 /// The gate sizes: present in `BENCH_3.json`, so old/new is well-defined.
 const GATE_SIZES: [usize; 2] = [160, 320];
+
+/// The `k = 2, m = 2` bound by `method`, unlimited budget.
+fn bound_by(trace: &tf_simcore::Trace, method: Method) -> LbOutcome {
+    let out = lower_bound(
+        trace,
+        &LbRequest {
+            method,
+            ..LbRequest::new(2, 2)
+        },
+    );
+    assert!(!out.degraded, "unlimited budget never trips");
+    out
+}
 
 fn bench_exact(c: &mut Criterion) {
     let mut g = c.benchmark_group("scale/lower_bound_exact");
@@ -45,16 +55,10 @@ fn bench_exact(c: &mut Criterion) {
 fn bench_colgen(c: &mut Criterion) {
     let mut g = c.benchmark_group("scale/lower_bound_colgen");
     g.sample_size(10);
-    let unlimited = SolveBudget::unlimited();
     for &n in &GATE_SIZES {
         let trace = bench_trace_integral(n, 19);
         g.bench_with_input(BenchmarkId::new("lk_k2_m2", n), &trace, |b, t| {
-            b.iter(|| {
-                black_box(
-                    lk_lower_bound_colgen_budgeted(t, 2, 2, &unlimited, None)
-                        .expect("unlimited budget never trips"),
-                )
-            })
+            b.iter(|| black_box(bound_by(t, Method::Colgen(None))))
         });
     }
     g.finish();
@@ -81,13 +85,11 @@ fn certified_frontier(smoke: bool) -> Vec<FrontierPoint> {
     } else {
         &[640, 1280, 2560, 5000]
     };
-    let unlimited = SolveBudget::unlimited();
     let mut points = Vec::new();
     for &n in sizes {
         let trace = bench_trace_integral(n, 7);
         let t0 = Instant::now();
-        let (lb, _, _) = lk_lower_bound_colgen_budgeted(&trace, 2, 2, &unlimited, None)
-            .expect("unlimited budget never trips");
+        let lb = bound_by(&trace, Method::Colgen(None)).bound;
         points.push(FrontierPoint {
             n,
             seconds: t0.elapsed().as_secs_f64(),
@@ -107,14 +109,14 @@ fn certified_frontier(smoke: bool) -> Vec<FrontierPoint> {
         let n = sizes[0];
         let trace = bench_trace_integral(n, 7);
         let t0 = Instant::now();
-        let agg = lk_lower_bound_aggregated(&trace, 2, 2, &AggConfig::default(), &unlimited)
-            .expect("unlimited budget never trips");
+        let agg = bound_by(&trace, Method::Agg);
+        let lp_lo = agg.bound.lp_raw;
         points.push(FrontierPoint {
             n,
             seconds: t0.elapsed().as_secs_f64(),
-            value: agg.value,
-            kind: agg.kind.label(),
-            delta: agg.rel_gap,
+            value: agg.bound.value,
+            kind: agg.bound.kind.label(),
+            delta: (agg.lp_hi - lp_lo) / lp_lo.max(f64::MIN_POSITIVE),
             method: "agg",
         });
     }
@@ -127,8 +129,7 @@ fn certified_frontier(smoke: bool) -> Vec<FrontierPoint> {
 fn equivalence_at_gate() -> f64 {
     let trace = bench_trace_integral(320, 19);
     let exact = lk_lower_bound(&trace, 2, 2);
-    let (cg, _, _) = lk_lower_bound_colgen_budgeted(&trace, 2, 2, &SolveBudget::unlimited(), None)
-        .expect("unlimited budget never trips");
+    let cg = bound_by(&trace, Method::Colgen(None)).bound;
     let rel = (cg.value - exact.value).abs() / exact.value.abs().max(1.0);
     assert!(
         rel <= 1e-9,

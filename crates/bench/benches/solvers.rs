@@ -6,7 +6,7 @@ use std::hint::black_box;
 use std::time::Duration;
 use tf_bench::bench_trace_integral;
 use tf_core::verify_theorem1;
-use tf_lowerbound::{lk_lower_bound, lp_relaxation_value};
+use tf_lowerbound::lk_lower_bound;
 
 fn bench_lp(c: &mut Criterion) {
     let mut g = c.benchmark_group("solvers/lp");
@@ -17,7 +17,7 @@ fn bench_lp(c: &mut Criterion) {
         let trace = bench_trace_integral(n, 17);
         for k in [1u32, 2] {
             g.bench_with_input(BenchmarkId::new(format!("k{k}"), n), &trace, |b, t| {
-                b.iter(|| black_box(lp_relaxation_value(t, 2, k)))
+                b.iter(|| black_box(lk_lower_bound(t, 2, k).lp_raw))
             });
         }
     }

@@ -44,7 +44,8 @@
 //!
 //! With `--task-timeout SECS` each task gets a [`SolveBudget`]; the
 //! certified LP lower bound polls it and aborts cleanly, falling back to
-//! the closed-form bounds ([`tf_lowerbound::lk_lower_bound_budgeted`]).
+//! the closed-form bounds (an [`tf_lowerbound::LbOutcome`] with
+//! `degraded` set).
 //! The weakened bound is still *valid*, the output row records the
 //! provenance (`lb src` column), [`Campaign::note_degraded`] counts it —
 //! and the degraded value is **never** written to the lower-bound cache,

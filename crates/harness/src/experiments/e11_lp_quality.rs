@@ -13,10 +13,10 @@
 
 use super::RunCtx;
 use crate::corpus::random_corpus;
-use crate::lbcache::cached_lk_lower_bound;
+use crate::lbcache::cached_lower_bound;
 use crate::table::{fnum, Table};
 use rayon::prelude::*;
-use tf_lowerbound::lp_relaxation_value;
+use tf_lowerbound::{lk_lower_bound, LbRequest};
 use tf_policies::Policy;
 use tf_simcore::{simulate, MachineConfig, SimOptions, Trace};
 
@@ -38,7 +38,7 @@ pub fn e11(ctx: &RunCtx) -> Vec<Table> {
     let rows: Vec<_> = corpus
         .par_iter()
         .map(|inst| {
-            let lp = lp_relaxation_value(&inst.trace, 1, 1);
+            let lp = lk_lower_bound(&inst.trace, 1, 1).lp_raw;
             let mut srpt = Policy::Srpt.make();
             let opt = simulate(
                 &inst.trace,
@@ -48,7 +48,7 @@ pub fn e11(ctx: &RunCtx) -> Vec<Table> {
             )
             .unwrap()
             .total_flow();
-            (inst.name.clone(), lp.objective, opt)
+            (inst.name.clone(), lp, opt)
         })
         .collect();
     for (name, lp, opt) in rows {
@@ -79,7 +79,7 @@ pub fn e11(ctx: &RunCtx) -> Vec<Table> {
     let rows: Vec<_> = work
         .par_iter()
         .map(|(m, name, trace)| {
-            let lb = cached_lk_lower_bound(trace, *m, 2);
+            let lb = cached_lower_bound(trace, &LbRequest::new(*m, 2)).bound;
             let best = [Policy::Srpt, Policy::Sjf, Policy::Setf, Policy::Rr]
                 .iter()
                 .map(|p| {
@@ -138,7 +138,7 @@ pub fn e11(ctx: &RunCtx) -> Vec<Table> {
     use tf_lowerbound::{exact_slotted_opt, ExactLimits};
     for (name, pairs) in tiny_instances {
         let t = Trace::from_pairs(pairs).unwrap();
-        let lp = lp_relaxation_value(&t, 1, 2).objective / 2.0;
+        let lp = lk_lower_bound(&t, 1, 2).lp_raw / 2.0;
         let ex = exact_slotted_opt(&t, 1, 2, ExactLimits::default())
             .expect("tiny instance within state budget")
             .power_sum;

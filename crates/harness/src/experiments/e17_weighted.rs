@@ -23,7 +23,7 @@ use super::RunCtx;
 use crate::corpus::weighted_integral_poisson;
 use crate::table::{fnum, Table};
 use rayon::prelude::*;
-use tf_lowerbound::lp_relaxation_value_weighted;
+use tf_lowerbound::{lower_bound, LbRequest};
 use tf_metrics::weighted_flow_power_sum;
 use tf_policies::Policy;
 use tf_simcore::{simulate, MachineConfig, SimOptions, Trace};
@@ -82,7 +82,11 @@ pub fn e17(ctx: &RunCtx) -> Vec<Table> {
                 classes,
                 1700 + u64::from(*k),
             );
-            let lb = lp_relaxation_value_weighted(&trace, m, *k, true).objective / 2.0;
+            let weighted = LbRequest {
+                weighted: true,
+                ..LbRequest::new(m, *k)
+            };
+            let lb = lower_bound(&trace, &weighted).bound.value;
             let rr = weighted_objective(&trace, Policy::Rr, m, speed, *k);
             let wrr = weighted_objective(&trace, Policy::Wrr, m, speed, *k);
             let hdf = weighted_objective(&trace, Policy::Hdf, m, speed, *k);

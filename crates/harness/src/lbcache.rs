@@ -1,11 +1,15 @@
-//! Content-addressed persistent cache for `lk_lower_bound`.
+//! Content-addressed persistent cache for certified lower bounds.
 //!
 //! The LP component of the lower bound (min-cost flow over a time-indexed
 //! network) dominates experiment wall-clock, and the experiment suite
 //! re-evaluates the same seeded traces run after run. Since a bound is a
-//! pure function of `(trace, m, k)` and the solver code, we memoize it on
-//! disk under `results/cache/`, keyed by a content hash of the trace bytes
-//! plus the parameters and a solver version.
+//! pure function of `(trace, m, k)`, the solve method and the solver code,
+//! we memoize it on disk under `results/cache/`, keyed by a content hash
+//! of the trace bytes plus the parameters, the method and a solver
+//! version. [`cached_lower_bound`] is the one entry point: it takes the
+//! same [`LbRequest`] as [`tf_lowerbound::lower_bound`] and caches the
+//! unweighted exact methods ([`Method::Exact`] and [`Method::Colgen`]);
+//! every other request passes straight through to the solver.
 //!
 //! Bump [`SOLVER_VERSION`] whenever `tf-lowerbound`'s numeric behaviour
 //! changes; stale entries are then simply never looked up again.
@@ -17,11 +21,7 @@
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use tf_lowerbound::{
-    lk_lower_bound, lk_lower_bound_aggregated, lk_lower_bound_budgeted,
-    lk_lower_bound_colgen_budgeted, AggConfig, AggregatedBound, BudgetedBound, LowerBound,
-    LpWarmStart, SolveBudget,
-};
+use tf_lowerbound::{lower_bound, LbOutcome, LbRequest, LowerBound, LpWarmStart, Method};
 use tf_simcore::Trace;
 
 /// Version tag mixed into every cache key. Bump when the lower-bound
@@ -32,40 +32,25 @@ use tf_simcore::Trace;
 /// ulps, so old entries must not be reused).
 ///
 /// v3: settled-region-restricted blocking flow plus the column-generation
-/// and interval-aggregation solve paths. Keys now also carry a
-/// `Method` discriminator, so an aggregated entry (exact only up to its
-/// certified `±δ` gap) can never shadow — or be shadowed by — an exact
-/// entry for the same `(trace, m, k)`.
+/// solve path. Keys now also carry a solve-method tag, so entries from
+/// different solve paths never alias.
 pub const SOLVER_VERSION: u32 = 3;
 
-/// Which solve path produced a cache entry. Mixed into [`key`] so the
-/// differently-certified paths never alias: `Exact` and `Colgen` both
-/// produce the exact bound but may differ in the last ulps (different
-/// augmentation order), and `Agg` is only exact up to its certified
-/// relative gap — whose *target* is part of the identity, since a run
-/// asking for `±0.1%` must not reuse a `±1%` entry.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Method {
-    /// Full-arena (or unit-SSP) exact solve: [`lk_lower_bound`].
-    Exact,
-    /// Delayed column generation: [`lk_lower_bound_colgen_budgeted`].
-    Colgen,
-    /// Interval aggregation with this target relative gap:
-    /// [`lk_lower_bound_aggregated`].
-    Agg { target_rel_gap: f64 },
-}
-
-impl Method {
-    /// Stable byte tag appended to the key material.
-    fn tag(self, bytes: &mut Vec<u8>) {
-        match self {
-            Method::Exact => bytes.push(0),
-            Method::Colgen => bytes.push(1),
-            Method::Agg { target_rel_gap } => {
-                bytes.push(2);
-                bytes.extend_from_slice(&target_rel_gap.to_bits().to_le_bytes());
-            }
-        }
+/// Stable byte tag of a cacheable request's solve method, appended to
+/// the key material; `None` for requests that are never cached.
+/// `Exact` and `Colgen` both produce the exact bound but may differ in
+/// the last ulps (different augmentation order), so they never share
+/// entries. Aggregated bounds are exact only up to their certified gap,
+/// the reference solver is an audit oracle, and weighted bounds have a
+/// different objective: none of them is cached.
+fn method_tag(req: &LbRequest) -> Option<u8> {
+    if req.weighted {
+        return None;
+    }
+    match req.method {
+        Method::Exact => Some(0),
+        Method::Colgen(_) => Some(1),
+        Method::Agg | Method::Reference => None,
     }
 }
 
@@ -89,8 +74,9 @@ pub fn cache_dir() -> PathBuf {
     PathBuf::from("results").join("cache")
 }
 
-/// `(hits, misses)` tallied by [`cached_lk_lower_bound`] since process
-/// start (bypassed lookups with the cache disabled count as misses).
+/// `(hits, misses)` tallied by [`cached_lower_bound`] since process
+/// start (bypassed lookups — cache disabled, or an uncached request —
+/// count as misses).
 pub fn stats() -> (u64, u64) {
     (HITS.load(Ordering::Relaxed), MISSES.load(Ordering::Relaxed))
 }
@@ -117,8 +103,8 @@ fn fnv1a(bytes: impl IntoIterator<Item = u8>, seed: u64) -> u64 {
 }
 
 /// 128-bit content key over the trace's job data, the bound parameters,
-/// and the solve `Method`.
-fn key(trace: &Trace, m: usize, k: u32, method: Method) -> String {
+/// and the solve method's tag.
+fn key(trace: &Trace, m: usize, k: u32, tag: u8) -> String {
     let mut bytes: Vec<u8> = Vec::with_capacity(trace.len() * 24 + 32);
     for j in trace.jobs() {
         bytes.extend_from_slice(&j.arrival.to_bits().to_le_bytes());
@@ -128,138 +114,48 @@ fn key(trace: &Trace, m: usize, k: u32, method: Method) -> String {
     bytes.extend_from_slice(&(m as u64).to_le_bytes());
     bytes.extend_from_slice(&k.to_le_bytes());
     bytes.extend_from_slice(&SOLVER_VERSION.to_le_bytes());
-    method.tag(&mut bytes);
+    bytes.push(tag);
     let lo = fnv1a(bytes.iter().copied(), 0);
     let hi = fnv1a(bytes.iter().copied(), 0x9e3779b97f4a7c15);
     format!("{hi:016x}{lo:016x}")
 }
 
-/// `lk_lower_bound` with on-disk memoization. Semantics are identical to
-/// calling the solver directly; only wall-clock differs.
-pub fn cached_lk_lower_bound(trace: &Trace, m: usize, k: u32) -> LowerBound {
-    if !enabled() {
+/// [`tf_lowerbound::lower_bound`] with on-disk memoization. Semantics are
+/// identical to calling the solver directly; only wall-clock differs —
+/// except that a hit carries no warm-start handle (there was no solve to
+/// harvest duals from).
+///
+/// Hits are returned whatever the request's budget: a cached entry is
+/// always the *full* bound, so it can only be better than a degraded
+/// recompute. A degraded outcome — the LP abandoned, closed-form
+/// fallback — is **not** stored: caching it would silently weaken later
+/// unlimited runs that trust cache entries to be full bounds.
+pub fn cached_lower_bound(trace: &Trace, req: &LbRequest) -> LbOutcome {
+    let tag = method_tag(req).filter(|_| enabled());
+    let Some(tag) = tag else {
         MISSES.fetch_add(1, Ordering::Relaxed);
-        return lk_lower_bound(trace, m, k);
-    }
-    let path = cache_dir().join(format!("lb-{}.json", key(trace, m, k, Method::Exact)));
+        return lower_bound(trace, req);
+    };
+    let path = cache_dir().join(format!("lb-{}.json", key(trace, req.m, req.k, tag)));
     if let Ok(text) = std::fs::read_to_string(&path) {
-        if let Ok(lb) = serde_json::from_str::<LowerBound>(&text) {
+        if let Ok(bound) = serde_json::from_str::<LowerBound>(&text) {
             HITS.fetch_add(1, Ordering::Relaxed);
             tf_obs::instant!("cache", "hit");
-            return lb;
-        }
-    }
-    MISSES.fetch_add(1, Ordering::Relaxed);
-    tf_obs::instant!("cache", "miss");
-    let lb = lk_lower_bound(trace, m, k);
-    store(&path, &lb);
-    lb
-}
-
-/// [`cached_lk_lower_bound`] under a cooperative [`SolveBudget`]: cache
-/// hits are returned as usual (a cached entry is always the *full*
-/// bound, so it can only be better than a degraded recompute); on a miss
-/// the solve runs budgeted, and a degraded result — the LP abandoned,
-/// closed-form fallback — is **not** stored. Caching it would silently
-/// weaken later unlimited runs that trust cache entries to be full
-/// bounds.
-pub fn cached_lk_lower_bound_budgeted(
-    trace: &Trace,
-    m: usize,
-    k: u32,
-    budget: &SolveBudget,
-) -> BudgetedBound {
-    if !enabled() {
-        MISSES.fetch_add(1, Ordering::Relaxed);
-        return lk_lower_bound_budgeted(trace, m, k, budget);
-    }
-    let path = cache_dir().join(format!("lb-{}.json", key(trace, m, k, Method::Exact)));
-    if let Ok(text) = std::fs::read_to_string(&path) {
-        if let Ok(lb) = serde_json::from_str::<LowerBound>(&text) {
-            HITS.fetch_add(1, Ordering::Relaxed);
-            tf_obs::instant!("cache", "hit");
-            return BudgetedBound {
-                bound: lb,
+            return LbOutcome {
+                bound,
                 degraded: false,
+                lp_hi: bound.lp_raw,
+                warm: LpWarmStart::default(),
             };
         }
     }
     MISSES.fetch_add(1, Ordering::Relaxed);
     tf_obs::instant!("cache", "miss");
-    let b = lk_lower_bound_budgeted(trace, m, k, budget);
-    if !b.degraded {
-        store(&path, &b.bound);
+    let out = lower_bound(trace, req);
+    if !out.degraded {
+        store(&path, &out.bound);
     }
-    b
-}
-
-/// [`tf_lowerbound::lk_lower_bound_colgen_budgeted`] with on-disk
-/// memoization under its own `Method::Colgen` key — the colgen value is
-/// the exact LP optimum, but its augmentation order differs from the
-/// full-arena solve, so the two may disagree in the last ulps and must
-/// not share entries.
-///
-/// A cache hit returns an empty warm-start handle (there was no solve to
-/// harvest duals from) and `false` for warm acceptance. A budget-tripped
-/// solve returns `None` and stores nothing.
-pub fn cached_lk_lower_bound_colgen_budgeted(
-    trace: &Trace,
-    m: usize,
-    k: u32,
-    budget: &SolveBudget,
-    warm: Option<&LpWarmStart>,
-) -> Option<(LowerBound, LpWarmStart, bool)> {
-    if !enabled() {
-        MISSES.fetch_add(1, Ordering::Relaxed);
-        return lk_lower_bound_colgen_budgeted(trace, m, k, budget, warm);
-    }
-    let path = cache_dir().join(format!("lb-{}.json", key(trace, m, k, Method::Colgen)));
-    if let Ok(text) = std::fs::read_to_string(&path) {
-        if let Ok(lb) = serde_json::from_str::<LowerBound>(&text) {
-            HITS.fetch_add(1, Ordering::Relaxed);
-            tf_obs::instant!("cache", "hit");
-            return Some((lb, LpWarmStart::default(), false));
-        }
-    }
-    MISSES.fetch_add(1, Ordering::Relaxed);
-    tf_obs::instant!("cache", "miss");
-    let (lb, handle, accepted) = lk_lower_bound_colgen_budgeted(trace, m, k, budget, warm)?;
-    store(&path, &lb);
-    Some((lb, handle, accepted))
-}
-
-/// [`tf_lowerbound::lk_lower_bound_aggregated`] with on-disk memoization
-/// under a `Method::Agg` key carrying the *target* relative gap — a run
-/// asking for a tighter certificate never reuses a looser entry, and
-/// aggregated entries can never shadow exact ones. A budget-tripped
-/// solve (`None`) certifies nothing and stores nothing.
-pub fn cached_lk_lower_bound_aggregated(
-    trace: &Trace,
-    m: usize,
-    k: u32,
-    cfg: &AggConfig,
-    budget: &SolveBudget,
-) -> Option<AggregatedBound> {
-    if !enabled() {
-        MISSES.fetch_add(1, Ordering::Relaxed);
-        return lk_lower_bound_aggregated(trace, m, k, cfg, budget);
-    }
-    let method = Method::Agg {
-        target_rel_gap: cfg.target_rel_gap,
-    };
-    let path = cache_dir().join(format!("lb-{}.json", key(trace, m, k, method)));
-    if let Ok(text) = std::fs::read_to_string(&path) {
-        if let Ok(b) = serde_json::from_str::<AggregatedBound>(&text) {
-            HITS.fetch_add(1, Ordering::Relaxed);
-            tf_obs::instant!("cache", "hit");
-            return Some(b);
-        }
-    }
-    MISSES.fetch_add(1, Ordering::Relaxed);
-    tf_obs::instant!("cache", "miss");
-    let b = lk_lower_bound_aggregated(trace, m, k, cfg, budget)?;
-    store_agg(&path, &b);
-    Some(b)
+    out
 }
 
 /// Monotone discriminator for temp-file names: the pid alone is not
@@ -273,20 +169,10 @@ static TMP_COUNTER: AtomicU64 = AtomicU64::new(0);
 /// only on the final rename — and both rename complete, equal-bytes
 /// files.
 fn store(path: &std::path::Path, lb: &LowerBound) {
-    store_json(path, lb)
-}
-
-/// As [`store`], for aggregated entries (different payload type, same
-/// atomic write discipline).
-fn store_agg(path: &std::path::Path, b: &AggregatedBound) {
-    store_json(path, b)
-}
-
-fn store_json<T: serde::Serialize>(path: &std::path::Path, value: &T) {
     if std::fs::create_dir_all(cache_dir()).is_err() {
         return;
     }
-    let Ok(json) = serde_json::to_string(value) else {
+    let Ok(json) = serde_json::to_string(lb) else {
         return;
     };
     let tmp = path.with_extension(format!(
@@ -302,53 +188,71 @@ fn store_json<T: serde::Serialize>(path: &std::path::Path, value: &T) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tf_lowerbound::{lk_lower_bound, SolveBudget};
 
     fn trace() -> Trace {
         Trace::from_pairs([(0.0, 2.0), (1.0, 1.0), (1.0, 3.0)]).unwrap()
     }
 
+    fn exact(m: usize, k: u32) -> LbRequest<'static> {
+        LbRequest::new(m, k)
+    }
+
+    fn colgen(m: usize, k: u32) -> LbRequest<'static> {
+        LbRequest {
+            method: Method::Colgen(None),
+            ..LbRequest::new(m, k)
+        }
+    }
+
     #[test]
     fn key_is_content_addressed() {
         let t = trace();
-        let e = Method::Exact;
-        assert_eq!(key(&t, 1, 2, e), key(&trace(), 1, 2, e));
-        assert_ne!(key(&t, 1, 2, e), key(&t, 2, 2, e));
-        assert_ne!(key(&t, 1, 2, e), key(&t, 1, 3, e));
+        assert_eq!(key(&t, 1, 2, 0), key(&trace(), 1, 2, 0));
+        assert_ne!(key(&t, 1, 2, 0), key(&t, 2, 2, 0));
+        assert_ne!(key(&t, 1, 2, 0), key(&t, 1, 3, 0));
         let other = Trace::from_pairs([(0.0, 2.0), (1.0, 1.0), (1.0, 3.5)]).unwrap();
-        assert_ne!(key(&t, 1, 2, e), key(&other, 1, 2, e));
+        assert_ne!(key(&t, 1, 2, 0), key(&other, 1, 2, 0));
     }
 
-    /// The pre-fix key ignored the solve method, so an aggregated entry
-    /// (exact only up to its ±δ gap) could be read back by an exact
-    /// lookup of the same `(trace, m, k)` — this test fails on that key.
+    /// The key material is a persistent format: a change to these
+    /// digests orphans every existing `results/cache/` entry.
+    #[test]
+    fn cache_key_bytes_are_pinned() {
+        let t = trace();
+        let tag = |req: LbRequest| method_tag(&req).expect("cacheable");
+        assert_eq!(
+            key(&t, 2, 2, tag(exact(2, 2))),
+            "6066519c1069a4c1211537f89f64987a"
+        );
+        assert_eq!(
+            key(&t, 2, 2, tag(colgen(2, 2))),
+            "6066509c1069a30e211538f89f649a2d"
+        );
+    }
+
+    /// The pre-fix key ignored the solve method, so an entry from one
+    /// path could be read back by a lookup for another — this test fails
+    /// on that key. Certified-only-up-to-a-gap, oracle and weighted
+    /// bounds are never cached at all.
     #[test]
     fn solve_methods_never_alias_in_the_key() {
         let t = trace();
-        let exact = key(&t, 2, 2, Method::Exact);
-        let colgen = key(&t, 2, 2, Method::Colgen);
-        let agg1 = key(
-            &t,
-            2,
-            2,
-            Method::Agg {
-                target_rel_gap: 0.01,
-            },
-        );
-        let agg2 = key(
-            &t,
-            2,
-            2,
-            Method::Agg {
-                target_rel_gap: 0.001,
-            },
-        );
-        assert_ne!(exact, colgen);
-        assert_ne!(exact, agg1);
-        assert_ne!(colgen, agg1);
-        assert_ne!(
-            agg1, agg2,
-            "the δ target is part of an Agg entry's identity"
-        );
+        let ex = method_tag(&exact(2, 2)).unwrap();
+        let cg = method_tag(&colgen(2, 2)).unwrap();
+        assert_ne!(key(&t, 2, 2, ex), key(&t, 2, 2, cg));
+        for method in [Method::Agg, Method::Reference] {
+            let req = LbRequest {
+                method,
+                ..LbRequest::new(2, 2)
+            };
+            assert_eq!(method_tag(&req), None, "{method:?}");
+        }
+        let weighted = LbRequest {
+            weighted: true,
+            ..LbRequest::new(2, 2)
+        };
+        assert_eq!(method_tag(&weighted), None);
     }
 
     #[test]
@@ -361,58 +265,28 @@ mod tests {
         let t = Trace::from_pairs([(0.0, 2.0), (0.0, 1.0), (2.0, 3.0), (4.0, 1.0), (4.0, 2.0)])
             .unwrap();
         let (m, k) = (2usize, 2u32);
-        let cg_path = cache_dir().join(format!("lb-{}.json", key(&t, m, k, Method::Colgen)));
-        let ex_path = cache_dir().join(format!("lb-{}.json", key(&t, m, k, Method::Exact)));
+        let cg_path = cache_dir().join(format!("lb-{}.json", key(&t, m, k, 1)));
+        let ex_path = cache_dir().join(format!("lb-{}.json", key(&t, m, k, 0)));
         let _ = std::fs::remove_file(&cg_path);
         let _ = std::fs::remove_file(&ex_path);
 
-        let unlimited = SolveBudget::unlimited();
-        let (cold, _, _) =
-            cached_lk_lower_bound_colgen_budgeted(&t, m, k, &unlimited, None).unwrap();
-        assert_eq!(cold, lk_lower_bound(&t, m, k));
+        let cold = cached_lower_bound(&t, &colgen(m, k));
+        assert_eq!(cold.bound, lk_lower_bound(&t, m, k));
         assert!(cg_path.exists(), "colgen entry written under its own key");
         assert!(!ex_path.exists(), "the exact key must stay untouched");
-        let (hit, _, _) =
-            cached_lk_lower_bound_colgen_budgeted(&t, m, k, &unlimited, None).unwrap();
-        assert_eq!(hit, cold);
+        let hit = cached_lower_bound(&t, &colgen(m, k));
+        assert_eq!(hit.bound, cold.bound);
 
-        // A zero budget returns None and never caches.
+        // A zero budget degrades and never caches.
         let _ = std::fs::remove_file(&cg_path);
         let spent = SolveBudget::with_timeout(std::time::Duration::ZERO);
-        assert!(cached_lk_lower_bound_colgen_budgeted(&t, m, k, &spent, None).is_none());
+        let req = LbRequest {
+            budget: &spent,
+            ..colgen(m, k)
+        };
+        assert!(cached_lower_bound(&t, &req).degraded);
         assert!(!cg_path.exists(), "a tripped colgen solve must not cache");
         let _ = std::fs::remove_file(&cg_path);
-    }
-
-    #[test]
-    fn cached_aggregated_roundtrips_and_never_caches_tripped_solves() {
-        let _guard = ENABLED_LOCK.lock().unwrap();
-        if !enabled() {
-            return; // TF_LB_CACHE=0 in the environment: nothing to test
-        }
-        // A trace no other test uses, so this test owns its cache entry.
-        let t = Trace::from_pairs([(0.0, 3.0), (0.0, 2.0), (3.0, 1.0), (4.0, 4.0), (7.0, 2.0)])
-            .unwrap();
-        let (m, k) = (1usize, 2u32);
-        let cfg = AggConfig::default();
-        let method = Method::Agg {
-            target_rel_gap: cfg.target_rel_gap,
-        };
-        let path = cache_dir().join(format!("lb-{}.json", key(&t, m, k, method)));
-        let _ = std::fs::remove_file(&path);
-
-        let spent = SolveBudget::with_timeout(std::time::Duration::ZERO);
-        assert!(cached_lk_lower_bound_aggregated(&t, m, k, &cfg, &spent).is_none());
-        assert!(!path.exists(), "a tripped aggregated solve must not cache");
-
-        let unlimited = SolveBudget::unlimited();
-        let cold = cached_lk_lower_bound_aggregated(&t, m, k, &cfg, &unlimited).unwrap();
-        assert!(path.exists());
-        let hit = cached_lk_lower_bound_aggregated(&t, m, k, &cfg, &unlimited).unwrap();
-        assert_eq!(cold, hit);
-        // The aggregated value stays a genuine lower bound on the exact one.
-        assert!(cold.value <= lk_lower_bound(&t, m, k).value + 1e-9);
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
@@ -421,10 +295,10 @@ mod tests {
         // cache file (if written) holds exactly the solver's output.
         let t = trace().to_integral();
         let direct = lk_lower_bound(&t, 1, 2);
-        let cached = cached_lk_lower_bound(&t, 1, 2);
-        let warm = cached_lk_lower_bound(&t, 1, 2);
-        assert_eq!(direct, cached);
-        assert_eq!(direct, warm);
+        let cached = cached_lower_bound(&t, &exact(1, 2));
+        let warm = cached_lower_bound(&t, &exact(1, 2));
+        assert_eq!(direct, cached.bound);
+        assert_eq!(direct, warm.bound);
     }
 
     /// Serializes the tests that toggle the process-global `ENABLED`
@@ -437,7 +311,10 @@ mod tests {
         set_enabled(false);
         let t = trace();
         assert!(!enabled());
-        assert_eq!(cached_lk_lower_bound(&t, 1, 1), lk_lower_bound(&t, 1, 1));
+        assert_eq!(
+            cached_lower_bound(&t, &exact(1, 1)).bound,
+            lk_lower_bound(&t, 1, 1)
+        );
         set_enabled(true);
     }
 
@@ -450,11 +327,15 @@ mod tests {
         // A trace no other test uses, so this test owns its cache entry.
         let t = Trace::from_pairs([(0.0, 3.0), (1.0, 4.0), (2.0, 2.0), (5.0, 1.0)]).unwrap();
         let (m, k) = (1usize, 3u32);
-        let path = cache_dir().join(format!("lb-{}.json", key(&t, m, k, Method::Exact)));
+        let path = cache_dir().join(format!("lb-{}.json", key(&t, m, k, 0)));
         let _ = std::fs::remove_file(&path);
 
         let spent = SolveBudget::with_timeout(std::time::Duration::ZERO);
-        let degraded = cached_lk_lower_bound_budgeted(&t, m, k, &spent);
+        let req = LbRequest {
+            budget: &spent,
+            ..exact(m, k)
+        };
+        let degraded = cached_lower_bound(&t, &req);
         assert!(degraded.degraded);
         assert!(
             !path.exists(),
@@ -462,7 +343,7 @@ mod tests {
         );
 
         // A later unlimited call computes and caches the full bound.
-        let full = cached_lk_lower_bound_budgeted(&t, m, k, &SolveBudget::unlimited());
+        let full = cached_lower_bound(&t, &exact(m, k));
         assert!(!full.degraded);
         assert!(full.bound.value >= degraded.bound.value);
         assert!(path.exists());
@@ -479,7 +360,7 @@ mod tests {
         let t = Trace::from_pairs([(0.0, 4.0), (1.0, 2.0), (3.0, 3.0), (3.0, 1.0), (6.0, 2.0)])
             .unwrap();
         let (m, k) = (2usize, 2u32);
-        let path = cache_dir().join(format!("lb-{}.json", key(&t, m, k, Method::Exact)));
+        let path = cache_dir().join(format!("lb-{}.json", key(&t, m, k, 0)));
         let expect = lk_lower_bound(&t, m, k);
 
         // Both threads start cold on the same key and race the full
@@ -493,7 +374,7 @@ mod tests {
                         let (t, barrier) = (&t, &barrier);
                         s.spawn(move || {
                             barrier.wait();
-                            cached_lk_lower_bound(t, m, k)
+                            cached_lower_bound(t, &exact(m, k)).bound
                         })
                     })
                     .collect();

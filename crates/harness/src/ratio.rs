@@ -12,13 +12,10 @@
 //! `[ratio_vs_best, ratio_vs_lb]`.
 
 use crate::campaign::{fingerprint128, CampaignScope, TaskKey};
-use crate::lbcache::{
-    cached_lk_lower_bound_aggregated, cached_lk_lower_bound_budgeted,
-    cached_lk_lower_bound_colgen_budgeted,
-};
+use crate::lbcache::cached_lower_bound;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
-use tf_lowerbound::{AggConfig, BoundKind, LpWarmStart};
+use tf_lowerbound::{LbOutcome, LbRequest, LpWarmStart, Method};
 use tf_policies::Policy;
 use tf_simcore::{simulate, MachineConfig, SimOptions, SimStats, Trace};
 
@@ -114,65 +111,41 @@ pub fn empirical_ratio_scoped(
     k: u32,
     baselines: &[Policy],
 ) -> RatioEstimate {
-    let kf = f64::from(k);
-    let mut alloc = policy.make();
-    let alg = simulate(
+    let budget = scope.task_budget();
+    let req = LbRequest {
+        budget: &budget,
+        ..LbRequest::new(m, k)
+    };
+    let (lb, lb_provenance) = scoped_lower_bound(scope, trace, &req);
+    assemble_estimate(
         trace,
-        alloc.as_mut(),
-        MachineConfig::with_speed(m, speed),
-        SimOptions::default().timed(),
+        policy,
+        m,
+        speed,
+        k,
+        baselines,
+        lb.bound.value,
+        lb_provenance,
     )
-    .expect("simulation of a registry policy on a valid trace");
-    let alg_power_sum = alg.flow_power_sum(kf);
+}
 
-    // The LP component runs under the scope's per-task budget (unlimited
-    // when no campaign / no --task-timeout). A degraded bound stays
-    // valid — only weaker — and its provenance is recorded.
-    let budgeted = cached_lk_lower_bound_budgeted(trace, m, k, &scope.task_budget());
-    let lb = budgeted.bound;
-    let mut lb_provenance = lb.kind.label().to_string();
-    if budgeted.degraded {
-        lb_provenance.push_str(" (degraded)");
+/// The certified lower bound for `req`, through the lb cache, with its
+/// provenance label: the winning bound's label, plus ` (degraded)` when
+/// the LP solve was abandoned for budget reasons — the degradation is
+/// then also counted on `scope`'s campaign. A degraded bound stays valid,
+/// only weaker.
+fn scoped_lower_bound(
+    scope: &CampaignScope,
+    trace: &Trace,
+    req: &LbRequest,
+) -> (LbOutcome, String) {
+    let out = cached_lower_bound(trace, req);
+    let mut provenance = out.bound.kind.label().to_string();
+    if out.degraded {
+        provenance.push_str(" (degraded)");
         scope.note_degraded();
     }
-
-    let mut best_power_sum = f64::INFINITY;
-    let mut best_policy = String::new();
-    for p in baselines {
-        let mut b = p.make();
-        let s = simulate(
-            trace,
-            b.as_mut(),
-            MachineConfig::new(m),
-            SimOptions::default(),
-        )
-        .expect("baseline simulation");
-        let v = s.flow_power_sum(kf);
-        if v < best_power_sum {
-            best_power_sum = v;
-            best_policy = p.to_string();
-        }
-    }
-
-    let root = |x: f64| x.powf(1.0 / kf);
-    RatioEstimate {
-        alg_power_sum,
-        lower_bound: lb.value,
-        best_power_sum,
-        best_policy,
-        ratio_vs_lb: if lb.value > 0.0 {
-            root(alg_power_sum / lb.value)
-        } else {
-            f64::NAN
-        },
-        ratio_vs_best: if best_power_sum > 0.0 {
-            root(alg_power_sum / best_power_sum)
-        } else {
-            f64::NAN
-        },
-        stats: alg.stats,
-        lb_provenance,
-    }
+    (out, provenance)
 }
 
 /// Shared tail of every `empirical_ratio*` variant: evaluate the policy
@@ -221,69 +194,15 @@ fn assemble_estimate(
     }
 }
 
-/// [`empirical_ratio`] with the lower bound computed by the certified
-/// interval-aggregated LP (`tf_lowerbound::lk_lower_bound_aggregated`)
-/// instead of the exact one. When the aggregated LP wins the bound, the
-/// provenance column carries its certified gap as `lp-agg(±δ%)`; the
-/// value is then a rigorous lower bound on `OPTᵏ` that may sit up to `δ`
-/// below the exact LP bound, so `ratio_vs_lb` is (slightly) looser but
-/// never wrong. A budget-tripped aggregated solve certifies nothing and
-/// degrades to the closed-form bounds, exactly like the exact path —
-/// and, like every degraded result, is never cached.
-#[allow(clippy::too_many_arguments)]
-pub fn empirical_ratio_aggregated(
-    scope: &CampaignScope,
-    trace: &Trace,
-    policy: Policy,
-    m: usize,
-    speed: f64,
-    k: u32,
-    baselines: &[Policy],
-    agg: &AggConfig,
-) -> RatioEstimate {
-    let budget = scope.task_budget();
-    let (lb_value, lb_provenance) =
-        match cached_lk_lower_bound_aggregated(trace, m, k, agg, &budget) {
-            Some(b) => {
-                let provenance = if b.kind == BoundKind::LpAgg {
-                    format!("lp-agg(\u{b1}{:.2}%)", b.rel_gap * 100.0)
-                } else {
-                    b.kind.label().to_string()
-                };
-                (b.value, provenance)
-            }
-            None => {
-                // Aggregation ran out of budget mid-solve: fall back to the
-                // budgeted exact path, which degrades to closed-form bounds
-                // on its own spent budget.
-                let budgeted = cached_lk_lower_bound_budgeted(trace, m, k, &budget);
-                let mut provenance = budgeted.bound.kind.label().to_string();
-                if budgeted.degraded {
-                    provenance.push_str(" (degraded)");
-                    scope.note_degraded();
-                }
-                (budgeted.bound.value, provenance)
-            }
-        };
-    assemble_estimate(
-        trace,
-        policy,
-        m,
-        speed,
-        k,
-        baselines,
-        lb_value,
-        lb_provenance,
-    )
-}
-
 /// [`empirical_ratio`] with the lower bound computed by the
 /// column-generation solver, threading a dual warm-start handle between
 /// neighbouring calls (sweeps over `m`, `k`, or nearby traces). The
 /// bound value is the exact LP bound — colgen terminates on a clean
 /// pricing certificate — so the estimate's semantics match
 /// [`empirical_ratio`]; only wall-clock differs. Returns the handle to
-/// pass to the next neighbour (`None` if the solve degraded).
+/// pass to the next neighbour (`None` if the solve degraded — a tripped
+/// budget degrades to the closed-form bounds, as in
+/// [`empirical_ratio_scoped`]).
 #[allow(clippy::too_many_arguments)]
 pub fn empirical_ratio_warm(
     scope: &CampaignScope,
@@ -296,32 +215,23 @@ pub fn empirical_ratio_warm(
     warm: Option<&LpWarmStart>,
 ) -> (RatioEstimate, Option<LpWarmStart>) {
     let budget = scope.task_budget();
-    let (lb_value, lb_provenance, handle) =
-        match cached_lk_lower_bound_colgen_budgeted(trace, m, k, &budget, warm) {
-            Some((lb, handle, _accepted)) => (lb.value, lb.kind.label().to_string(), Some(handle)),
-            None => {
-                let budgeted = cached_lk_lower_bound_budgeted(trace, m, k, &budget);
-                let mut provenance = budgeted.bound.kind.label().to_string();
-                if budgeted.degraded {
-                    provenance.push_str(" (degraded)");
-                    scope.note_degraded();
-                }
-                (budgeted.bound.value, provenance, None)
-            }
-        };
-    (
-        assemble_estimate(
-            trace,
-            policy,
-            m,
-            speed,
-            k,
-            baselines,
-            lb_value,
-            lb_provenance,
-        ),
-        handle,
-    )
+    let req = LbRequest {
+        method: Method::Colgen(warm),
+        budget: &budget,
+        ..LbRequest::new(m, k)
+    };
+    let (lb, lb_provenance) = scoped_lower_bound(scope, trace, &req);
+    let estimate = assemble_estimate(
+        trace,
+        policy,
+        m,
+        speed,
+        k,
+        baselines,
+        lb.bound.value,
+        lb_provenance,
+    );
+    (estimate, (!lb.degraded).then_some(lb.warm))
 }
 
 /// One (trace, policy, m, speed, k) evaluation for the batched fan-out
@@ -598,34 +508,6 @@ mod tests {
             second[0].lower_bound.to_bits()
         );
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn aggregated_ratio_is_a_sound_looser_bracket() {
-        let t = trace();
-        let exact = empirical_ratio(&t, Policy::Rr, 1, 2.0, 2, &default_baselines());
-        let agg = empirical_ratio_aggregated(
-            &CampaignScope::none(),
-            &t,
-            Policy::Rr,
-            1,
-            2.0,
-            2,
-            &default_baselines(),
-            &AggConfig::default(),
-        );
-        assert_eq!(agg.alg_power_sum, exact.alg_power_sum);
-        assert_eq!(agg.best_power_sum, exact.best_power_sum);
-        // The aggregated bound never exceeds the exact one, so its
-        // upper ratio estimate is never tighter than the exact one's.
-        assert!(agg.lower_bound <= exact.lower_bound + 1e-9);
-        assert!(agg.ratio_vs_lb >= exact.ratio_vs_lb - 1e-9);
-        assert!(
-            agg.lb_provenance.starts_with("lp-agg(\u{b1}")
-                || ["lp/2", "size", "srpt-m"].contains(&agg.lb_provenance.as_str()),
-            "{}",
-            agg.lb_provenance
-        );
     }
 
     #[test]

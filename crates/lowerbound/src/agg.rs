@@ -32,9 +32,8 @@
 //! value lies in `[V_lo, V_hi]`, and `V_lo / 2` is a certified lower
 //! bound on `OPT`'s k-th power sum exactly as in the exact pipeline —
 //! only weaker by at most `δ/2`, never wrong. Reported provenance is
-//! `lp-agg(±δ)`; results are **never** written to the exact lb cache
-//! (the cache key embeds the aggregation discriminator — see
-//! `tf-harness`'s `lbcache`).
+//! `lp-agg`; results are **never** written to `tf-harness`'s lb cache,
+//! which only stores the exact methods.
 //!
 //! Refinement: intervals whose flow spans the widest cost range (the
 //! per-interval residual `Σ_j f_jI · (c_j(last slot) − c_j(first
@@ -46,67 +45,37 @@
 //! loop converges; in practice a few rounds reach `δ ≤ 1%`.
 
 use crate::budget::SolveBudget;
-use crate::lp::{ipow, job_horizon, tight_horizon};
+use crate::lp::{ipow, job_horizon, slot_cost, tight_horizon};
 use crate::mcmf::{McmfGraph, WarmStart};
-use crate::{size_bound, srpt_super_machine_bound, BoundKind};
-use serde::{Deserialize, Serialize};
 use tf_simcore::Trace;
 
 /// Poll cadence for the disaggregation sweep, matching the solver's
 /// `BUDGET_POLL_POPS` discipline.
 const BUDGET_POLL_SLOTS: u64 = 4096;
 
-/// Tuning for [`lk_lower_bound_aggregated`].
-#[derive(Debug, Clone, Copy)]
-pub struct AggConfig {
-    /// Stop refining once `(V_hi − V_lo) / V_lo` is at or below this.
-    pub target_rel_gap: f64,
-    /// Hard cap on refinement rounds (each round re-solves the grid).
-    pub max_refinements: u32,
-    /// Geometric growth factor of the initial interval widths: slot-fine
-    /// near `t = 0` (where most cost concentrates) and coarse late.
-    pub growth: f64,
-}
+/// Stop refining once `(V_hi − V_lo) / V_lo` is at or below this.
+const TARGET_REL_GAP: f64 = 0.01;
 
-impl Default for AggConfig {
-    fn default() -> Self {
-        AggConfig {
-            target_rel_gap: 0.01,
-            max_refinements: 24,
-            growth: 1.10,
-        }
-    }
-}
+/// Hard cap on refinement rounds (each round re-solves the grid).
+const MAX_REFINEMENTS: u32 = 24;
 
-/// A certified aggregated lower bound: `value` is a rigorous lower
-/// bound on `Σ_j F_j^k` of the optimal schedule, `rel_gap` certifies
-/// how far the aggregated LP can be from the exact one.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct AggregatedBound {
-    /// The certified bound on the k-th power sum: the best of
-    /// `lp_lo / 2`, the size bound, and (for `k = 1`) the SRPT
-    /// super-machine bound.
-    pub value: f64,
-    /// Which component won `value`.
-    pub kind: BoundKind,
-    /// Aggregated LP optimum — a lower bound on the exact LP value.
-    pub lp_lo: f64,
-    /// Cost of the explicit disaggregated feasible solution — an upper
-    /// bound on the exact LP value.
-    pub lp_hi: f64,
-    /// Certified relative aggregation gap `(lp_hi − lp_lo) / lp_lo`.
-    pub rel_gap: f64,
+/// Geometric growth factor of the initial interval widths: slot-fine
+/// near `t = 0` (where most cost concentrates) and coarse late.
+pub(crate) const GROWTH: f64 = 1.10;
+
+/// The aggregated LP's certified sandwich around the exact LP value.
+pub(crate) struct AggLp {
+    /// Aggregated optimum `V_lo` — a lower bound on the exact LP value.
+    pub(crate) lo: f64,
+    /// Cost of the explicit disaggregated feasible solution `V_hi` — an
+    /// upper bound on the exact LP value.
+    pub(crate) hi: f64,
+    /// Certified relative aggregation gap `(V_hi − V_lo) / V_lo`.
+    pub(crate) rel_gap: f64,
     /// Intervals in the final grid.
-    pub intervals: usize,
+    pub(crate) intervals: usize,
     /// Refinement rounds performed (0 = initial grid sufficed).
-    pub refinements: u32,
-}
-
-impl AggregatedBound {
-    /// The implied lower bound on the ℓk *norm*: `value^{1/k}`.
-    pub fn norm(&self, k: f64) -> f64 {
-        self.value.powf(1.0 / k)
-    }
+    pub(crate) refinements: u32,
 }
 
 /// One job→interval arc of the aggregated network, with everything the
@@ -127,13 +96,14 @@ struct JobInfo {
     p: i64,
     size: f64,
     pk: f64,
+    w: f64,
     h_j: u64,
 }
 
 /// Exact per-unit slot cost of job `j` at slot `t ≥ r_j`.
 #[inline]
-fn slot_cost(job: &JobInfo, t: u64, k: u32) -> f64 {
-    (ipow((t - job.r) as f64, k) + job.pk) / job.size
+fn job_slot_cost(job: &JobInfo, t: u64, k: u32) -> f64 {
+    slot_cost(job.w, t - job.r, job.pk, job.size, k)
 }
 
 /// Initial geometric grid boundaries `0 = b_0 < … < b_K = horizon`.
@@ -150,49 +120,23 @@ fn initial_grid(horizon: u64, growth: f64) -> Vec<u64> {
     bounds
 }
 
-/// Certified lower bound on `Σ_j F_j^k` via the interval-aggregated LP,
-/// with a certified aggregation gap. Returns `None` iff `budget`
-/// tripped (a partial aggregated solve certifies nothing and must not
-/// be cached — the harness degrades to closed-form bounds instead).
+/// The interval-aggregated LP of an integral, non-empty trace, refined
+/// from an initial grid of geometric `growth` until its certified gap
+/// reaches `TARGET_REL_GAP`. Returns `None` iff `budget` tripped (a
+/// partial aggregated solve certifies nothing).
 ///
 /// # Panics
-/// If the trace is not integral, `k = 0`, `m = 0`, or the solver's dual
-/// certificate fails (solver bug, never an input property).
-pub fn lk_lower_bound_aggregated(
+/// If `growth < 1`, or the solver's dual certificate fails (solver bug,
+/// never an input property).
+pub(crate) fn aggregated_lp(
     trace: &Trace,
     m: usize,
     k: u32,
-    cfg: &AggConfig,
+    weighted: bool,
+    growth: f64,
     budget: &SolveBudget,
-) -> Option<AggregatedBound> {
-    assert!(k >= 1, "k must be at least 1");
-    assert!(m >= 1);
-    assert!(
-        trace.is_integral(1e-9),
-        "aggregated LP needs integral traces"
-    );
-    assert!(
-        cfg.growth >= 1.0 && cfg.growth.is_finite(),
-        "growth must be ≥ 1"
-    );
-    let kf = f64::from(k);
-    if trace.is_empty() {
-        return Some(AggregatedBound {
-            value: 0.0,
-            kind: BoundKind::Size,
-            lp_lo: 0.0,
-            lp_hi: 0.0,
-            rel_gap: 0.0,
-            intervals: 0,
-            refinements: 0,
-        });
-    }
-
-    let mut obs_span = tf_obs::span!("lb", "lk_lower_bound_agg");
-    obs_span.arg("n", trace.len() as f64);
-    obs_span.arg("m", m as f64);
-    obs_span.arg("k", kf);
-
+) -> Option<AggLp> {
+    assert!(growth >= 1.0 && growth.is_finite(), "growth must be ≥ 1");
     let horizon = tight_horizon(trace, m);
     let total_work: i64 = trace.jobs().iter().map(|j| j.size.round() as i64).sum();
     let jobs: Vec<JobInfo> = trace
@@ -206,43 +150,34 @@ pub fn lk_lower_bound_aggregated(
                 p,
                 size: j.size,
                 pk: ipow(j.size, k),
+                w: if weighted { j.weight } else { 1.0 },
                 h_j: job_horizon(horizon, r, p, total_work - p, m),
             }
         })
         .collect();
 
-    let mut bounds = initial_grid(horizon, cfg.growth);
+    let mut bounds = initial_grid(horizon, growth);
     let mut graph = McmfGraph::new();
     let mut warm: Option<WarmStart> = None;
     let mut refinements = 0u32;
-    // Diagnostics for tuning runs, off in normal operation.
-    let log = std::env::var_os("TF_AGG_LOG").is_some();
-    let t0 = std::time::Instant::now();
-    let (lp_lo, lp_hi, intervals) = loop {
-        let (v_lo, v_hi, arcs) =
-            solve_grid(&mut graph, &jobs, &bounds, m, k, warm.as_ref(), budget)?;
-        let rel_gap = (v_hi - v_lo) / v_lo.max(f64::MIN_POSITIVE);
-        if log {
-            let st = graph.stats();
-            eprintln!(
-                "agg: n={} round={refinements} intervals={} gap={rel_gap:.5} elapsed={:.2?} \
-                 phases={} pops={} arcs_scanned={} pushes={} fallbacks={}",
-                jobs.len(),
-                bounds.len() - 1,
-                t0.elapsed(),
-                st.phases,
-                st.heap_pops,
-                st.arcs_scanned,
-                st.blocking_pushes,
-                st.fallback_augments
-            );
-        }
-        if rel_gap <= cfg.target_rel_gap || refinements >= cfg.max_refinements {
-            break (v_lo, v_hi, bounds.len() - 1);
-        }
-        let split = pick_splits(&graph, &jobs, &bounds, &arcs, k);
+    loop {
+        let (lo, hi, arcs) = solve_grid(&mut graph, &jobs, &bounds, m, k, warm.as_ref(), budget)?;
+        let rel_gap = (hi - lo) / lo.max(f64::MIN_POSITIVE);
+        // An empty split list means the grid is already slot-exact
+        // where it matters.
+        let split = if rel_gap <= TARGET_REL_GAP || refinements >= MAX_REFINEMENTS {
+            Vec::new()
+        } else {
+            pick_splits(&graph, &jobs, &bounds, &arcs, k)
+        };
         if split.is_empty() {
-            break (v_lo, v_hi, bounds.len() - 1); // grid already slot-exact where it matters
+            return Some(AggLp {
+                lo,
+                hi,
+                rel_gap,
+                intervals: bounds.len() - 1,
+                refinements,
+            });
         }
         let old_bounds = std::mem::take(&mut bounds);
         bounds = refine_grid(&old_bounds, &split);
@@ -254,32 +189,7 @@ pub fn lk_lower_bound_aggregated(
         ));
         refinements += 1;
         tf_obs::instant!("lb", "agg_refine");
-    };
-
-    let mut best = AggregatedBound {
-        value: lp_lo / 2.0,
-        kind: BoundKind::LpAgg,
-        lp_lo,
-        lp_hi,
-        rel_gap: (lp_hi - lp_lo) / lp_lo.max(f64::MIN_POSITIVE),
-        intervals,
-        refinements,
-    };
-    let size = size_bound(trace, kf);
-    if size > best.value {
-        best.value = size;
-        best.kind = BoundKind::Size;
     }
-    if k == 1 {
-        let srpt = srpt_super_machine_bound(trace, m);
-        if srpt > best.value {
-            best.value = srpt;
-            best.kind = BoundKind::SrptSuperMachine;
-        }
-    }
-    obs_span.arg("rel_gap", best.rel_gap);
-    obs_span.arg("intervals", intervals as f64);
-    Some(best)
 }
 
 /// Build the aggregated network for `bounds`, solve it (warm-started
@@ -322,7 +232,7 @@ fn solve_grid(
                     continue;
                 }
                 let cap = ((hi - lo) as i64).min(job.p);
-                let cost = slot_cost(job, lo, k);
+                let cost = job_slot_cost(job, lo, k);
                 let edge_id = graph.add_edge(job0 + ji, iv0 + iv, cap, cost);
                 arcs.push(AggArc {
                     job: ji as u32,
@@ -428,7 +338,7 @@ fn disaggregate(
         served_jobs.clear();
         for &(r, j) in active.iter().take(m) {
             pending[j as usize] -= 1;
-            v_hi += slot_cost(&jobs[j as usize], t, k);
+            v_hi += job_slot_cost(&jobs[j as usize], t, k);
             if pending[j as usize] == 0 {
                 served_jobs.push((r, j));
             }
@@ -459,7 +369,7 @@ fn pick_splits(
         let f = graph.flow_on(a.edge_id);
         if f > 0 && a.hi - a.lo >= 2 {
             let job = &jobs[a.job as usize];
-            let span = slot_cost(job, a.hi - 1, k) - slot_cost(job, a.lo, k);
+            let span = job_slot_cost(job, a.hi - 1, k) - job_slot_cost(job, a.lo, k);
             residual[a.interval as usize] += f as f64 * span;
         }
     }
@@ -516,7 +426,7 @@ fn remap_interval_potentials(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{lk_lower_bound, lp_relaxation_value};
+    use crate::{lk_lower_bound, lower_bound, LbRequest, Method};
 
     fn poisson_like(n: usize) -> Trace {
         // Deterministic, integral, bursty-ish arrivals with mixed sizes.
@@ -526,36 +436,32 @@ mod tests {
         Trace::from_pairs(pairs).unwrap()
     }
 
+    fn agg(t: &Trace, m: usize, k: u32, growth: f64) -> AggLp {
+        aggregated_lp(t, m, k, false, growth, &SolveBudget::unlimited())
+            .expect("an unlimited budget never trips")
+    }
+
     #[test]
     fn sandwich_brackets_the_exact_lp() {
         for n in [12usize, 40, 100] {
             let t = poisson_like(n);
             for (m, k) in [(1usize, 1u32), (2, 2), (4, 2)] {
-                let exact = lp_relaxation_value(&t, m, k);
-                let agg = lk_lower_bound_aggregated(
-                    &t,
-                    m,
-                    k,
-                    &AggConfig::default(),
-                    &SolveBudget::unlimited(),
-                )
-                .unwrap();
-                let tol = 1e-9 * (1.0 + exact.objective.abs());
+                let exact = lk_lower_bound(&t, m, k).lp_raw;
+                let agg = agg(&t, m, k, GROWTH);
+                let tol = 1e-9 * (1.0 + exact.abs());
                 assert!(
-                    agg.lp_lo <= exact.objective + tol,
-                    "n={n} m={m} k={k}: V_lo {} above exact {}",
-                    agg.lp_lo,
-                    exact.objective
+                    agg.lo <= exact + tol,
+                    "n={n} m={m} k={k}: V_lo {} above exact {exact}",
+                    agg.lo
                 );
                 assert!(
-                    agg.lp_hi >= exact.objective - tol,
-                    "n={n} m={m} k={k}: V_hi {} below exact {}",
-                    agg.lp_hi,
-                    exact.objective
+                    agg.hi >= exact - tol,
+                    "n={n} m={m} k={k}: V_hi {} below exact {exact}",
+                    agg.hi
                 );
                 assert!(agg.rel_gap >= -1e-12);
                 assert!(
-                    agg.rel_gap <= AggConfig::default().target_rel_gap + 1e-12,
+                    agg.rel_gap <= TARGET_REL_GAP + 1e-12,
                     "n={n} m={m} k={k}: refinement stalled at gap {}",
                     agg.rel_gap
                 );
@@ -571,14 +477,11 @@ mod tests {
         let t = poisson_like(60);
         for (m, k) in [(1usize, 1u32), (2, 2)] {
             let exact = lk_lower_bound(&t, m, k);
-            let agg = lk_lower_bound_aggregated(
-                &t,
-                m,
-                k,
-                &AggConfig::default(),
-                &SolveBudget::unlimited(),
-            )
-            .unwrap();
+            let req = LbRequest {
+                method: Method::Agg,
+                ..LbRequest::new(m, k)
+            };
+            let agg = lower_bound(&t, &req).bound;
             assert!(
                 agg.value <= exact.value * (1.0 + 1e-9) + 1e-9,
                 "m={m} k={k}: aggregated {} above exact {}",
@@ -593,15 +496,11 @@ mod tests {
     fn unit_width_grid_is_exact() {
         // growth = 1.0 → every interval is one slot → V_lo = V_hi = LP.
         let t = poisson_like(20);
-        let cfg = AggConfig {
-            growth: 1.0,
-            ..AggConfig::default()
-        };
-        let exact = lp_relaxation_value(&t, 2, 2);
-        let agg = lk_lower_bound_aggregated(&t, 2, 2, &cfg, &SolveBudget::unlimited()).unwrap();
-        let tol = 1e-9 * (1.0 + exact.objective.abs());
-        assert!((agg.lp_lo - exact.objective).abs() <= tol);
-        assert!((agg.lp_hi - exact.objective).abs() <= tol);
+        let exact = lk_lower_bound(&t, 2, 2).lp_raw;
+        let agg = agg(&t, 2, 2, 1.0);
+        let tol = 1e-9 * (1.0 + exact.abs());
+        assert!((agg.lo - exact).abs() <= tol);
+        assert!((agg.hi - exact).abs() <= tol);
         assert_eq!(agg.refinements, 0);
     }
 
@@ -609,16 +508,6 @@ mod tests {
     fn budget_trips_cleanly() {
         let t = poisson_like(80);
         let spent = SolveBudget::with_timeout(std::time::Duration::ZERO);
-        assert!(lk_lower_bound_aggregated(&t, 2, 2, &AggConfig::default(), &spent).is_none());
-    }
-
-    #[test]
-    fn empty_trace_gives_zero() {
-        let t = Trace::from_pairs(std::iter::empty()).unwrap();
-        let agg =
-            lk_lower_bound_aggregated(&t, 1, 2, &AggConfig::default(), &SolveBudget::unlimited())
-                .unwrap();
-        assert_eq!(agg.value, 0.0);
-        assert_eq!(agg.rel_gap, 0.0);
+        assert!(aggregated_lp(&t, 2, 2, false, GROWTH, &spent).is_none());
     }
 }

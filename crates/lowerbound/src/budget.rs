@@ -30,6 +30,12 @@ pub struct SolveBudget {
     cancel: Option<Arc<AtomicBool>>,
 }
 
+/// The never-tripping budget behind `LbRequest::new`.
+pub(crate) static UNLIMITED: SolveBudget = SolveBudget {
+    deadline: None,
+    cancel: None,
+};
+
 impl SolveBudget {
     /// A budget that never trips: the solve runs to completion.
     pub fn unlimited() -> Self {

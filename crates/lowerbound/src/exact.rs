@@ -234,8 +234,8 @@ mod tests {
                 // beaten by the slotted optimum on one machine; on m≥2
                 // fractional sharing can beat slotted schedules in
                 // principle, so only check the LP side there.
-                let lp = crate::lp::lp_relaxation_value(&t, m, k);
-                assert!(ex >= lp.objective / 2.0 - 1e-9, "m={m} k={k}");
+                let lp = crate::lk_lower_bound(&t, m, k).lp_raw;
+                assert!(ex >= lp / 2.0 - 1e-9, "m={m} k={k}");
                 if m == 1 {
                     for p in [Policy::Srpt, Policy::Sjf, Policy::Rr] {
                         let mut a = p.make();

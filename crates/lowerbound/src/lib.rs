@@ -27,7 +27,11 @@
 //!   speed-`m` machine with relaxed per-job cap is optimal for the
 //!   relaxation, hence a lower bound; *exact* OPT when `m = 1, k = 1`.
 //!
-//! [`lk_lower_bound`] combines them and reports which bound won.
+//! [`lower_bound`] is the one entry point: an [`LbRequest`] names the
+//! machine count, the exponent, the weighting, the LP solve [`Method`]
+//! and a [`SolveBudget`]; the outcome combines the three bounds and
+//! reports which one won. [`lk_lower_bound`] is its unweighted, exact,
+//! unlimited-budget shorthand.
 //!
 //! ## Audited continuously
 //!
@@ -35,7 +39,7 @@
 //! `X1-LB-DOMINANCE` fuzzes the dominance `lk_lower_bound ≤ Σ_j F_j^k`
 //! against every registered policy's measured speed-1 schedule (each one
 //! is feasible, so a violation indicts the bound), and `X3-SOLVER-EQUIV`
-//! pins the optimized solver to [`lk_lower_bound_reference`] — the PR-1
+//! pins the optimized solver to [`Method::Reference`] — the PR-1
 //! unit-augmenting implementation retained as an executable oracle — on
 //! both the combined bound and the raw LP value.
 
@@ -46,17 +50,10 @@ pub mod exact;
 pub mod lp;
 pub mod mcmf;
 
-pub use agg::{lk_lower_bound_aggregated, AggConfig, AggregatedBound};
 pub use bounds::{size_bound, srpt_super_machine_bound};
 pub use budget::SolveBudget;
 pub use exact::{exact_slotted_opt, ExactLimits, ExactResult};
-pub use lp::{
-    last_solve_stats, lp_relaxation_solution, lp_relaxation_value, lp_relaxation_value_at_horizon,
-    lp_relaxation_value_budgeted, lp_relaxation_value_certified,
-    lp_relaxation_value_colgen_budgeted, lp_relaxation_value_reference,
-    lp_relaxation_value_warm_budgeted, lp_relaxation_value_weighted, LpSchedule, LpSolution,
-    LpSolver, LpWarmStart, SSP_CROSSOVER_JOBS,
-};
+pub use lp::{last_solve_stats, LpWarmStart};
 pub use mcmf::{FlowResult, McmfGraph, McmfStats, MinCostFlow, WarmStart};
 
 use serde::{Deserialize, Serialize};
@@ -107,102 +104,128 @@ impl LowerBound {
     }
 }
 
-/// Best available lower bound on `Σ_j F_j^k` for the optimal schedule on
-/// `m` unit-speed machines.
-///
-/// The trace must be integral (integer arrivals and sizes) for the exact
-/// LP component; call [`Trace::to_integral`] first otherwise — note the
-/// rounded instance's bound certifies the rounded instance, so experiments
-/// generate integral traces directly.
-///
-/// `k` must be a positive integer value (the paper's setting; the LP cost
-/// uses exact integer powers).
-pub fn lk_lower_bound(trace: &Trace, m: usize, k: u32) -> LowerBound {
-    let mut obs_span = tf_obs::span!("lb", "lk_lower_bound");
-    obs_span.arg("n", trace.len() as f64);
-    obs_span.arg("m", m as f64);
-    obs_span.arg("k", f64::from(k));
-    let kf = f64::from(k);
-    let size = size_bound(trace, kf);
-    let mut best = LowerBound {
-        value: size,
-        kind: BoundKind::Size,
-        lp_raw: 0.0,
-    };
-
-    if trace.is_integral(1e-9) && !trace.is_empty() {
-        let lp = lp_relaxation_value(trace, m, k);
-        best.lp_raw = lp.objective;
-        let half = lp.objective / 2.0;
-        if half > best.value {
-            best.value = half;
-            best.kind = BoundKind::Lp;
-        }
-    }
-
-    if k == 1 {
-        let srpt = srpt_super_machine_bound(trace, m);
-        if srpt > best.value {
-            best.value = srpt;
-            best.kind = BoundKind::SrptSuperMachine;
-        }
-    }
-    best
+/// How [`lower_bound`] solves the LP relaxation. Every method reaches
+/// the same LP; they differ in cost and in what they certify.
+#[derive(Debug, Clone, Copy)]
+pub enum Method<'a> {
+    /// The full pruned network: the unit-SSP [`MinCostFlow`] solver up
+    /// to 80 jobs, the [`McmfGraph`] arena above (a pure speed decision;
+    /// both return the exact optimum).
+    Exact,
+    /// Delayed column generation: the same exact optimum, reached by
+    /// building only each job's active slots — the scale path. An
+    /// [`LpWarmStart`] from a neighbouring request seeds its duals.
+    Colgen(Option<&'a LpWarmStart>),
+    /// Interval aggregation: a certified sandwich
+    /// `lp_raw ≤ LP ≤ lp_hi` from a coarsened time grid (see [`agg`]).
+    /// The bound is reported as [`BoundKind::LpAgg`].
+    Agg,
+    /// The PR-1 unit-augmenting solver on the unpruned network, kept
+    /// verbatim as the oracle the optimized paths are checked against
+    /// (audit check `X3-SOLVER-EQUIV` and the property tests). It never
+    /// polls the budget once started.
+    Reference,
 }
 
-/// A lower bound plus the record of whether its LP component was
-/// abandoned for budget reasons (see [`lk_lower_bound_budgeted`]).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct BudgetedBound {
-    /// The best bound obtained within the budget. Always a *valid*
-    /// lower bound — degradation only weakens it, never corrupts it.
+/// One lower-bound request: everything [`lower_bound`] needs beside the
+/// trace. [`LbRequest::new`] gives the common case; override fields with
+/// struct-update syntax.
+#[derive(Debug, Clone, Copy)]
+pub struct LbRequest<'a> {
+    /// Machine count of the optimal schedule being bounded.
+    pub m: usize,
+    /// Norm exponent, a positive integer (the LP cost uses exact integer
+    /// powers).
+    pub k: u32,
+    /// Bound `Σ_j w_j F_j^k` with the trace's job weights instead of the
+    /// unweighted sum. The size and SRPT super-machine bounds ignore
+    /// weights, so a weighted bound is the LP component alone.
+    pub weighted: bool,
+    /// How the LP component is solved.
+    pub method: Method<'a>,
+    /// Cooperative deadline / cancel flag for the LP component.
+    pub budget: &'a SolveBudget,
+}
+
+impl LbRequest<'_> {
+    /// An unweighted [`Method::Exact`] request with an unlimited budget.
+    pub fn new(m: usize, k: u32) -> Self {
+        LbRequest {
+            m,
+            k,
+            weighted: false,
+            method: Method::Exact,
+            budget: &budget::UNLIMITED,
+        }
+    }
+}
+
+/// What [`lower_bound`] returns.
+#[derive(Debug, Clone)]
+pub struct LbOutcome {
+    /// The certified bound.
     pub bound: LowerBound,
-    /// `true` if the LP solve was abandoned and the bound fell back to
-    /// the closed-form components. Degraded bounds must not be cached
-    /// as if they were the full bound.
+    /// `true` if the budget tripped and the LP component was dropped:
+    /// `bound` then holds only the closed-form bounds — weaker, never
+    /// invalid. Degraded bounds must not be cached as if they were the
+    /// full bound.
     pub degraded: bool,
+    /// Upper end of the LP sandwich `bound.lp_raw ≤ LP ≤ lp_hi`: the cost
+    /// of the disaggregated feasible solution for [`Method::Agg`], equal
+    /// to `bound.lp_raw` for the exact methods.
+    pub lp_hi: f64,
+    /// Dual handle for the next neighbouring [`Method::Colgen`] request;
+    /// empty for the other methods.
+    pub warm: LpWarmStart,
 }
 
-/// [`lk_lower_bound`] under a cooperative [`SolveBudget`]: if the LP
-/// relaxation (the only super-linear component) exceeds the budget, the
-/// solve is abandoned cleanly and the result degrades to the best
-/// closed-form bound ([`size_bound`], and for `k = 1` the SRPT
-/// super-machine bound) with `degraded = true`. The campaign layer in
-/// `tf-harness` records that provenance in the output row instead of
-/// failing the run.
-pub fn lk_lower_bound_budgeted(
-    trace: &Trace,
-    m: usize,
-    k: u32,
-    budget: &SolveBudget,
-) -> BudgetedBound {
-    if budget.is_unlimited() {
-        return BudgetedBound {
-            bound: lk_lower_bound(trace, m, k),
-            degraded: false,
-        };
-    }
+/// Best available lower bound on `Σ_j F_j^k` for the optimal schedule on
+/// `m` unit-speed machines: the largest of [`size_bound`], the LP
+/// relaxation halved, and for `k = 1` [`srpt_super_machine_bound`].
+///
+/// The LP component needs an integral trace (integer arrivals and sizes)
+/// and is skipped otherwise; call [`Trace::to_integral`] first — note the
+/// rounded instance's bound certifies the rounded instance, so
+/// experiments generate integral traces directly.
+///
+/// If `req.budget` trips, the LP solve is abandoned cleanly and the
+/// outcome degrades to the closed-form bounds with `degraded = true`.
+/// The campaign layer in `tf-harness` records that provenance in the
+/// output row instead of failing the run.
+///
+/// # Panics
+/// If the LP component runs with `k = 0` or `m = 0`.
+pub fn lower_bound(trace: &Trace, req: &LbRequest) -> LbOutcome {
     let mut obs_span = tf_obs::span!("lb", "lk_lower_bound");
     obs_span.arg("n", trace.len() as f64);
-    obs_span.arg("m", m as f64);
-    obs_span.arg("k", f64::from(k));
-    let kf = f64::from(k);
-    let size = size_bound(trace, kf);
+    obs_span.arg("m", req.m as f64);
+    obs_span.arg("k", f64::from(req.k));
     let mut best = LowerBound {
-        value: size,
+        value: if req.weighted {
+            0.0
+        } else {
+            size_bound(trace, f64::from(req.k))
+        },
         kind: BoundKind::Size,
         lp_raw: 0.0,
     };
+    let mut lp_hi = 0.0;
+    let mut warm = LpWarmStart::default();
     let mut degraded = false;
 
     if trace.is_integral(1e-9) && !trace.is_empty() {
-        match lp::lp_relaxation_value_budgeted(trace, m, k, budget) {
-            Some(lp) => {
-                best.lp_raw = lp.objective;
-                let half = lp.objective / 2.0;
+        match lp_component(trace, req, &mut obs_span) {
+            Some((lo, hi, handle)) => {
+                best.lp_raw = lo;
+                lp_hi = hi;
+                warm = handle;
+                let half = lo / 2.0;
                 if half > best.value {
                     best.value = half;
-                    best.kind = BoundKind::Lp;
+                    best.kind = match req.method {
+                        Method::Agg => BoundKind::LpAgg,
+                        _ => BoundKind::Lp,
+                    };
                 }
             }
             None => {
@@ -212,104 +235,68 @@ pub fn lk_lower_bound_budgeted(
         }
     }
 
-    if k == 1 {
-        let srpt = srpt_super_machine_bound(trace, m);
+    if req.k == 1 && !req.weighted {
+        let srpt = srpt_super_machine_bound(trace, req.m);
         if srpt > best.value {
             best.value = srpt;
             best.kind = BoundKind::SrptSuperMachine;
         }
     }
-    BudgetedBound {
+    LbOutcome {
         bound: best,
         degraded,
+        lp_hi,
+        warm,
     }
 }
 
-/// [`lk_lower_bound_budgeted`] with the LP component solved by delayed
-/// column generation ([`LpSolver::value_colgen_budgeted`]) — the same
-/// exact LP optimum (certified by full-column dual pricing), reached by
-/// building only each job's active slots. This is the scale path: at
-/// `n = 5000` the full network has tens of millions of arcs, the
-/// column-generated one a few hundred thousand.
-///
-/// Takes and returns an [`LpWarmStart`] handle so sweep/hunt neighbours
-/// chain their duals; pass `None` for a standalone solve. Returns `None`
-/// iff `budget` tripped — the caller degrades to closed-form bounds
-/// (and must not cache), exactly like [`lk_lower_bound_budgeted`].
-pub fn lk_lower_bound_colgen_budgeted(
+/// The LP relaxation's value bracket `(lo, hi)` by `req.method`, plus
+/// the column-generation handle; `None` iff the budget tripped.
+fn lp_component(
     trace: &Trace,
-    m: usize,
-    k: u32,
-    budget: &SolveBudget,
-    warm: Option<&LpWarmStart>,
-) -> Option<(LowerBound, LpWarmStart, bool)> {
-    let mut obs_span = tf_obs::span!("lb", "lk_lower_bound_colgen");
-    obs_span.arg("n", trace.len() as f64);
-    obs_span.arg("m", m as f64);
-    obs_span.arg("k", f64::from(k));
-    let kf = f64::from(k);
-    let size = size_bound(trace, kf);
-    let mut best = LowerBound {
-        value: size,
-        kind: BoundKind::Size,
-        lp_raw: 0.0,
-    };
-    let mut handle = LpWarmStart::default();
-    let mut accepted = false;
-
-    if trace.is_integral(1e-9) && !trace.is_empty() {
-        let (lp, h, acc) = lp::lp_relaxation_value_colgen_budgeted(trace, m, k, budget, warm)?;
-        handle = h;
-        accepted = acc;
-        best.lp_raw = lp.objective;
-        let half = lp.objective / 2.0;
-        if half > best.value {
-            best.value = half;
-            best.kind = BoundKind::Lp;
+    req: &LbRequest,
+    obs_span: &mut tf_obs::SpanGuard,
+) -> Option<(f64, f64, LpWarmStart)> {
+    let LbRequest {
+        m,
+        k,
+        weighted,
+        method,
+        budget,
+    } = *req;
+    assert!(k >= 1, "k must be at least 1");
+    assert!(m >= 1, "m must be at least 1");
+    if budget.exhausted() {
+        return None; // don't even pay for the build
+    }
+    match method {
+        Method::Exact => {
+            let horizon = lp::tight_horizon(trace, m);
+            let lp = lp::with_solver(|s| s.solve(trace, m, k, weighted, horizon, budget))?;
+            Some((lp.objective, lp.objective, LpWarmStart::default()))
+        }
+        Method::Colgen(handle) => {
+            let (lp, next) = lp::with_solver(|s| s.colgen(trace, m, k, weighted, budget, handle))?;
+            Some((lp.objective, lp.objective, next))
+        }
+        Method::Agg => {
+            let a = agg::aggregated_lp(trace, m, k, weighted, agg::GROWTH, budget)?;
+            obs_span.arg("rel_gap", a.rel_gap);
+            obs_span.arg("intervals", a.intervals as f64);
+            obs_span.arg("refinements", f64::from(a.refinements));
+            Some((a.lo, a.hi, LpWarmStart::default()))
+        }
+        Method::Reference => {
+            let lp = lp::lp_relaxation_value_reference(trace, m, k, weighted);
+            Some((lp.objective, lp.objective, LpWarmStart::default()))
         }
     }
-
-    if k == 1 {
-        let srpt = srpt_super_machine_bound(trace, m);
-        if srpt > best.value {
-            best.value = srpt;
-            best.kind = BoundKind::SrptSuperMachine;
-        }
-    }
-    Some((best, handle, accepted))
 }
 
-/// [`lk_lower_bound`] computed through the PR-1 reference LP solver
-/// ([`lp_relaxation_value_reference`]). A test oracle: slower, but its
-/// solve path is the one the optimized solver is property-tested
-/// against, so disagreements localize to the solver rewrite.
-pub fn lk_lower_bound_reference(trace: &Trace, m: usize, k: u32) -> LowerBound {
-    let kf = f64::from(k);
-    let size = size_bound(trace, kf);
-    let mut best = LowerBound {
-        value: size,
-        kind: BoundKind::Size,
-        lp_raw: 0.0,
-    };
-
-    if trace.is_integral(1e-9) && !trace.is_empty() {
-        let lp = lp_relaxation_value_reference(trace, m, k, false);
-        best.lp_raw = lp.objective;
-        let half = lp.objective / 2.0;
-        if half > best.value {
-            best.value = half;
-            best.kind = BoundKind::Lp;
-        }
-    }
-
-    if k == 1 {
-        let srpt = srpt_super_machine_bound(trace, m);
-        if srpt > best.value {
-            best.value = srpt;
-            best.kind = BoundKind::SrptSuperMachine;
-        }
-    }
-    best
+/// [`lower_bound`] for an unweighted [`Method::Exact`] request with an
+/// unlimited budget: the bound every ratio bracket divides by.
+pub fn lk_lower_bound(trace: &Trace, m: usize, k: u32) -> LowerBound {
+    lower_bound(trace, &LbRequest::new(m, k)).bound
 }
 
 #[cfg(test)]
@@ -389,22 +376,92 @@ mod tests {
         assert!((lb.norm(3.0) - 3.0).abs() < 1e-12);
     }
 
-    #[test]
-    fn empty_trace_gives_zero() {
-        let t = Trace::from_pairs(std::iter::empty()).unwrap();
-        let lb = lk_lower_bound(&t, 1, 2);
-        assert_eq!(lb.value, 0.0);
+    /// Every method, for one trace and one base request.
+    fn all_methods(t: &Trace, base: LbRequest) -> Vec<LbOutcome> {
+        [
+            Method::Exact,
+            Method::Colgen(None),
+            Method::Agg,
+            Method::Reference,
+        ]
+        .into_iter()
+        .map(|method| lower_bound(t, &LbRequest { method, ..base }))
+        .collect()
     }
 
     #[test]
-    fn unlimited_budget_matches_unbudgeted() {
-        let t = Trace::from_pairs([(0.0, 2.0), (1.0, 1.0), (1.0, 3.0), (4.0, 1.0)]).unwrap();
-        for (m, k) in [(1usize, 1u32), (2, 2), (1, 3)] {
-            let full = lk_lower_bound(&t, m, k);
-            let b = lk_lower_bound_budgeted(&t, m, k, &SolveBudget::unlimited());
-            assert!(!b.degraded);
-            assert_eq!(b.bound, full);
+    fn empty_trace_gives_zero() {
+        let t = Trace::from_pairs(std::iter::empty()).unwrap();
+        for o in all_methods(&t, LbRequest::new(1, 2)) {
+            assert_eq!(o.bound.value, 0.0);
+            assert_eq!((o.bound.lp_raw, o.lp_hi), (0.0, 0.0));
+            assert!(!o.degraded);
         }
+    }
+
+    #[test]
+    fn fractional_traces_skip_the_lp() {
+        let t = Trace::from_pairs([(0.5, 1.0), (1.0, 2.5)]).unwrap();
+        for o in all_methods(&t, LbRequest::new(1, 2)) {
+            assert_eq!(o.bound.lp_raw, 0.0);
+            assert_eq!(o.bound.kind, BoundKind::Size);
+            assert!(o.bound.value > 0.0 && !o.degraded);
+        }
+    }
+
+    #[test]
+    fn every_method_reaches_the_same_lp() {
+        let mut b = tf_simcore::TraceBuilder::new();
+        for (arrival, size, weight) in [
+            (0.0, 2.0, 1.0),
+            (1.0, 1.0, 3.0),
+            (1.0, 3.0, 0.5),
+            (4.0, 1.0, 2.0),
+        ] {
+            b.push_weighted(arrival, size, weight);
+        }
+        let t = b.build().unwrap();
+        for weighted in [false, true] {
+            for (m, k) in [(1usize, 1u32), (2, 2), (1, 3)] {
+                let base = LbRequest {
+                    weighted,
+                    ..LbRequest::new(m, k)
+                };
+                let outcomes = all_methods(&t, base);
+                let exact = outcomes[0].bound;
+                let tol = 1e-9 * (1.0 + exact.lp_raw);
+                for o in &outcomes {
+                    assert!(!o.degraded);
+                    assert!(o.bound.lp_raw <= exact.lp_raw + tol, "{base:?} {o:?}");
+                    assert!(o.lp_hi >= exact.lp_raw - tol, "{base:?} {o:?}");
+                    assert!(o.bound.value <= exact.value + tol, "{base:?} {o:?}");
+                }
+                // The exact methods bracket nothing: lo = hi = LP.
+                for o in [&outcomes[0], &outcomes[1], &outcomes[3]] {
+                    assert_eq!(o.lp_hi, o.bound.lp_raw);
+                    assert!((o.bound.value - exact.value).abs() <= tol, "{base:?} {o:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn weighted_bound_is_lp_over_two_alone() {
+        use tf_simcore::TraceBuilder;
+        let mut b = TraceBuilder::new();
+        b.push_weighted(0.0, 3.0, 0.01);
+        b.push_weighted(1.0, 1.0, 0.01);
+        let t = b.build().unwrap();
+        let req = LbRequest {
+            weighted: true,
+            ..LbRequest::new(1, 1)
+        };
+        let o = lower_bound(&t, &req);
+        // Tiny weights put LP/2 far below the unweighted size bound, which
+        // must not leak into a weighted bound.
+        assert_eq!(o.bound.kind, BoundKind::Lp);
+        assert_eq!(o.bound.value, o.bound.lp_raw / 2.0);
+        assert!(o.bound.value < size_bound(&t, 1.0) / 10.0);
     }
 
     #[test]
@@ -412,15 +469,20 @@ mod tests {
         let t = Trace::from_pairs([(0.0, 2.0), (1.0, 1.0), (1.0, 3.0), (4.0, 1.0)]).unwrap();
         let spent = SolveBudget::with_timeout(std::time::Duration::ZERO);
         for (m, k) in [(1usize, 1u32), (2, 2)] {
-            let b = lk_lower_bound_budgeted(&t, m, k, &spent);
-            assert!(b.degraded, "zero budget must skip the LP (m={m} k={k})");
-            assert_eq!(b.bound.lp_raw, 0.0);
-            assert!(!matches!(b.bound.kind, BoundKind::Lp));
-            // Degraded is weaker, never invalid: it lower-bounds the
-            // full bound, which lower-bounds every feasible schedule.
             let full = lk_lower_bound(&t, m, k);
-            assert!(b.bound.value <= full.value * (1.0 + 1e-12));
-            assert!(b.bound.value > 0.0);
+            let base = LbRequest {
+                budget: &spent,
+                ..LbRequest::new(m, k)
+            };
+            for o in all_methods(&t, base) {
+                assert!(o.degraded, "zero budget must skip the LP (m={m} k={k})");
+                assert_eq!(o.bound.lp_raw, 0.0);
+                assert!(!matches!(o.bound.kind, BoundKind::Lp | BoundKind::LpAgg));
+                // Degraded is weaker, never invalid: it lower-bounds the
+                // full bound, which lower-bounds every feasible schedule.
+                assert!(o.bound.value <= full.value * (1.0 + 1e-12));
+                assert!(o.bound.value > 0.0);
+            }
         }
     }
 
@@ -428,12 +490,12 @@ mod tests {
     fn cancel_flag_aborts_budgeted_solve() {
         let t = Trace::from_pairs([(0.0, 2.0), (1.0, 1.0), (2.0, 3.0)]).unwrap();
         let flag = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(true));
-        let b = lk_lower_bound_budgeted(
-            &t,
-            1,
-            2,
-            &SolveBudget::with_timeout(std::time::Duration::from_secs(3600)).cancelled_by(flag),
-        );
-        assert!(b.degraded);
+        let budget =
+            SolveBudget::with_timeout(std::time::Duration::from_secs(3600)).cancelled_by(flag);
+        let req = LbRequest {
+            budget: &budget,
+            ..LbRequest::new(1, 2)
+        };
+        assert!(lower_bound(&t, &req).degraded);
     }
 }

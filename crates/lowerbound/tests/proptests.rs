@@ -2,7 +2,7 @@
 //! feasible schedule, on arbitrary integral traces.
 
 use proptest::prelude::*;
-use tf_lowerbound::lk_lower_bound;
+use tf_lowerbound::{lk_lower_bound, lower_bound, LbRequest, LpWarmStart, Method};
 use tf_policies::Policy;
 use tf_simcore::{simulate, MachineConfig, SimOptions, Trace};
 
@@ -44,45 +44,13 @@ proptest! {
         prop_assert!(l3 >= l2 * 0.5 - 1e-9, "{l3} vs {l2}");
     }
 
-    /// The tight (FCFS-makespan) horizon is lossless: extending the LP's
-    /// time horizon never changes the optimum (the exchange-argument
-    /// justification of `tight_horizon`, validated empirically).
-    #[test]
-    fn tight_horizon_is_lossless(t in arb_integral_trace(), m in 1usize..3, k in 1u32..3) {
-        use tf_lowerbound::lp_relaxation_value_at_horizon;
-        let tight = lp_relaxation_value_at_horizon(&t, m, k, false, None);
-        let loose = lp_relaxation_value_at_horizon(&t, m, k, false, Some(tight.horizon + 37));
-        prop_assert!((tight.objective - loose.objective).abs() <= 1e-9 * tight.objective.max(1.0),
-            "tight {} vs loose {}", tight.objective, loose.objective);
-    }
-
-    /// Solver equivalence: the optimized arena solver (early-exit
-    /// Dijkstra, multi-unit blocking phases, per-job pruning) matches the
-    /// PR-1 successive-shortest-paths oracle on random traces across
-    /// k ∈ {1,2,3}, m ∈ {1,2,4}, and its flow passes the independent
-    /// negative-cycle certificate.
-    #[test]
-    fn optimized_lp_matches_ssp_oracle_and_certifies(t in arb_integral_trace()) {
-        use tf_lowerbound::{lp_relaxation_value_certified, lp_relaxation_value_reference};
-        for m in [1usize, 2, 4] {
-            for k in [1u32, 2, 3] {
-                let fast = lp_relaxation_value_certified(&t, m, k, false);
-                let slow = lp_relaxation_value_reference(&t, m, k, false);
-                prop_assert_eq!(fast.routed, slow.routed, "m={} k={}", m, k);
-                prop_assert!(
-                    (fast.objective - slow.objective).abs() <= 1e-6 * (1.0 + slow.objective.abs()),
-                    "m={} k={}: optimized {} vs oracle {}", m, k, fast.objective, slow.objective);
-            }
-        }
-    }
-
     /// End-to-end: the combined bound through the optimized path equals
     /// the bound through the reference path (same winning component).
     #[test]
     fn lower_bound_matches_reference_pipeline(t in arb_integral_trace(), m in 1usize..4, k in 1u32..4) {
-        use tf_lowerbound::lk_lower_bound_reference;
         let fast = lk_lower_bound(&t, m, k);
-        let slow = lk_lower_bound_reference(&t, m, k);
+        let reference = LbRequest { method: Method::Reference, ..LbRequest::new(m, k) };
+        let slow = lower_bound(&t, &reference).bound;
         prop_assert!((fast.value - slow.value).abs() <= 1e-6 * (1.0 + slow.value.abs()),
             "m={} k={}: {} vs {}", m, k, fast.value, slow.value);
     }
@@ -108,17 +76,16 @@ proptest! {
     /// change its value.
     #[test]
     fn warm_chained_colgen_matches_cold(t in arb_integral_trace(), k in 1u32..4) {
-        use tf_lowerbound::{lk_lower_bound_colgen_budgeted, LpWarmStart, SolveBudget};
-        let unlimited = SolveBudget::unlimited();
         let mut warm: Option<LpWarmStart> = None;
         for m in [1usize, 2, 3] {
             let cold = lk_lower_bound(&t, m, k);
-            let (w, next, _) =
-                lk_lower_bound_colgen_budgeted(&t, m, k, &unlimited, warm.as_ref())
-                    .expect("unlimited budget never trips");
+            let req = LbRequest { method: Method::Colgen(warm.as_ref()), ..LbRequest::new(m, k) };
+            let out = lower_bound(&t, &req);
+            prop_assert!(!out.degraded, "unlimited budget never trips");
+            let w = out.bound;
             prop_assert!((w.value - cold.value).abs() <= 1e-6 * (1.0 + cold.value.abs()),
                 "m={m} k={k}: warm {} vs cold {}", w.value, cold.value);
-            warm = Some(next);
+            warm = Some(out.warm);
         }
     }
 
@@ -127,11 +94,11 @@ proptest! {
     /// optimum — on every random trace, from a cold start.
     #[test]
     fn colgen_equals_the_full_lp(t in arb_integral_trace(), m in 1usize..4, k in 1u32..4) {
-        use tf_lowerbound::{lk_lower_bound_colgen_budgeted, SolveBudget};
         let exact = lk_lower_bound(&t, m, k);
-        let (cg, _, _) =
-            lk_lower_bound_colgen_budgeted(&t, m, k, &SolveBudget::unlimited(), None)
-                .expect("unlimited budget never trips");
+        let req = LbRequest { method: Method::Colgen(None), ..LbRequest::new(m, k) };
+        let out = lower_bound(&t, &req);
+        prop_assert!(!out.degraded, "unlimited budget never trips");
+        let cg = out.bound;
         prop_assert!((cg.value - exact.value).abs() <= 1e-6 * (1.0 + exact.value.abs()),
             "m={m} k={k}: colgen {} vs exact {}", cg.value, exact.value);
         prop_assert!((cg.lp_raw - exact.lp_raw).abs() <= 1e-6 * (1.0 + exact.lp_raw.abs()),
@@ -139,25 +106,21 @@ proptest! {
     }
 
     /// Aggregation soundness (audit check X5): the interval-aggregated
-    /// solve certifies a sandwich `lp_lo ≤ LP ≤ lp_hi` around the exact
-    /// LP value, its reported gap is honest, and the combined bound it
-    /// derives never beats the exact combined bound.
+    /// solve certifies a sandwich `lp_raw ≤ LP ≤ lp_hi` around the exact
+    /// LP value, and the combined bound it derives never beats the exact
+    /// combined bound.
     #[test]
     fn aggregated_bound_sandwiches_the_exact_lp(t in arb_integral_trace(), m in 1usize..3, k in 1u32..3) {
-        use tf_lowerbound::{lk_lower_bound_aggregated, AggConfig, SolveBudget};
         let exact = lk_lower_bound(&t, m, k);
-        let agg = lk_lower_bound_aggregated(&t, m, k, &AggConfig::default(), &SolveBudget::unlimited())
-            .expect("unlimited budget never trips");
+        let out = lower_bound(&t, &LbRequest { method: Method::Agg, ..LbRequest::new(m, k) });
+        prop_assert!(!out.degraded, "unlimited budget never trips");
+        let (agg, lp_lo) = (out.bound, out.bound.lp_raw);
         let tol = 1e-6 * (1.0 + exact.lp_raw.abs());
-        prop_assert!(agg.lp_lo <= exact.lp_raw + tol,
-            "m={m} k={k}: agg lo {} above exact LP {}", agg.lp_lo, exact.lp_raw);
-        prop_assert!(exact.lp_raw <= agg.lp_hi + tol,
-            "m={m} k={k}: exact LP {} above agg hi {}", exact.lp_raw, agg.lp_hi);
-        prop_assert!(agg.lp_lo <= agg.lp_hi + tol);
-        if agg.lp_lo > 0.0 {
-            let gap = (agg.lp_hi - agg.lp_lo) / agg.lp_lo;
-            prop_assert!((gap - agg.rel_gap).abs() <= 1e-9 * (1.0 + gap), "reported gap is stale");
-        }
+        prop_assert!(lp_lo <= exact.lp_raw + tol,
+            "m={m} k={k}: agg lo {} above exact LP {}", lp_lo, exact.lp_raw);
+        prop_assert!(exact.lp_raw <= out.lp_hi + tol,
+            "m={m} k={k}: exact LP {} above agg hi {}", exact.lp_raw, out.lp_hi);
+        prop_assert!(lp_lo <= out.lp_hi + tol);
         prop_assert!(agg.value <= exact.value * (1.0 + 1e-6) + 1e-9,
             "m={m} k={k}: agg bound {} beats exact {}", agg.value, exact.value);
     }

@@ -453,6 +453,18 @@ mod tests {
         assert!(matches!(v.get("checks_run"), Some(serde::Value::UInt(n)) if *n > 0));
     }
 
+    /// A near-zero job size must be answered: a panic inside the LP
+    /// would kill the worker thread serving the line, since the serve
+    /// loop does not catch panics.
+    #[test]
+    fn near_zero_job_size_is_answered_not_a_panic() {
+        for kind in ["ratio", "audit"] {
+            let line = format!(r#"{{"id": 5, "kind": "{kind}", "trace": [[0, 3], [0, 1e-310]]}}"#);
+            let req: Request = serde_json::from_str(&line).unwrap();
+            assert!(handle_request(&req, None).is_ok(), "{kind}");
+        }
+    }
+
     #[test]
     fn bad_kind_and_bad_policy_are_errors_not_panics() {
         let mut req = Request {

@@ -104,11 +104,15 @@ impl Trace {
         self.last_arrival() + self.total_size() / speed
     }
 
-    /// True if all arrivals and sizes are integers (within `tol`), the
-    /// precondition for the exact time-indexed LP lower bound.
+    /// True if all arrivals and sizes are integers (within `tol`) and
+    /// every size rounds to at least one unit, the precondition for the
+    /// exact time-indexed LP lower bound (its arc costs divide by the
+    /// size).
     pub fn is_integral(&self, tol: f64) -> bool {
         self.jobs.iter().all(|j| {
-            (j.arrival - j.arrival.round()).abs() <= tol && (j.size - j.size.round()).abs() <= tol
+            (j.arrival - j.arrival.round()).abs() <= tol
+                && (j.size - j.size.round()).abs() <= tol
+                && j.size.round() >= 1.0
         })
     }
 
@@ -280,6 +284,16 @@ mod tests {
         // Tiny sizes round up to at least 1.
         let h = Trace::from_pairs([(0.0, 0.01)]).unwrap().to_integral();
         assert_eq!(h.job(0).size, 1.0);
+    }
+
+    /// A positive size within the tolerance of 0 rounds to a 0-unit job,
+    /// which the time-indexed LP cannot hold: it divides by the size.
+    #[test]
+    fn near_zero_sizes_are_not_integral() {
+        for tiny in [1e-12, 1e-310] {
+            let t = Trace::from_pairs([(0.0, 3.0), (0.0, tiny)]).unwrap();
+            assert!(!t.is_integral(1e-9), "size {tiny}");
+        }
     }
 
     #[test]
