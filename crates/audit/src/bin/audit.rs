@@ -17,10 +17,9 @@
 //! the final summary (see docs/DISTRIBUTED.md).
 
 use std::path::PathBuf;
-use std::process::Command;
 use tf_audit::{run_fuzz_scoped, FuzzConfig};
 use tf_harness::cli::{self, CliError, CliSpec};
-use tf_harness::shard::{self, CoordinatorCfg};
+use tf_harness::shard;
 use tf_harness::RunCtx;
 
 fn usage() -> ! {
@@ -100,98 +99,20 @@ fn main() {
         }
     }
 
-    if let Some(workers) = cli.shard_workers {
-        run_coordinator(&cli, workers, &cfg);
-        return;
-    }
-
-    let mut ctx = cli.run_ctx("audit").unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    });
-    if let Err(e) = ctx.apply() {
-        eprintln!("cannot open campaign directory: {e}");
-        std::process::exit(2);
-    }
-
+    let ctx = match cli.shard_workers {
+        Some(workers) => shard::run_coordinator(&cli, workers, "audit"),
+        None => cli.applied_run_ctx("audit"),
+    };
     if cli.shard.is_some() {
-        run_worker_passes(&ctx, &cfg);
+        // Worker mode: journal clean chunks only; the coordinator's final
+        // replay owns the summary and the exit status.
+        shard::run_worker(&ctx, |ctx| {
+            run_fuzz_scoped(&ctx.scope(), &cfg);
+        });
         return;
     }
 
     finish_and_report(&ctx, &cfg);
-}
-
-/// Worker mode (`--shard I/N`): fuzz this shard's chunks into the
-/// per-worker journal, then steal until a pass computes nothing new.
-/// No summary, no exit-code semantics — the coordinator's final replay
-/// pass owns both.
-fn run_worker_passes(ctx: &RunCtx, cfg: &FuzzConfig) {
-    let c = ctx
-        .campaign_handle()
-        .expect("--shard requires --campaign")
-        .clone();
-    let scope = ctx.scope();
-    run_fuzz_scoped(&scope, cfg);
-    let _ = c.take_pass_progress();
-    c.begin_steal_pass();
-    loop {
-        run_fuzz_scoped(&scope, cfg);
-        if c.take_pass_progress() == 0 {
-            break;
-        }
-    }
-    let s = c.stats();
-    let shard = c.cfg().shard.expect("worker mode");
-    eprintln!(
-        "shard {shard}: {} computed, {} replayed, {} stolen, {} skipped",
-        s.computed, s.replays, s.stolen, s.skipped
-    );
-    let _ = tf_obs::flush();
-}
-
-/// Coordinator mode (`--shard-workers N`): spawn N workers, merge their
-/// journals, then replay the merged journal in-process for the summary,
-/// the manifest, and the exit code.
-fn run_coordinator(cli: &cli::CommonCli, workers: usize, cfg: &FuzzConfig) {
-    let dir = cli
-        .campaign_dir
-        .clone()
-        .expect("validated: --shard-workers requires --campaign");
-    if !cli.resume {
-        if let Err(e) = shard::reset_dir(&dir) {
-            eprintln!("cannot reset campaign directory: {e}");
-            std::process::exit(2);
-        }
-    }
-    let exe = std::env::current_exe().expect("current_exe");
-    let base = shard::worker_args(std::env::args().skip(1));
-    let report = shard::run_sharded(&CoordinatorCfg::new(&dir, workers), |i| {
-        let mut cmd = Command::new(&exe);
-        cmd.args(&base).arg("--shard").arg(format!("{i}/{workers}"));
-        cmd
-    })
-    .unwrap_or_else(|e| {
-        eprintln!("sharded run failed: {e}");
-        std::process::exit(1);
-    });
-
-    let mut ctx = cli.run_ctx("audit").unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    });
-    let ccfg = ctx.campaign.as_mut().expect("coordinator has a campaign");
-    ccfg.resume = true;
-    ccfg.shard = None;
-    if let Err(e) = ctx.apply() {
-        eprintln!("cannot open campaign directory: {e}");
-        std::process::exit(2);
-    }
-    eprintln!(
-        "shard: {} workers, {} merged tasks, {} duplicates, {} conflicts, {} respawns",
-        report.workers, report.merged_tasks, report.duplicates, report.conflicts, report.respawns
-    );
-    finish_and_report(&ctx, cfg);
 }
 
 fn finish_and_report(ctx: &RunCtx, cfg: &FuzzConfig) -> ! {
@@ -219,19 +140,7 @@ fn finish_and_report(ctx: &RunCtx, cfg: &FuzzConfig) -> ! {
         println!("       {}", f.detail);
     }
 
-    if let Some(c) = ctx.campaign_handle() {
-        let run_key = format!("audit:{}:{}", cfg.seed, cfg.traces);
-        match c.finish(&run_key) {
-            Ok(_) => {
-                let s = c.stats();
-                eprintln!(
-                    "campaign: {} replayed, {} computed, {} attempts, {} retries, {} degradations",
-                    s.replays, s.computed, s.attempts, s.retries, s.degradations
-                );
-            }
-            Err(e) => eprintln!("campaign: manifest write failed: {e}"),
-        }
-    }
+    ctx.finish_campaign(&format!("audit:{}:{}", cfg.seed, cfg.traces));
 
     if !ctx.trace.is_off() {
         match tf_obs::flush() {

@@ -29,9 +29,8 @@
 //!   the lower bound never exceeds any policy's cost (X1), the Theorem 1
 //!   certificate verifies on RR schedules at the prescribed speed (X2),
 //!   the optimized LP solver agrees with the PR-1 reference solver (X3),
-//!   a warm-started column-generation solve reproduces the cold exact
-//!   bound (X4), and the interval-aggregated bound sandwiches the exact
-//!   LP without ever beating the exact combined bound (X5).
+//!   and a warm-started column-generation solve reproduces the cold
+//!   exact bound (X4).
 
 use tf_lowerbound::{lk_lower_bound, lower_bound, LbRequest, LowerBound, Method};
 use tf_policies::{Policy, RoundRobin};
@@ -48,29 +47,10 @@ pub struct AuditConfig {
     /// natural magnitude of each quantity (makespan for times, rate cap
     /// for rates, objective value for costs).
     pub rel_tol: f64,
-    /// Norm exponent `k` used by the cross-layer checks (X1–X3).
+    /// Norm exponent `k` used by the cross-layer checks (X1–X4).
     pub k: u32,
     /// The `ε` parameter of the Theorem 1 certificate check (X2).
     pub eps: f64,
-    /// Run the lower-bound dominance check X1 (requires speed 1).
-    pub check_lower_bound: bool,
-    /// Run the optimized-vs-reference solver equivalence check X3
-    /// (integral traces only; the reference solver is slow).
-    pub check_reference_solver: bool,
-    /// Run the Theorem 1 certificate check X2 (simulates RR at speed
-    /// `η = 2k(1+10ε)` internally).
-    pub check_certificate: bool,
-    /// Run the warm-start equivalence check X4: a column-generation
-    /// solve seeded with a *neighbouring* instance's dual handle must
-    /// reproduce the cold exact bound (integral traces only).
-    pub check_warm_start: bool,
-    /// Run the aggregation soundness check X5: the interval-aggregated
-    /// bound must sandwich the exact LP (`lp_lo ≤ LP ≤ lp_hi`) and never
-    /// beat the exact combined bound (integral traces only).
-    pub check_aggregation: bool,
-    /// Skip the expensive cross-layer checks (X2, X3) on traces with
-    /// more jobs than this.
-    pub max_exact_jobs: usize,
 }
 
 impl Default for AuditConfig {
@@ -79,15 +59,13 @@ impl Default for AuditConfig {
             rel_tol: 1e-7,
             k: 2,
             eps: 0.05,
-            check_lower_bound: true,
-            check_reference_solver: true,
-            check_certificate: true,
-            check_warm_start: true,
-            check_aggregation: true,
-            max_exact_jobs: 12,
         }
     }
 }
+
+/// Traces with more jobs than this skip the expensive cross-layer checks
+/// (X2, X3, X4).
+const MAX_EXACT_JOBS: usize = 12;
 
 /// One violated invariant.
 #[derive(Debug, Clone)]
@@ -954,7 +932,7 @@ fn differential_oracles(
 
 /// X1 (lower bound dominates no policy), X2 (Theorem 1 certificate), X3
 /// (optimized LP solver ≡ reference solver), X4 (warm-started colgen ≡
-/// cold exact bound), X5 (aggregated bound sandwiches the exact LP).
+/// cold exact bound).
 fn cross_layer_checks(
     trace: &Trace,
     m: usize,
@@ -967,12 +945,14 @@ fn cross_layer_checks(
         return;
     }
     let kf = f64::from(cfg.k);
-    // X1 and X4/X5 all compare against the same exact bound: solve it
-    // once per (trace, m), on first use.
+    let small = trace.len() <= MAX_EXACT_JOBS;
+    let lp_checks = small && trace.is_integral(1e-9);
+    // X1 and X4 both compare against the same exact bound: solve it once
+    // per (trace, m), on first use.
     let mut exact_bound: Option<LowerBound> = None;
     let mut exact_lb = || *exact_bound.get_or_insert_with(|| lk_lower_bound(trace, m, cfg.k));
 
-    if cfg.check_lower_bound && speed == 1.0 {
+    if speed == 1.0 {
         rep.ran();
         let lb = exact_lb();
         for (p, s) in schedules {
@@ -989,10 +969,7 @@ fn cross_layer_checks(
             }
         }
 
-        if cfg.check_reference_solver
-            && trace.len() <= cfg.max_exact_jobs
-            && trace.is_integral(1e-9)
-        {
+        if lp_checks {
             rep.ran();
             let reference = LbRequest {
                 method: Method::Reference,
@@ -1015,82 +992,40 @@ fn cross_layer_checks(
         }
     }
 
-    // X4/X5 audit the scale-path solvers (warm-started column
-    // generation, interval aggregation) against the exact bound. The LP
-    // is speed-independent, so these run at any simulation speed.
-    if (cfg.check_warm_start || cfg.check_aggregation)
-        && trace.len() <= cfg.max_exact_jobs
-        && trace.is_integral(1e-9)
-    {
+    // X4 audits the scale-path solver (warm-started column generation)
+    // against the exact bound. The LP is speed-independent, so it runs
+    // at any simulation speed.
+    if lp_checks {
+        rep.ran();
         let exact = exact_lb();
         let tol = cfg.rel_tol * exact.value.abs().max(1.0);
-
-        if cfg.check_warm_start {
-            rep.ran();
-            // Seed the handle from a *different* instance (m+1) so the
-            // check exercises genuine dual remapping, not a no-op reuse.
-            let colgen = |m, warm| LbRequest {
-                method: Method::Colgen(warm),
-                ..LbRequest::new(m, cfg.k)
-            };
-            let neighbour = lower_bound(trace, &colgen(m + 1, None));
-            let warm = lower_bound(trace, &colgen(m, Some(&neighbour.warm)));
-            if warm.degraded {
-                rep.fail(
-                    "X4-WARMSTART-EQUIV",
-                    None,
-                    "unlimited-budget colgen solve reported a budget trip".to_string(),
-                );
-            } else if (warm.bound.value - exact.value).abs() > tol {
-                rep.fail(
-                    "X4-WARMSTART-EQUIV",
-                    None,
-                    format!(
-                        "warm-started colgen bound {} != cold exact {} (m={m}, k={})",
-                        warm.bound.value, exact.value, cfg.k
-                    ),
-                );
-            }
-        }
-
-        if cfg.check_aggregation {
-            rep.ran();
-            let agg = LbRequest {
-                method: Method::Agg,
-                ..LbRequest::new(m, cfg.k)
-            };
-            let agg = lower_bound(trace, &agg);
-            let lp_tol = cfg.rel_tol * exact.lp_raw.abs().max(1.0);
-            if agg.degraded {
-                rep.fail(
-                    "X5-AGG-SOUND",
-                    None,
-                    "unlimited-budget aggregated solve reported a budget trip".to_string(),
-                );
-            } else if agg.bound.lp_raw > exact.lp_raw + lp_tol || exact.lp_raw > agg.lp_hi + lp_tol
-            {
-                rep.fail(
-                    "X5-AGG-SOUND",
-                    None,
-                    format!(
-                        "aggregated LP sandwich [{}, {}] misses the exact LP {} (m={m}, k={})",
-                        agg.bound.lp_raw, agg.lp_hi, exact.lp_raw, cfg.k
-                    ),
-                );
-            } else if agg.bound.value > exact.value + tol {
-                rep.fail(
-                    "X5-AGG-SOUND",
-                    None,
-                    format!(
-                        "aggregated bound {} beats the exact bound {} (m={m}, k={})",
-                        agg.bound.value, exact.value, cfg.k
-                    ),
-                );
-            }
+        // Seed the handle from a *different* instance (m+1) so the check
+        // exercises genuine dual remapping, not a no-op reuse.
+        let colgen = |m, warm| LbRequest {
+            method: Method::Colgen(warm),
+            ..LbRequest::new(m, cfg.k)
+        };
+        let neighbour = lower_bound(trace, &colgen(m + 1, None));
+        let warm = lower_bound(trace, &colgen(m, Some(&neighbour.warm)));
+        if warm.degraded {
+            rep.fail(
+                "X4-WARMSTART-EQUIV",
+                None,
+                "unlimited-budget colgen solve reported a budget trip".to_string(),
+            );
+        } else if (warm.bound.value - exact.value).abs() > tol {
+            rep.fail(
+                "X4-WARMSTART-EQUIV",
+                None,
+                format!(
+                    "warm-started colgen bound {} != cold exact {} (m={m}, k={})",
+                    warm.bound.value, exact.value, cfg.k
+                ),
+            );
         }
     }
 
-    if cfg.check_certificate && trace.len() <= cfg.max_exact_jobs {
+    if small {
         rep.ran();
         match tf_core::verify_theorem1(trace, m, cfg.k, cfg.eps) {
             Ok(cert) if cert.certified() => {}
@@ -1426,21 +1361,26 @@ mod tests {
 
     #[test]
     fn scale_path_checks_run_and_pass_on_clean_traces() {
-        // X4/X5 are speed-independent: they must run (and pass) even at
-        // speed ≠ 1, where X1/X3 are skipped.
+        // X4 is speed-independent: it must run (and pass) even at speed
+        // ≠ 1, where X1 and X3 are skipped. A half-slot shift makes the
+        // trace fractional, which skips X4 (and only X4) at speed 3.
         let t = small_trace();
-        let full = audit_trace(&t, 2, 3.0, &[Policy::Rr], &AuditConfig::default());
-        assert!(full.ok(), "{:?}", full.violations);
-        let without = AuditConfig {
-            check_warm_start: false,
-            check_aggregation: false,
-            ..AuditConfig::default()
+        let shifted =
+            Trace::from_pairs(t.jobs().iter().map(|j| (j.arrival + 0.5, j.size))).unwrap();
+        let audit = |t: &Trace, speed: f64| {
+            let rep = audit_trace(t, 2, speed, &[Policy::Rr], &AuditConfig::default());
+            assert!(rep.ok(), "speed {speed}: {:?}", rep.violations);
+            rep.checks_run
         };
-        let fewer = audit_trace(&t, 2, 3.0, &[Policy::Rr], &without);
         assert_eq!(
-            full.checks_run,
-            fewer.checks_run + 2,
-            "X4 and X5 each count as one evaluated check"
+            audit(&t, 3.0),
+            audit(&shifted, 3.0) + 1,
+            "X4 runs at speed 3"
+        );
+        assert_eq!(
+            audit(&t, 1.0),
+            audit(&t, 3.0) + 2,
+            "X1 and X3 run at speed 1 only"
         );
     }
 

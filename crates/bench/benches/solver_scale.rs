@@ -9,9 +9,7 @@
 //! headline "same certificate, ≥5× faster" claim is machine-comparable.
 //!
 //! Column generation is exact (clean pricing ⇒ full-LP dual
-//! feasibility), so every frontier point is a true certified bound with
-//! δ = 0; the n = 5000 entry additionally records an interval-aggregated
-//! solve at its default 1 % gap target for the δ-tunable path.
+//! feasibility), so every frontier point is a true certified bound.
 //!
 //! Run with `cargo bench -p tf-bench --bench solver_scale`. Set
 //! `BENCH_MEASURE_MS` / `BENCH_WARMUP_MS` for a quick smoke pass — the
@@ -22,22 +20,20 @@ use std::hint::black_box;
 use std::io::Write as _;
 use std::time::Instant;
 use tf_bench::bench_trace_integral;
-use tf_lowerbound::{lk_lower_bound, lower_bound, LbOutcome, LbRequest, Method};
+use tf_lowerbound::{lk_lower_bound, lower_bound, LbRequest, LowerBound, Method};
 
 /// The gate sizes: present in `BENCH_3.json`, so old/new is well-defined.
 const GATE_SIZES: [usize; 2] = [160, 320];
 
-/// The `k = 2, m = 2` bound by `method`, unlimited budget.
-fn bound_by(trace: &tf_simcore::Trace, method: Method) -> LbOutcome {
-    let out = lower_bound(
-        trace,
-        &LbRequest {
-            method,
-            ..LbRequest::new(2, 2)
-        },
-    );
+/// The `k = 2, m = 2` column-generation bound, unlimited budget.
+fn colgen_bound(trace: &tf_simcore::Trace) -> LowerBound {
+    let req = LbRequest {
+        method: Method::Colgen(None),
+        ..LbRequest::new(2, 2)
+    };
+    let out = lower_bound(trace, &req);
     assert!(!out.degraded, "unlimited budget never trips");
-    out
+    out.bound
 }
 
 fn bench_exact(c: &mut Criterion) {
@@ -58,7 +54,7 @@ fn bench_colgen(c: &mut Criterion) {
     for &n in &GATE_SIZES {
         let trace = bench_trace_integral(n, 19);
         g.bench_with_input(BenchmarkId::new("lk_k2_m2", n), &trace, |b, t| {
-            b.iter(|| black_box(bound_by(t, Method::Colgen(None))))
+            b.iter(|| black_box(colgen_bound(t)))
         });
     }
     g.finish();
@@ -70,10 +66,6 @@ struct FrontierPoint {
     seconds: f64,
     value: f64,
     kind: &'static str,
-    /// Certified relative gap to the exact LP: 0 for colgen, the
-    /// reported sandwich gap for the aggregated entry.
-    delta: f64,
-    method: &'static str,
 }
 
 /// Time the colgen solver once per ladder size (criterion sampling at
@@ -89,35 +81,12 @@ fn certified_frontier(smoke: bool) -> Vec<FrontierPoint> {
     for &n in sizes {
         let trace = bench_trace_integral(n, 7);
         let t0 = Instant::now();
-        let lb = bound_by(&trace, Method::Colgen(None)).bound;
+        let lb = colgen_bound(&trace);
         points.push(FrontierPoint {
             n,
             seconds: t0.elapsed().as_secs_f64(),
             value: lb.value,
             kind: lb.kind.label(),
-            delta: 0.0,
-            method: "colgen",
-        });
-    }
-    // The δ-tunable path, demonstrated at the first ladder size. Colgen
-    // already carries an exact (δ = 0) certificate to n = 5000, so the
-    // aggregated entry only needs to show the sandwich machinery works
-    // end to end — and its refinement loop re-solves the whole grid per
-    // round, which at n = 5000 costs minutes for strictly less
-    // information than the seconds-long exact colgen solve.
-    {
-        let n = sizes[0];
-        let trace = bench_trace_integral(n, 7);
-        let t0 = Instant::now();
-        let agg = bound_by(&trace, Method::Agg);
-        let lp_lo = agg.bound.lp_raw;
-        points.push(FrontierPoint {
-            n,
-            seconds: t0.elapsed().as_secs_f64(),
-            value: agg.bound.value,
-            kind: agg.bound.kind.label(),
-            delta: (agg.lp_hi - lp_lo) / lp_lo.max(f64::MIN_POSITIVE),
-            method: "agg",
         });
     }
     points
@@ -129,7 +98,7 @@ fn certified_frontier(smoke: bool) -> Vec<FrontierPoint> {
 fn equivalence_at_gate() -> f64 {
     let trace = bench_trace_integral(320, 19);
     let exact = lk_lower_bound(&trace, 2, 2);
-    let cg = bound_by(&trace, Method::Colgen(None)).bound;
+    let cg = colgen_bound(&trace);
     let rel = (cg.value - exact.value).abs() / exact.value.abs().max(1.0);
     assert!(
         rel <= 1e-9,
@@ -219,13 +188,11 @@ fn write_bench5(results: &[criterion::BenchResult], frontier: &[FrontierPoint], 
     out.push_str("\n  },\n  \"certified_frontier\": [\n");
     for (i, p) in frontier.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"n\": {}, \"method\": {:?}, \"seconds\": {:.3}, \"value\": {:.6}, \"kind\": {:?}, \"delta\": {:.6}}}{}\n",
+            "    {{\"n\": {}, \"seconds\": {:.3}, \"value\": {:.6}, \"kind\": {:?}}}{}\n",
             p.n,
-            p.method,
             p.seconds,
             p.value,
             p.kind,
-            p.delta,
             if i + 1 < frontier.len() { "," } else { "" },
         ));
     }

@@ -66,14 +66,7 @@ fn main() {
         }
     }
 
-    let mut ctx = cli.run_ctx("certify").unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    });
-    if let Err(e) = ctx.apply() {
-        eprintln!("cannot apply run context: {e}");
-        std::process::exit(2);
-    }
+    let ctx = cli.applied_run_ctx("certify");
 
     let Some(path) = path else { usage() };
     let trace = match load_trace(&path) {

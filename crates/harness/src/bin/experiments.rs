@@ -21,11 +21,9 @@
 //! docs/DISTRIBUTED.md.
 
 use std::io::Write;
-use std::process::Command;
-use tf_harness::campaign::Campaign;
 use tf_harness::cli::{self, CliError, CliSpec};
 use tf_harness::experiments::{all_ids, family_ids, run_experiment_ctx};
-use tf_harness::shard::{self, CoordinatorCfg};
+use tf_harness::shard;
 use tf_harness::table::timing_table;
 use tf_harness::{RunCtx, Table};
 
@@ -96,107 +94,24 @@ fn main() {
         ids = all_ids().into_iter().map(String::from).collect();
     }
 
-    if let Some(workers) = cli.shard_workers {
-        run_coordinator(&cli, workers, &ids, format);
-        return;
-    }
-
-    let mut ctx = cli.run_ctx("experiments").unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    });
-    if let Err(e) = ctx.apply() {
-        eprintln!("cannot open campaign directory: {e}");
-        std::process::exit(2);
-    }
-
+    let ctx = match cli.shard_workers {
+        Some(workers) => shard::run_coordinator(&cli, workers, "experiments"),
+        None => cli.applied_run_ctx("experiments"),
+    };
     if cli.shard.is_some() {
-        run_worker_passes(&ctx, &ids);
+        // Worker mode: journal leaf tasks only; the coordinator renders.
+        shard::run_worker(&ctx, |ctx| {
+            for id in &ids {
+                if run_experiment_ctx(id, ctx).is_none() {
+                    eprintln!("unknown experiment: {id}");
+                    std::process::exit(2);
+                }
+            }
+        });
         return;
     }
 
     render_and_finish(&ctx, &ids, format);
-}
-
-/// Worker mode (`--shard I/N`, spawned by the coordinator): journal this
-/// shard's leaf tasks, then keep stealing passes until a pass computes
-/// nothing new. No tables are rendered and no manifest is written — the
-/// coordinator owns the merge and the final render.
-fn run_worker_passes(ctx: &RunCtx, ids: &[String]) {
-    let c = ctx
-        .campaign_handle()
-        .expect("--shard requires --campaign")
-        .clone();
-    let run_pass = |ctx: &RunCtx| {
-        for id in ids {
-            if run_experiment_ctx(id, ctx).is_none() {
-                eprintln!("unknown experiment: {id}");
-                std::process::exit(2);
-            }
-        }
-    };
-    run_pass(ctx);
-    let _ = c.take_pass_progress();
-    c.begin_steal_pass();
-    loop {
-        run_pass(ctx);
-        if c.take_pass_progress() == 0 {
-            break;
-        }
-    }
-    let s = c.stats();
-    let shard = c.cfg().shard.expect("worker mode");
-    eprintln!(
-        "shard {shard}: {} computed, {} replayed, {} stolen, {} skipped",
-        s.computed, s.replays, s.stolen, s.skipped
-    );
-    let _ = tf_obs::flush();
-}
-
-/// Coordinator mode (`--shard-workers N`): respawn this binary N times
-/// with `--shard I/N`, babysit the pool, merge the per-worker journals,
-/// then replay the merged journal in-process for the render + manifest.
-fn run_coordinator(cli: &cli::CommonCli, workers: usize, ids: &[String], format: Format) {
-    let dir = cli
-        .campaign_dir
-        .clone()
-        .expect("validated: --shard-workers requires --campaign");
-    if !cli.resume {
-        if let Err(e) = shard::reset_dir(&dir) {
-            eprintln!("cannot reset campaign directory: {e}");
-            std::process::exit(2);
-        }
-    }
-    let exe = std::env::current_exe().expect("current_exe");
-    let base = shard::worker_args(std::env::args().skip(1));
-    let report = shard::run_sharded(&CoordinatorCfg::new(&dir, workers), |i| {
-        let mut cmd = Command::new(&exe);
-        cmd.args(&base).arg("--shard").arg(format!("{i}/{workers}"));
-        cmd
-    })
-    .unwrap_or_else(|e| {
-        eprintln!("sharded run failed: {e}");
-        std::process::exit(1);
-    });
-
-    // Final pass: everything is in the merged journal now; an in-process
-    // resume replays it all and renders exactly as a single-process run.
-    let mut ctx = cli.run_ctx("experiments").unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    });
-    let cfg = ctx.campaign.as_mut().expect("coordinator has a campaign");
-    cfg.resume = true;
-    cfg.shard = None;
-    if let Err(e) = ctx.apply() {
-        eprintln!("cannot open campaign directory: {e}");
-        std::process::exit(2);
-    }
-    eprintln!(
-        "shard: {} workers, {} merged tasks, {} duplicates, {} conflicts, {} respawns",
-        report.workers, report.merged_tasks, report.duplicates, report.conflicts, report.respawns
-    );
-    render_and_finish(&ctx, ids, format);
 }
 
 fn render_and_finish(ctx: &RunCtx, ids: &[String], format: Format) {
@@ -232,10 +147,7 @@ fn render_and_finish(ctx: &RunCtx, ids: &[String], format: Format) {
         }
     }
 
-    if let Some(c) = ctx.campaign_handle() {
-        let run_key = format!("experiments:{}:{:?}", ids.join(","), ctx.effort);
-        finish_campaign(c, &run_key);
-    }
+    ctx.finish_campaign(&format!("experiments:{}:{:?}", ids.join(","), ctx.effort));
 
     if !ctx.trace.is_off() {
         if let Some(t) = timing_table() {
@@ -246,19 +158,6 @@ fn render_and_finish(ctx: &RunCtx, ids: &[String], format: Format) {
             Ok(None) => {}
             Err(e) => eprintln!("trace write failed: {e}"),
         }
-    }
-}
-
-fn finish_campaign(c: &Campaign, run_key: &str) {
-    match c.finish(run_key) {
-        Ok(_) => {
-            let s = c.stats();
-            eprintln!(
-                "campaign: {} replayed, {} computed, {} attempts, {} retries, {} degradations",
-                s.replays, s.computed, s.attempts, s.retries, s.degradations
-            );
-        }
-        Err(e) => eprintln!("campaign: manifest write failed: {e}"),
     }
 }
 

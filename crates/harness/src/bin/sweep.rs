@@ -58,14 +58,7 @@ fn main() {
         }
     }
 
-    let mut ctx = cli.run_ctx("sweep").unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    });
-    if let Err(e) = ctx.apply() {
-        eprintln!("cannot open campaign directory: {e}");
-        std::process::exit(2);
-    }
+    let ctx = cli.applied_run_ctx("sweep");
 
     let Some(path) = path else { usage() };
     let json = std::fs::read_to_string(&path).unwrap_or_else(|e| {
@@ -90,18 +83,7 @@ fn main() {
         }
     };
     println!("{rendered}");
-    if let Some(c) = ctx.campaign_handle() {
-        match c.finish(&format!("sweep:{path}")) {
-            Ok(_) => {
-                let s = c.stats();
-                eprintln!(
-                    "campaign: {} replayed, {} computed, {} attempts, {} retries, {} degradations",
-                    s.replays, s.computed, s.attempts, s.retries, s.degradations
-                );
-            }
-            Err(e) => eprintln!("campaign: manifest write failed: {e}"),
-        }
-    }
+    ctx.finish_campaign(&format!("sweep:{path}"));
     if !ctx.trace.is_off() {
         if let Some(t) = timing_table() {
             eprintln!("{}", t.to_text());

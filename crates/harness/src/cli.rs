@@ -248,6 +248,21 @@ impl CommonCli {
         ctx.campaign = self.campaign_cfg();
         Ok(ctx)
     }
+
+    /// [`CommonCli::run_ctx`], applied: a bad tracing setup or an
+    /// unopenable campaign directory is reported on stderr and ends the
+    /// process with status 2, like any other flag error.
+    pub fn applied_run_ctx(&self, trace_stem: &str) -> RunCtx {
+        let mut ctx = self.run_ctx(trace_stem).unwrap_or_else(|e| {
+            eprintln!("{e}");
+            std::process::exit(2);
+        });
+        if let Err(e) = ctx.apply() {
+            eprintln!("cannot open campaign directory: {e}");
+            std::process::exit(2);
+        }
+        ctx
+    }
 }
 
 #[cfg(test)]

@@ -40,9 +40,8 @@ pub const SOLVER_VERSION: u32 = 3;
 /// the key material; `None` for requests that are never cached.
 /// `Exact` and `Colgen` both produce the exact bound but may differ in
 /// the last ulps (different augmentation order), so they never share
-/// entries. Aggregated bounds are exact only up to their certified gap,
-/// the reference solver is an audit oracle, and weighted bounds have a
-/// different objective: none of them is cached.
+/// entries. The reference solver is an audit oracle and weighted bounds
+/// have a different objective: neither is cached.
 fn method_tag(req: &LbRequest) -> Option<u8> {
     if req.weighted {
         return None;
@@ -50,7 +49,7 @@ fn method_tag(req: &LbRequest) -> Option<u8> {
     match req.method {
         Method::Exact => Some(0),
         Method::Colgen(_) => Some(1),
-        Method::Agg | Method::Reference => None,
+        Method::Reference => None,
     }
 }
 
@@ -144,7 +143,6 @@ pub fn cached_lower_bound(trace: &Trace, req: &LbRequest) -> LbOutcome {
             return LbOutcome {
                 bound,
                 degraded: false,
-                lp_hi: bound.lp_raw,
                 warm: LpWarmStart::default(),
             };
         }
@@ -233,21 +231,18 @@ mod tests {
 
     /// The pre-fix key ignored the solve method, so an entry from one
     /// path could be read back by a lookup for another — this test fails
-    /// on that key. Certified-only-up-to-a-gap, oracle and weighted
-    /// bounds are never cached at all.
+    /// on that key. Oracle and weighted bounds are never cached at all.
     #[test]
     fn solve_methods_never_alias_in_the_key() {
         let t = trace();
         let ex = method_tag(&exact(2, 2)).unwrap();
         let cg = method_tag(&colgen(2, 2)).unwrap();
         assert_ne!(key(&t, 2, 2, ex), key(&t, 2, 2, cg));
-        for method in [Method::Agg, Method::Reference] {
-            let req = LbRequest {
-                method,
-                ..LbRequest::new(2, 2)
-            };
-            assert_eq!(method_tag(&req), None, "{method:?}");
-        }
+        let reference = LbRequest {
+            method: Method::Reference,
+            ..LbRequest::new(2, 2)
+        };
+        assert_eq!(method_tag(&reference), None);
         let weighted = LbRequest {
             weighted: true,
             ..LbRequest::new(2, 2)

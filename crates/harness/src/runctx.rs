@@ -163,6 +163,25 @@ impl RunCtx {
     pub fn campaign_handle(&self) -> Option<&Arc<Campaign>> {
         self.scope.campaign()
     }
+
+    /// If a campaign is open, write its manifest under `run_key` and
+    /// print the `campaign: … replayed, … computed, …` summary line on
+    /// stderr (a failed manifest write is reported there instead).
+    pub fn finish_campaign(&self, run_key: &str) {
+        let Some(c) = self.campaign_handle() else {
+            return;
+        };
+        match c.finish(run_key) {
+            Ok(_) => {
+                let s = c.stats();
+                eprintln!(
+                    "campaign: {} replayed, {} computed, {} attempts, {} retries, {} degradations",
+                    s.replays, s.computed, s.attempts, s.retries, s.degradations
+                );
+            }
+            Err(e) => eprintln!("campaign: manifest write failed: {e}"),
+        }
+    }
 }
 
 #[cfg(test)]

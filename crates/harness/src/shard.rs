@@ -37,6 +37,11 @@
 //! The merged `journal.jsonl` itself is sorted, whereas a single-process
 //! journal is in completion order — only `manifest.json` is the
 //! byte-comparable artifact.
+//!
+//! The campaign binaries (`experiments`, `audit`) run this protocol
+//! through [`run_coordinator`] and [`run_worker`]: a binary hands its own
+//! pass to the worker loop as a closure, and renders its output from the
+//! context the coordinator returns.
 
 use std::collections::HashMap;
 use std::collections::HashSet;
@@ -44,6 +49,9 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::Duration;
+
+use crate::cli::CommonCli;
+use crate::runctx::RunCtx;
 
 /// Coordinator configuration.
 #[derive(Debug, Clone)]
@@ -411,6 +419,80 @@ pub fn run_sharded(
     span.arg("merged_tasks", report.merged_tasks as f64);
     span.arg("respawns", f64::from(report.respawns));
     Ok(report)
+}
+
+/// Worker mode (`--shard I/N`, spawned by [`run_coordinator`]): run
+/// `pass` over this worker's own shard, then keep running steal passes
+/// until one computes nothing new, and print the shard's summary line.
+/// Nothing is rendered and no manifest is written: the coordinator owns
+/// the merge, the final pass and the exit status.
+///
+/// # Panics
+/// If `ctx` has no open campaign (`--shard` requires `--campaign`).
+pub fn run_worker(ctx: &RunCtx, mut pass: impl FnMut(&RunCtx)) {
+    let c = ctx
+        .campaign_handle()
+        .expect("--shard requires --campaign")
+        .clone();
+    pass(ctx);
+    let _ = c.take_pass_progress();
+    c.begin_steal_pass();
+    loop {
+        pass(ctx);
+        if c.take_pass_progress() == 0 {
+            break;
+        }
+    }
+    let s = c.stats();
+    let shard = c.cfg().shard.expect("worker mode");
+    eprintln!(
+        "shard {shard}: {} computed, {} replayed, {} stolen, {} skipped",
+        s.computed, s.replays, s.stolen, s.skipped
+    );
+    let _ = tf_obs::flush();
+}
+
+/// Coordinator mode (`--shard-workers N`): respawn the current binary N
+/// times with `--shard I/N` ([`run_sharded`]), then reopen the campaign
+/// with `--resume` semantics and return that context, so the caller's
+/// final in-process pass replays every task from the merged journal. A
+/// directory that cannot be reset exits with status 2, a worker that
+/// keeps dying with status 1.
+///
+/// # Panics
+/// If `cli` has no campaign directory (the CLI parser rejects
+/// `--shard-workers` without `--campaign`).
+pub fn run_coordinator(cli: &CommonCli, workers: usize, trace_stem: &str) -> RunCtx {
+    let dir = cli
+        .campaign_dir
+        .clone()
+        .expect("validated: --shard-workers requires --campaign");
+    if !cli.resume {
+        if let Err(e) = reset_dir(&dir) {
+            eprintln!("cannot reset campaign directory: {e}");
+            std::process::exit(2);
+        }
+    }
+    let exe = std::env::current_exe().expect("current_exe");
+    let base = worker_args(std::env::args().skip(1));
+    let report = run_sharded(&CoordinatorCfg::new(&dir, workers), |i| {
+        let mut cmd = Command::new(&exe);
+        cmd.args(&base).arg("--shard").arg(format!("{i}/{workers}"));
+        cmd
+    })
+    .unwrap_or_else(|e| {
+        eprintln!("sharded run failed: {e}");
+        std::process::exit(1);
+    });
+
+    let mut resumed = cli.clone();
+    resumed.resume = true;
+    let ctx = resumed.applied_run_ctx(trace_stem);
+    eprintln!(
+        "shard: {} workers, {} merged tasks, {} duplicates, {} conflicts, {} respawns",
+        report.workers, report.merged_tasks, report.duplicates, report.conflicts, report.respawns
+    );
+    ctx
 }
 
 #[cfg(test)]

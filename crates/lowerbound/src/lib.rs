@@ -43,7 +43,6 @@
 //! unit-augmenting implementation retained as an executable oracle — on
 //! both the combined bound and the raw LP value.
 
-pub mod agg;
 pub mod bounds;
 pub mod budget;
 pub mod exact;
@@ -68,10 +67,6 @@ pub enum BoundKind {
     Lp,
     /// SRPT on the speed-`m` super machine (ℓ1 only).
     SrptSuperMachine,
-    /// Interval-aggregated LP relaxation / 2, with a certified
-    /// aggregation gap (see [`agg`]). Still a rigorous lower bound —
-    /// the gap only measures distance to the *exact* LP value.
-    LpAgg,
 }
 
 impl BoundKind {
@@ -81,7 +76,6 @@ impl BoundKind {
             BoundKind::Size => "size",
             BoundKind::Lp => "lp/2",
             BoundKind::SrptSuperMachine => "srpt-m",
-            BoundKind::LpAgg => "lp-agg",
         }
     }
 }
@@ -105,7 +99,8 @@ impl LowerBound {
 }
 
 /// How [`lower_bound`] solves the LP relaxation. Every method reaches
-/// the same LP; they differ in cost and in what they certify.
+/// the same exact optimum, up to the last ulps of float rounding; they
+/// differ in cost.
 #[derive(Debug, Clone, Copy)]
 pub enum Method<'a> {
     /// The full pruned network: the unit-SSP [`MinCostFlow`] solver up
@@ -116,10 +111,6 @@ pub enum Method<'a> {
     /// building only each job's active slots — the scale path. An
     /// [`LpWarmStart`] from a neighbouring request seeds its duals.
     Colgen(Option<&'a LpWarmStart>),
-    /// Interval aggregation: a certified sandwich
-    /// `lp_raw ≤ LP ≤ lp_hi` from a coarsened time grid (see [`agg`]).
-    /// The bound is reported as [`BoundKind::LpAgg`].
-    Agg,
     /// The PR-1 unit-augmenting solver on the unpruned network, kept
     /// verbatim as the oracle the optimized paths are checked against
     /// (audit check `X3-SOLVER-EQUIV` and the property tests). It never
@@ -170,10 +161,6 @@ pub struct LbOutcome {
     /// invalid. Degraded bounds must not be cached as if they were the
     /// full bound.
     pub degraded: bool,
-    /// Upper end of the LP sandwich `bound.lp_raw ≤ LP ≤ lp_hi`: the cost
-    /// of the disaggregated feasible solution for [`Method::Agg`], equal
-    /// to `bound.lp_raw` for the exact methods.
-    pub lp_hi: f64,
     /// Dual handle for the next neighbouring [`Method::Colgen`] request;
     /// empty for the other methods.
     pub warm: LpWarmStart,
@@ -209,23 +196,18 @@ pub fn lower_bound(trace: &Trace, req: &LbRequest) -> LbOutcome {
         kind: BoundKind::Size,
         lp_raw: 0.0,
     };
-    let mut lp_hi = 0.0;
     let mut warm = LpWarmStart::default();
     let mut degraded = false;
 
     if trace.is_integral(1e-9) && !trace.is_empty() {
-        match lp_component(trace, req, &mut obs_span) {
-            Some((lo, hi, handle)) => {
-                best.lp_raw = lo;
-                lp_hi = hi;
+        match lp_component(trace, req) {
+            Some((lp, handle)) => {
+                best.lp_raw = lp;
                 warm = handle;
-                let half = lo / 2.0;
+                let half = lp / 2.0;
                 if half > best.value {
                     best.value = half;
-                    best.kind = match req.method {
-                        Method::Agg => BoundKind::LpAgg,
-                        _ => BoundKind::Lp,
-                    };
+                    best.kind = BoundKind::Lp;
                 }
             }
             None => {
@@ -245,18 +227,13 @@ pub fn lower_bound(trace: &Trace, req: &LbRequest) -> LbOutcome {
     LbOutcome {
         bound: best,
         degraded,
-        lp_hi,
         warm,
     }
 }
 
-/// The LP relaxation's value bracket `(lo, hi)` by `req.method`, plus
-/// the column-generation handle; `None` iff the budget tripped.
-fn lp_component(
-    trace: &Trace,
-    req: &LbRequest,
-    obs_span: &mut tf_obs::SpanGuard,
-) -> Option<(f64, f64, LpWarmStart)> {
+/// The LP relaxation's value by `req.method`, plus the
+/// column-generation handle; `None` iff the budget tripped.
+fn lp_component(trace: &Trace, req: &LbRequest) -> Option<(f64, LpWarmStart)> {
     let LbRequest {
         m,
         k,
@@ -273,22 +250,15 @@ fn lp_component(
         Method::Exact => {
             let horizon = lp::tight_horizon(trace, m);
             let lp = lp::with_solver(|s| s.solve(trace, m, k, weighted, horizon, budget))?;
-            Some((lp.objective, lp.objective, LpWarmStart::default()))
+            Some((lp.objective, LpWarmStart::default()))
         }
         Method::Colgen(handle) => {
             let (lp, next) = lp::with_solver(|s| s.colgen(trace, m, k, weighted, budget, handle))?;
-            Some((lp.objective, lp.objective, next))
-        }
-        Method::Agg => {
-            let a = agg::aggregated_lp(trace, m, k, weighted, agg::GROWTH, budget)?;
-            obs_span.arg("rel_gap", a.rel_gap);
-            obs_span.arg("intervals", a.intervals as f64);
-            obs_span.arg("refinements", f64::from(a.refinements));
-            Some((a.lo, a.hi, LpWarmStart::default()))
+            Some((lp.objective, next))
         }
         Method::Reference => {
             let lp = lp::lp_relaxation_value_reference(trace, m, k, weighted);
-            Some((lp.objective, lp.objective, LpWarmStart::default()))
+            Some((lp.objective, LpWarmStart::default()))
         }
     }
 }
@@ -378,15 +348,10 @@ mod tests {
 
     /// Every method, for one trace and one base request.
     fn all_methods(t: &Trace, base: LbRequest) -> Vec<LbOutcome> {
-        [
-            Method::Exact,
-            Method::Colgen(None),
-            Method::Agg,
-            Method::Reference,
-        ]
-        .into_iter()
-        .map(|method| lower_bound(t, &LbRequest { method, ..base }))
-        .collect()
+        [Method::Exact, Method::Colgen(None), Method::Reference]
+            .into_iter()
+            .map(|method| lower_bound(t, &LbRequest { method, ..base }))
+            .collect()
     }
 
     #[test]
@@ -394,7 +359,7 @@ mod tests {
         let t = Trace::from_pairs(std::iter::empty()).unwrap();
         for o in all_methods(&t, LbRequest::new(1, 2)) {
             assert_eq!(o.bound.value, 0.0);
-            assert_eq!((o.bound.lp_raw, o.lp_hi), (0.0, 0.0));
+            assert_eq!(o.bound.lp_raw, 0.0);
             assert!(!o.degraded);
         }
     }
@@ -432,13 +397,10 @@ mod tests {
                 let tol = 1e-9 * (1.0 + exact.lp_raw);
                 for o in &outcomes {
                     assert!(!o.degraded);
-                    assert!(o.bound.lp_raw <= exact.lp_raw + tol, "{base:?} {o:?}");
-                    assert!(o.lp_hi >= exact.lp_raw - tol, "{base:?} {o:?}");
-                    assert!(o.bound.value <= exact.value + tol, "{base:?} {o:?}");
-                }
-                // The exact methods bracket nothing: lo = hi = LP.
-                for o in [&outcomes[0], &outcomes[1], &outcomes[3]] {
-                    assert_eq!(o.lp_hi, o.bound.lp_raw);
+                    assert!(
+                        (o.bound.lp_raw - exact.lp_raw).abs() <= tol,
+                        "{base:?} {o:?}"
+                    );
                     assert!((o.bound.value - exact.value).abs() <= tol, "{base:?} {o:?}");
                 }
             }
@@ -477,7 +439,7 @@ mod tests {
             for o in all_methods(&t, base) {
                 assert!(o.degraded, "zero budget must skip the LP (m={m} k={k})");
                 assert_eq!(o.bound.lp_raw, 0.0);
-                assert!(!matches!(o.bound.kind, BoundKind::Lp | BoundKind::LpAgg));
+                assert_ne!(o.bound.kind, BoundKind::Lp);
                 // Degraded is weaker, never invalid: it lower-bounds the
                 // full bound, which lower-bounds every feasible schedule.
                 assert!(o.bound.value <= full.value * (1.0 + 1e-12));

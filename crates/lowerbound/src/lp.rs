@@ -87,9 +87,9 @@ pub(crate) fn ipow(base: f64, k: u32) -> f64 {
 
 /// Cost of one unit of job work `age` slots after its release:
 /// `w · (age^k + p^k) / p`, with `pk = p^k` hoisted by the caller. The
-/// pruned, column-generated and aggregated networks all price their job
-/// arcs with this one expression (the reference build keeps its own
-/// copy verbatim).
+/// pruned and column-generated networks both price their job arcs with
+/// this one expression (the reference build keeps its own copy
+/// verbatim).
 #[inline]
 pub(crate) fn slot_cost(w: f64, age: u64, pk: f64, size: f64, k: u32) -> f64 {
     w * (ipow(age as f64, k) + pk) / size
@@ -239,8 +239,8 @@ fn build_network(
 /// from a finished solve, stored *by role* (source, per-job, per-slot,
 /// sink) rather than by raw node index, so they can be remapped onto a
 /// neighbouring instance whose network has a different shape — another
-/// machine count (different tight horizon), a perturbed trace (different
-/// job count), or a refined aggregation grid.
+/// machine count (different tight horizon) or a perturbed trace
+/// (different job count).
 ///
 /// Soundness never depends on the mapping being good: the remapped
 /// vector goes through [`McmfGraph::solve_warm_budgeted`]'s price

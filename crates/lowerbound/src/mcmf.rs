@@ -390,7 +390,7 @@ pub struct McmfGraph {
 /// A dual warm-start handle: node potentials snapshotted from a finished
 /// [`McmfGraph`] solve, to seed a later solve on a *neighbouring*
 /// instance (same trace at a different machine count, a perturbed hunt
-/// candidate, a refined aggregation grid).
+/// candidate).
 ///
 /// Correctness does not rest on the neighbour relation: before use, the
 /// potentials are repaired by one price fix-up sweep (saturated arcs end
@@ -841,25 +841,6 @@ impl McmfGraph {
             }
         }
         Some(())
-    }
-
-    /// O(E) optimality certificate from the solver's own final duals:
-    /// after a solve, every *residual* arc (positive remaining capacity,
-    /// forward or reverse) must have non-negative reduced cost under the
-    /// final potentials — the classical dual proof that the residual
-    /// graph has no negative cycle, hence the flow is minimum-cost.
-    ///
-    /// Strictly cheaper than [`McmfGraph::verify_optimal`] (one arc scan
-    /// vs Bellman–Ford) but *not* independent of the solver's dual
-    /// bookkeeping; the aggregated-bound path uses it because its
-    /// networks are large enough that `O(V·E)` certification would
-    /// dominate the solve it certifies. Exact production paths keep the
-    /// independent Bellman–Ford audit.
-    pub fn certify_current_duals(&self) -> bool {
-        matches!(
-            self.potentials_dual_feasible(&self.potential, &SolveBudget::unlimited()),
-            Some(true)
-        )
     }
 
     /// [`McmfGraph::solve_budgeted`] with a dual warm start. The handle's

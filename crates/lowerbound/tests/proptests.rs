@@ -104,24 +104,4 @@ proptest! {
         prop_assert!((cg.lp_raw - exact.lp_raw).abs() <= 1e-6 * (1.0 + exact.lp_raw.abs()),
             "m={m} k={k}: colgen LP {} vs exact LP {}", cg.lp_raw, exact.lp_raw);
     }
-
-    /// Aggregation soundness (audit check X5): the interval-aggregated
-    /// solve certifies a sandwich `lp_raw ≤ LP ≤ lp_hi` around the exact
-    /// LP value, and the combined bound it derives never beats the exact
-    /// combined bound.
-    #[test]
-    fn aggregated_bound_sandwiches_the_exact_lp(t in arb_integral_trace(), m in 1usize..3, k in 1u32..3) {
-        let exact = lk_lower_bound(&t, m, k);
-        let out = lower_bound(&t, &LbRequest { method: Method::Agg, ..LbRequest::new(m, k) });
-        prop_assert!(!out.degraded, "unlimited budget never trips");
-        let (agg, lp_lo) = (out.bound, out.bound.lp_raw);
-        let tol = 1e-6 * (1.0 + exact.lp_raw.abs());
-        prop_assert!(lp_lo <= exact.lp_raw + tol,
-            "m={m} k={k}: agg lo {} above exact LP {}", lp_lo, exact.lp_raw);
-        prop_assert!(exact.lp_raw <= out.lp_hi + tol,
-            "m={m} k={k}: exact LP {} above agg hi {}", exact.lp_raw, out.lp_hi);
-        prop_assert!(lp_lo <= out.lp_hi + tol);
-        prop_assert!(agg.value <= exact.value * (1.0 + 1e-6) + 1e-9,
-            "m={m} k={k}: agg bound {} beats exact {}", agg.value, exact.value);
-    }
 }

@@ -4,6 +4,9 @@
 //! both string literals, skipping comments and `#[cfg(test)]` items, and
 //! requires each `category.name` to appear (backticked, as a code span)
 //! in the page. Adding a probe without documenting it fails the build.
+//! The check also runs the other way: every backticked `category.name`
+//! in the first column of the page's three catalogue tables must be
+//! emitted by that production code, so a row cannot outlive its probe.
 
 use std::collections::BTreeSet;
 use std::fs;
@@ -114,6 +117,25 @@ fn probes(code: &str, out: &mut BTreeSet<String>) {
     }
 }
 
+/// Every backticked name in the first column of the tables under the
+/// `## Span catalogue` heading, except in the row whose spans are named
+/// at run time from the experiment id (`harness.e1` … `harness.e22`).
+fn catalogued(doc: &str) -> BTreeSet<String> {
+    let section = doc
+        .split("\n## ")
+        .find(|s| s.starts_with("Span catalogue"))
+        .expect("docs/OBSERVABILITY.md has a `## Span catalogue` section");
+    let mut out = BTreeSet::new();
+    for row in section.lines().filter(|l| l.starts_with('|')) {
+        let first = row.split('|').nth(1).unwrap_or("");
+        if first.contains("`harness.e1`") {
+            continue;
+        }
+        out.extend(first.split('`').skip(1).step_by(2).map(str::to_owned));
+    }
+    out
+}
+
 #[test]
 fn observability_doc_names_every_probe() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
@@ -165,5 +187,18 @@ fn observability_doc_names_every_probe() {
          backticked `category.name`): {missing:?}",
         missing.len(),
         found.len()
+    );
+
+    let documented = catalogued(&doc);
+    assert!(
+        documented.contains("sim.simulate") && documented.contains("shard.respawn"),
+        "table scan missed rows: {documented:?}"
+    );
+    let stale: Vec<&String> = documented.difference(&found).collect();
+    assert!(
+        stale.is_empty(),
+        "docs/OBSERVABILITY.md catalogues {} probe(s) no production code emits \
+         (delete the row or restore the probe): {stale:?}",
+        stale.len()
     );
 }

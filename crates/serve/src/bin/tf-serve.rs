@@ -65,14 +65,7 @@ fn main() {
         }
     }
 
-    let mut ctx = cli.run_ctx("serve").unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    });
-    if let Err(e) = ctx.apply() {
-        eprintln!("cannot apply run context: {e}");
-        std::process::exit(2);
-    }
+    let ctx = cli.applied_run_ctx("serve");
 
     let listener = TcpListener::bind(&addr).unwrap_or_else(|e| {
         eprintln!("cannot bind {addr}: {e}");

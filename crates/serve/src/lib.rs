@@ -20,19 +20,22 @@
 //!  "m": 1, "k": 2, "eps": 0.05}
 //! ```
 //!
-//! | field | meaning | default |
-//! |---|---|---|
-//! | `id` | echoed back, pairs responses to requests | required |
-//! | `kind` | `ratio` \| `certify` \| `audit` \| `shutdown` | required |
-//! | `trace` | `[arrival, size]` pairs | required except `shutdown` |
-//! | `policy` | policy name for `ratio` (`rr`, `srpt`, `laps:0.25`, …) | `rr` |
-//! | `m` | machine count | `1` |
-//! | `speed` | policy speed | `2k(1+10ε)` for ratio/certify, `1` for audit |
-//! | `k` | norm exponent | `2` |
-//! | `eps` | Theorem 1 epsilon | `0.05` |
+//! | field | meaning | valid | default |
+//! |---|---|---|---|
+//! | `id` | echoed back, pairs responses to requests | any `u64` | required |
+//! | `kind` | `ratio` \| `certify` \| `audit` \| `shutdown` | one of those | required |
+//! | `trace` | `[arrival, size]` pairs | finite, arrivals ≥ 0, sizes > 0 | required except `shutdown` |
+//! | `policy` | policy name for `ratio` (`rr`, `srpt`, `laps:0.25`, …) | a registered id | `rr` |
+//! | `m` | machine count | ≥ 1 | `1` |
+//! | `speed` | policy speed | finite, > 0 | `2k(1+10ε)` for ratio/certify, `1` for audit |
+//! | `k` | norm exponent | ≥ 1 | `2` |
+//! | `eps` | Theorem 1 epsilon | finite, > 0 | `0.05` |
 //!
 //! Responses are `{"id": …, "ok": true, "result": …}` or
-//! `{"id": …, "ok": false, "error": "…"}`. A `shutdown` request is
+//! `{"id": …, "ok": false, "error": "…"}`. A field outside its valid
+//! range gets an `ok: false` reply, and so does a request whose handler
+//! panics (a `k` so large that an LP cost overflows, say): the panic is
+//! caught, so the worker thread lives on. A `shutdown` request is
 //! answered, then the server drains and [`serve`] returns. Each request
 //! runs under a `serve/request` tracing span on its worker's track, so a
 //! `TF_TRACE=jsonl` run yields one timed span per request.
@@ -43,6 +46,7 @@
 use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
@@ -133,13 +137,27 @@ impl serde::Deserialize for Request {
 }
 
 /// Evaluate one non-`shutdown` request. Public so the handlers are
-/// testable without sockets.
+/// testable without sockets. Fields outside their documented range are
+/// errors; the serve loop additionally catches any panic left.
 pub fn handle_request(
     req: &Request,
     task_timeout: Option<Duration>,
 ) -> Result<serde::Value, String> {
     let trace =
         Trace::from_pairs(req.trace.iter().copied()).map_err(|e| format!("bad trace: {e}"))?;
+    let positive = |x: f64| x.is_finite() && x > 0.0;
+    if req.m < 1 {
+        return Err("bad m: need at least 1 machine".into());
+    }
+    if req.k < 1 {
+        return Err("bad k: need a norm exponent of at least 1".into());
+    }
+    if !positive(req.eps) {
+        return Err(format!("bad eps {}: need a finite eps > 0", req.eps));
+    }
+    if let Some(speed) = req.speed.filter(|&s| !positive(s)) {
+        return Err(format!("bad speed {speed}: need a finite speed > 0"));
+    }
     match req.kind.as_str() {
         "ratio" => {
             let policy: Policy = req
@@ -218,6 +236,17 @@ pub fn handle_request(
         other => Err(format!(
             "unknown kind {other:?} (want ratio, certify, audit, or shutdown)"
         )),
+    }
+}
+
+/// The message of a caught panic payload.
+fn panic_text(payload: &(dyn std::any::Any + Send)) -> &str {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        s
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s
+    } else {
+        "request handler panicked"
     }
 }
 
@@ -364,7 +393,14 @@ fn handle_connection(conn: TcpStream, shared: &Shared, task_timeout: Option<Dura
             Ok(req) => {
                 let mut span = tf_obs::span!("serve", "request");
                 span.arg("id", req.id as f64);
-                (req.id, handle_request(&req, task_timeout), false)
+                // A panic must not end this worker: it would stop serving
+                // for good, and the pool would shrink by one thread.
+                let outcome =
+                    panic::catch_unwind(AssertUnwindSafe(|| handle_request(&req, task_timeout)))
+                        .unwrap_or_else(|payload| {
+                            Err(format!("internal error: {}", panic_text(&*payload)))
+                        });
+                (req.id, outcome, false)
             }
         };
         let reply = response_line(id, outcome);
@@ -453,15 +489,58 @@ mod tests {
         assert!(matches!(v.get("checks_run"), Some(serde::Value::UInt(n)) if *n > 0));
     }
 
-    /// A near-zero job size must be answered: a panic inside the LP
-    /// would kill the worker thread serving the line, since the serve
-    /// loop does not catch panics.
+    /// A near-zero job size must be answered, not turned into a caught
+    /// panic: the LP would divide by the size.
     #[test]
     fn near_zero_job_size_is_answered_not_a_panic() {
         for kind in ["ratio", "audit"] {
             let line = format!(r#"{{"id": 5, "kind": "{kind}", "trace": [[0, 3], [0, 1e-310]]}}"#);
             let req: Request = serde_json::from_str(&line).unwrap();
             assert!(handle_request(&req, None).is_ok(), "{kind}");
+        }
+    }
+
+    #[test]
+    fn out_of_range_fields_are_errors() {
+        let ok = Request {
+            id: 6,
+            kind: "ratio".into(),
+            trace: tiny_trace(),
+            policy: "rr".into(),
+            m: 1,
+            speed: None,
+            k: 2,
+            eps: 0.05,
+        };
+        let bad = [
+            Request { m: 0, ..ok.clone() },
+            Request { k: 0, ..ok.clone() },
+            Request {
+                eps: 0.0,
+                ..ok.clone()
+            },
+            Request {
+                eps: f64::NAN,
+                ..ok.clone()
+            },
+            Request {
+                speed: Some(0.0),
+                ..ok.clone()
+            },
+            Request {
+                speed: Some(f64::INFINITY),
+                ..ok.clone()
+            },
+        ];
+        for req in bad {
+            for kind in ["ratio", "certify", "audit"] {
+                let req = Request {
+                    kind: kind.into(),
+                    ..req.clone()
+                };
+                let err = handle_request(&req, None).unwrap_err();
+                assert!(err.starts_with("bad "), "{kind} {req:?}: {err}");
+            }
         }
     }
 

@@ -1,12 +1,17 @@
-//! End-to-end test of the real `tf-serve` binary: bind an ephemeral
+//! End-to-end tests of the real `tf-serve` binary: bind an ephemeral
 //! port, hit it with 8 concurrent client connections, check every
-//! response pairs with its request id, then shut the server down over
-//! the protocol itself.
+//! response pairs with its request id, feed a one-worker server
+//! out-of-range requests, then shut the server down over the protocol
+//! itself. Every read has a timeout, so a server that stops answering
+//! fails a test instead of hanging it.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::process::{Child, Command, Stdio};
 use std::time::Duration;
+
+/// How long a client waits for any one reply line.
+const READ_TIMEOUT: Duration = Duration::from_secs(60);
 
 struct Server {
     child: Child,
@@ -14,9 +19,9 @@ struct Server {
 }
 
 impl Server {
-    fn spawn() -> Server {
+    fn spawn(threads: usize) -> Server {
         let mut child = Command::new(env!("CARGO_BIN_EXE_tf-serve"))
-            .args(["--addr", "127.0.0.1:0", "--threads", "8"])
+            .args(["--addr", "127.0.0.1:0", "--threads", &threads.to_string()])
             .stdout(Stdio::null())
             .stderr(Stdio::piped())
             .spawn()
@@ -37,6 +42,8 @@ impl Server {
     fn connect(&self) -> TcpStream {
         for _ in 0..50 {
             if let Ok(s) = TcpStream::connect(&self.addr) {
+                s.set_read_timeout(Some(READ_TIMEOUT))
+                    .expect("read timeout");
                 return s;
             }
             std::thread::sleep(Duration::from_millis(10));
@@ -75,6 +82,8 @@ impl Drop for Server {
 
 fn roundtrip(server_addr: &str, request: &str) -> String {
     let mut conn = TcpStream::connect(server_addr).expect("connect");
+    conn.set_read_timeout(Some(READ_TIMEOUT))
+        .expect("read timeout");
     conn.write_all(request.as_bytes()).expect("send");
     conn.write_all(b"\n").expect("send newline");
     let mut reply = String::new();
@@ -86,7 +95,7 @@ fn roundtrip(server_addr: &str, request: &str) -> String {
 /// must carry its own request's id and succeed.
 #[test]
 fn serves_eight_concurrent_requests() {
-    let mut server = Server::spawn();
+    let mut server = Server::spawn(8);
     let addr = server.addr.clone();
 
     let handles: Vec<_> = (0..8u64)
@@ -126,7 +135,7 @@ fn serves_eight_concurrent_requests() {
 /// connection instead of killing it.
 #[test]
 fn malformed_requests_get_error_responses() {
-    let mut server = Server::spawn();
+    let mut server = Server::spawn(8);
     let mut conn = server.connect();
     conn.write_all(b"this is not json\n{\"id\": 5, \"kind\": \"bogus\"}\n")
         .expect("send");
@@ -145,5 +154,47 @@ fn malformed_requests_get_error_responses() {
         "{second}"
     );
     drop(conn);
+    server.shutdown();
+}
+
+/// Fields outside their valid range, and a `k` so large that an LP cost
+/// overflows and the solver panics, each get an `ok: false` reply. The
+/// server has one worker, so had any of these lines ended it, the
+/// `certify` on the next connection would never be answered.
+#[test]
+fn out_of_range_fields_get_errors_and_the_worker_survives() {
+    let mut server = Server::spawn(1);
+    let trace = r#""trace": [[0.0, 2.0], [0.0, 1.0], [1.0, 1.0]]"#;
+    let bad = [
+        r#""kind": "ratio", "k": 0"#,
+        r#""kind": "ratio", "m": 0"#,
+        r#""kind": "audit", "k": 0"#,
+        r#""kind": "audit", "m": 0"#,
+        r#""kind": "certify", "eps": 0"#,
+        r#""kind": "ratio", "eps": null"#, // parses as NaN
+        r#""kind": "ratio", "speed": 0"#,
+        r#""kind": "ratio", "speed": -1.5"#,
+        r#""kind": "ratio", "speed": 1e999"#, // parses as +inf
+        r#""kind": "ratio", "k": 1000"#,
+        r#""kind": "audit", "k": 1000"#,
+    ];
+    let mut conn = server.connect();
+    let mut reader = BufReader::new(conn.try_clone().expect("clone"));
+    for (i, fields) in bad.iter().enumerate() {
+        writeln!(conn, "{{\"id\": {i}, {fields}, {trace}}}").expect("send");
+        let mut reply = String::new();
+        reader
+            .read_line(&mut reply)
+            .unwrap_or_else(|e| panic!("no reply to {{{fields}}}: {e}"));
+        assert!(reply.contains(&format!("\"id\":{i},")), "{fields}: {reply}");
+        assert!(reply.contains("\"ok\":false"), "{fields}: {reply}");
+    }
+    drop((reader, conn));
+
+    let reply = roundtrip(
+        &server.addr,
+        &format!(r#"{{"id": 99, "kind": "certify", {trace}, "k": 2}}"#),
+    );
+    assert!(reply.contains("\"ok\":true"), "{reply}");
     server.shutdown();
 }
