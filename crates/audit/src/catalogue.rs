@@ -28,11 +28,10 @@
 //!   certified LP lower bound, and the dual-fitting certificate together:
 //!   the lower bound never exceeds any policy's cost (X1), the Theorem 1
 //!   certificate verifies on RR schedules at the prescribed speed (X2),
-//!   the optimized LP solver agrees with the PR-1 reference solver (X3),
-//!   and a warm-started column-generation solve reproduces the cold
-//!   exact bound (X4).
+//!   and the optimized LP solver agrees with the PR-1 reference solver
+//!   (X3).
 
-use tf_lowerbound::{lk_lower_bound, lower_bound, LbRequest, LowerBound, Method};
+use tf_lowerbound::{lk_lower_bound, lower_bound, LbRequest, Method};
 use tf_policies::{Policy, RoundRobin};
 use tf_simcore::validate::validate_schedule;
 use tf_simcore::{
@@ -47,7 +46,7 @@ pub struct AuditConfig {
     /// natural magnitude of each quantity (makespan for times, rate cap
     /// for rates, objective value for costs).
     pub rel_tol: f64,
-    /// Norm exponent `k` used by the cross-layer checks (X1–X4).
+    /// Norm exponent `k` used by the cross-layer checks (X1–X3).
     pub k: u32,
     /// The `ε` parameter of the Theorem 1 certificate check (X2).
     pub eps: f64,
@@ -64,7 +63,7 @@ impl Default for AuditConfig {
 }
 
 /// Traces with more jobs than this skip the expensive cross-layer checks
-/// (X2, X3, X4).
+/// (X2, X3).
 const MAX_EXACT_JOBS: usize = 12;
 
 /// One violated invariant.
@@ -931,8 +930,7 @@ fn differential_oracles(
 }
 
 /// X1 (lower bound dominates no policy), X2 (Theorem 1 certificate), X3
-/// (optimized LP solver ≡ reference solver), X4 (warm-started colgen ≡
-/// cold exact bound).
+/// (optimized LP solver ≡ reference solver).
 fn cross_layer_checks(
     trace: &Trace,
     m: usize,
@@ -946,15 +944,10 @@ fn cross_layer_checks(
     }
     let kf = f64::from(cfg.k);
     let small = trace.len() <= MAX_EXACT_JOBS;
-    let lp_checks = small && trace.is_integral(1e-9);
-    // X1 and X4 both compare against the same exact bound: solve it once
-    // per (trace, m), on first use.
-    let mut exact_bound: Option<LowerBound> = None;
-    let mut exact_lb = || *exact_bound.get_or_insert_with(|| lk_lower_bound(trace, m, cfg.k));
 
     if speed == 1.0 {
         rep.ran();
-        let lb = exact_lb();
+        let lb = lk_lower_bound(trace, m, cfg.k);
         for (p, s) in schedules {
             let obj = s.flow_power_sum(kf);
             if lb.value > obj * (1.0 + cfg.rel_tol) + cfg.rel_tol {
@@ -969,7 +962,7 @@ fn cross_layer_checks(
             }
         }
 
-        if lp_checks {
+        if small && trace.is_integral(1e-9) {
             rep.ran();
             let reference = LbRequest {
                 method: Method::Reference,
@@ -989,39 +982,6 @@ fn cross_layer_checks(
                     ),
                 );
             }
-        }
-    }
-
-    // X4 audits the scale-path solver (warm-started column generation)
-    // against the exact bound. The LP is speed-independent, so it runs
-    // at any simulation speed.
-    if lp_checks {
-        rep.ran();
-        let exact = exact_lb();
-        let tol = cfg.rel_tol * exact.value.abs().max(1.0);
-        // Seed the handle from a *different* instance (m+1) so the check
-        // exercises genuine dual remapping, not a no-op reuse.
-        let colgen = |m, warm| LbRequest {
-            method: Method::Colgen(warm),
-            ..LbRequest::new(m, cfg.k)
-        };
-        let neighbour = lower_bound(trace, &colgen(m + 1, None));
-        let warm = lower_bound(trace, &colgen(m, Some(&neighbour.warm)));
-        if warm.degraded {
-            rep.fail(
-                "X4-WARMSTART-EQUIV",
-                None,
-                "unlimited-budget colgen solve reported a budget trip".to_string(),
-            );
-        } else if (warm.bound.value - exact.value).abs() > tol {
-            rep.fail(
-                "X4-WARMSTART-EQUIV",
-                None,
-                format!(
-                    "warm-started colgen bound {} != cold exact {} (m={m}, k={})",
-                    warm.bound.value, exact.value, cfg.k
-                ),
-            );
         }
     }
 
@@ -1361,9 +1321,9 @@ mod tests {
 
     #[test]
     fn scale_path_checks_run_and_pass_on_clean_traces() {
-        // X4 is speed-independent: it must run (and pass) even at speed
-        // ≠ 1, where X1 and X3 are skipped. A half-slot shift makes the
-        // trace fractional, which skips X4 (and only X4) at speed 3.
+        // The LP checks X1 and X3 run (and pass) at speed 1 only. At
+        // speed ≠ 1 no LP is solved, so an integral trace runs exactly the
+        // checks of its half-slot-shifted fractional copy.
         let t = small_trace();
         let shifted =
             Trace::from_pairs(t.jobs().iter().map(|j| (j.arrival + 0.5, j.size))).unwrap();
@@ -1374,8 +1334,8 @@ mod tests {
         };
         assert_eq!(
             audit(&t, 3.0),
-            audit(&shifted, 3.0) + 1,
-            "X4 runs at speed 3"
+            audit(&shifted, 3.0),
+            "no LP check runs at speed 3"
         );
         assert_eq!(
             audit(&t, 1.0),

@@ -277,9 +277,10 @@ fn chunk_key(cfg: &FuzzConfig, lo: usize, hi: usize) -> TaskKey {
     let a = &cfg.audit;
     // v2: integral instances gained weighted generation and the catalogue
     // gained the W-checks, so v1 journal entries must not replay. v3: X5
-    // is gone and X1–X4 always run, so a chunk runs different checks.
+    // is gone and X1–X4 always run, so a chunk runs different checks. v4:
+    // X4 is gone, so a chunk runs fewer checks.
     let full = format!(
-        "audit v3 seed {:016x} chunk {lo}-{hi} rel_tol {:016x} k {} eps {:016x} metamorphic {}",
+        "audit v4 seed {:016x} chunk {lo}-{hi} rel_tol {:016x} k {} eps {:016x} metamorphic {}",
         cfg.seed,
         a.rel_tol.to_bits(),
         a.k,

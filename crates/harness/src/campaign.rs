@@ -1,5 +1,5 @@
 //! Fault-tolerant campaign runner: crash-safe journal, resume, per-task
-//! deadlines with bounded retry, graceful degradation — and sharded
+//! deadlines, graceful degradation — and sharded
 //! execution across worker processes (see [`crate::shard`]).
 //!
 //! A *campaign* is a long batch of deterministic tasks — experiment
@@ -120,9 +120,6 @@ pub struct CampaignCfg {
     /// Per-task wall-clock deadline (`--task-timeout SECS`); `None`
     /// means tasks run to completion.
     pub task_timeout: Option<Duration>,
-    /// Attempt cap for [`Campaign::run_fallible`] (first try included)
-    /// and for coordinator worker respawns.
-    pub max_attempts: u32,
     /// Worker mode: compute only this shard of the key space, journaling
     /// to `journal-<worker>.jsonl`. `None` = the ordinary single-process
     /// campaign.
@@ -134,13 +131,12 @@ pub struct CampaignCfg {
 }
 
 impl CampaignCfg {
-    /// Campaign in `dir` with no timeout, no resume, 3 attempts.
+    /// Campaign in `dir` with no timeout and no resume.
     pub fn new(dir: impl Into<PathBuf>) -> Self {
         CampaignCfg {
             dir: dir.into(),
             resume: false,
             task_timeout: None,
-            max_attempts: 3,
             shard: None,
             no_dirsync: false,
         }
@@ -271,10 +267,8 @@ pub struct RunStats {
     pub replays: u64,
     /// Tasks computed (and journaled) this process.
     pub computed: u64,
-    /// Total task attempts, including retries.
+    /// Task computations started.
     pub attempts: u64,
-    /// Failed attempts that were retried.
-    pub retries: u64,
     /// Lower-bound solves that degraded to closed-form bounds.
     pub degradations: u64,
     /// Replays rejected because the stored full descriptor did not match
@@ -296,7 +290,6 @@ pub struct Campaign {
     replays: AtomicU64,
     computed: AtomicU64,
     attempts: AtomicU64,
-    retries: AtomicU64,
     degradations: AtomicU64,
     collisions: AtomicU64,
     stolen: AtomicU64,
@@ -373,7 +366,6 @@ impl Campaign {
             replays: AtomicU64::new(0),
             computed: AtomicU64::new(0),
             attempts: AtomicU64::new(0),
-            retries: AtomicU64::new(0),
             degradations: AtomicU64::new(0),
             collisions: AtomicU64::new(0),
             stolen: AtomicU64::new(0),
@@ -610,44 +602,6 @@ impl Campaign {
         skip()
     }
 
-    /// As [`Campaign::run_structural`] for fallible tasks: up to
-    /// `cfg.max_attempts` tries with jittered exponential backoff
-    /// between them. Only an `Ok` result is journaled; the final `Err`
-    /// is returned for the caller to surface (or skip) — one bad task
-    /// must not abort the campaign.
-    pub fn run_fallible<T, E, F>(&self, key: &TaskKey, mut attempt: F) -> Result<T, E>
-    where
-        T: Serialize + DeserializeOwned,
-        F: FnMut(u32) -> Result<T, E>,
-    {
-        if let Some(v) = self.replay_as(key) {
-            return Ok(v);
-        }
-        let max = self.cfg.max_attempts.max(1);
-        let mut last = None;
-        for i in 0..max {
-            self.attempts.fetch_add(1, Ordering::Relaxed);
-            tf_obs::instant!("campaign", "attempt");
-            match attempt(i) {
-                Ok(v) => {
-                    self.record(key, &v, true);
-                    self.computed.fetch_add(1, Ordering::Relaxed);
-                    self.pass_computed.fetch_add(1, Ordering::Relaxed);
-                    return Ok(v);
-                }
-                Err(e) => {
-                    last = Some(e);
-                    if i + 1 < max {
-                        self.retries.fetch_add(1, Ordering::Relaxed);
-                        tf_obs::instant!("campaign", "retry");
-                        std::thread::sleep(backoff(key.short(), i));
-                    }
-                }
-            }
-        }
-        Err(last.expect("at least one attempt ran"))
-    }
-
     /// Count one lower-bound degradation (budget-exceeded LP solve that
     /// fell back to closed-form bounds).
     pub fn note_degraded(&self) {
@@ -661,7 +615,6 @@ impl Campaign {
             replays: self.replays.load(Ordering::Relaxed),
             computed: self.computed.load(Ordering::Relaxed),
             attempts: self.attempts.load(Ordering::Relaxed),
-            retries: self.retries.load(Ordering::Relaxed),
             degradations: self.degradations.load(Ordering::Relaxed),
             collisions: self.collisions.load(Ordering::Relaxed),
             stolen: self.stolen.load(Ordering::Relaxed),
@@ -705,7 +658,6 @@ impl Campaign {
             ("campaign.replays", s.replays as f64),
             ("campaign.computed", s.computed as f64),
             ("campaign.attempts", s.attempts as f64),
-            ("campaign.retries", s.retries as f64),
             ("campaign.degradations", s.degradations as f64),
             ("campaign.collisions", s.collisions as f64),
             ("campaign.stolen", s.stolen as f64),
@@ -864,20 +816,6 @@ impl std::fmt::Debug for CampaignScope {
     }
 }
 
-/// Exponential backoff with deterministic jitter: base 25 ms doubling
-/// per attempt, capped at 2 s, plus up to 100% jitter drawn from an
-/// FNV-1a hash of `(key, attempt)` — no RNG state, so two processes
-/// retrying the same key still decorrelate from *other* keys.
-fn backoff(key: &str, attempt: u32) -> Duration {
-    let base_ms = 25u64.saturating_mul(1 << attempt.min(6)).min(2_000);
-    let mut h = 0xcbf29ce484222325u64 ^ u64::from(attempt);
-    for b in key.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    Duration::from_millis(base_ms + h % (base_ms + 1))
-}
-
 /// Stable fingerprint helper for campaign task keys (FNV-1a over raw
 /// bytes, like the lower-bound cache key).
 pub fn fingerprint(bytes: impl IntoIterator<Item = u8>) -> u64 {
@@ -1018,47 +956,6 @@ mod tests {
     }
 
     #[test]
-    fn run_fallible_retries_then_succeeds_and_journals() {
-        let dir = scratch("retry");
-        let mut cfg = CampaignCfg::new(&dir);
-        cfg.max_attempts = 3;
-        let c = Campaign::open(cfg).unwrap();
-        let mut calls = 0u32;
-        let r: Result<u32, String> = c.run_fallible(&key("flaky"), |attempt| {
-            calls += 1;
-            if attempt < 2 {
-                Err(format!("transient {attempt}"))
-            } else {
-                Ok(42)
-            }
-        });
-        assert_eq!(r.unwrap(), 42);
-        assert_eq!(calls, 3);
-        let s = c.stats();
-        assert_eq!((s.attempts, s.retries, s.computed), (3, 2, 1));
-
-        // Journaled: a resumed campaign replays without calling again.
-        drop(c);
-        let c2 = Campaign::open(CampaignCfg::new(&dir).resume(true)).unwrap();
-        let r2: Result<u32, String> = c2.run_fallible(&key("flaky"), |_| panic!("must replay"));
-        assert_eq!(r2.unwrap(), 42);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn run_fallible_exhausts_attempts_and_reports_last_error() {
-        let dir = scratch("fail");
-        let mut cfg = CampaignCfg::new(&dir);
-        cfg.max_attempts = 2;
-        let c = Campaign::open(cfg).unwrap();
-        let r: Result<u32, String> = c.run_fallible(&key("doomed"), |i| Err(format!("boom {i}")));
-        assert_eq!(r.unwrap_err(), "boom 1");
-        let s = c.stats();
-        assert_eq!((s.attempts, s.retries, s.computed), (2, 1, 0));
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn scope_budget_and_degradation() {
         let dir = scratch("scope");
         assert!(CampaignScope::none().task_budget().is_unlimited());
@@ -1124,6 +1021,15 @@ mod tests {
         // Counters live in stats.json, not the manifest.
         let s = read_stats(&dir1).unwrap();
         assert_eq!(s.computed, 2);
+        // A stats.json from before the retry counter was dropped loads.
+        std::fs::write(
+            dir2.join("stats.json"),
+            r#"{"replays":1,"computed":2,"attempts":2,"retries":0,"degradations":0,
+                "collisions":0,"stolen":0,"skipped":0}"#,
+        )
+        .unwrap();
+        let old = read_stats(&dir2).unwrap();
+        assert_eq!((old.replays, old.computed, old.attempts), (1, 2, 2));
         std::fs::remove_dir_all(&dir1).ok();
         std::fs::remove_dir_all(&dir2).ok();
     }
@@ -1217,19 +1123,6 @@ mod tests {
         assert_eq!(ShardSpec::parse("x/2"), None);
         assert_eq!(ShardSpec::parse("3"), None);
         assert_eq!(ShardSpec { worker: 2, of: 8 }.to_string(), "2/8");
-    }
-
-    #[test]
-    fn backoff_is_bounded_and_deterministic() {
-        for attempt in 0..10 {
-            let d = backoff("some:key", attempt);
-            assert_eq!(d, backoff("some:key", attempt));
-            assert!(
-                d <= Duration::from_millis(4_000),
-                "attempt {attempt}: {d:?}"
-            );
-        }
-        assert_ne!(backoff("a", 0), backoff("b", 0), "jitter decorrelates keys");
     }
 
     #[test]

@@ -3,13 +3,13 @@
 //! The LP component of the lower bound (min-cost flow over a time-indexed
 //! network) dominates experiment wall-clock, and the experiment suite
 //! re-evaluates the same seeded traces run after run. Since a bound is a
-//! pure function of `(trace, m, k)`, the solve method and the solver code,
-//! we memoize it on disk under `results/cache/`, keyed by a content hash
-//! of the trace bytes plus the parameters, the method and a solver
-//! version. [`cached_lower_bound`] is the one entry point: it takes the
-//! same [`LbRequest`] as [`tf_lowerbound::lower_bound`] and caches the
-//! unweighted exact methods ([`Method::Exact`] and [`Method::Colgen`]);
-//! every other request passes straight through to the solver.
+//! pure function of `(trace, m, k)` and the solver code, we memoize it on
+//! disk under `results/cache/`, keyed by a content hash of the trace
+//! bytes plus the parameters and a solver version. [`cached_lower_bound`]
+//! is the one entry point: it takes the same [`LbRequest`] as
+//! [`tf_lowerbound::lower_bound`] and caches unweighted
+//! [`Method::Exact`] requests; every other request passes straight
+//! through to the solver.
 //!
 //! Bump [`SOLVER_VERSION`] whenever `tf-lowerbound`'s numeric behaviour
 //! changes; stale entries are then simply never looked up again.
@@ -21,7 +21,7 @@
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use tf_lowerbound::{lower_bound, LbOutcome, LbRequest, LowerBound, LpWarmStart, Method};
+use tf_lowerbound::{lower_bound, LbOutcome, LbRequest, LowerBound, Method};
 use tf_simcore::Trace;
 
 /// Version tag mixed into every cache key. Bump when the lower-bound
@@ -32,25 +32,19 @@ use tf_simcore::Trace;
 /// ulps, so old entries must not be reused).
 ///
 /// v3: settled-region-restricted blocking flow plus the column-generation
-/// solve path. Keys now also carry a solve-method tag, so entries from
-/// different solve paths never alias.
-pub const SOLVER_VERSION: u32 = 3;
+/// solve path. Keys also carried a solve-method tag, so entries from
+/// different solve paths never aliased.
+///
+/// v4: [`Method::Exact`] runs column generation above 80 jobs, which may
+/// land a last ulp away from the old full-network solve; it is the one
+/// cached method, so keys carry no method tag.
+pub const SOLVER_VERSION: u32 = 4;
 
-/// Stable byte tag of a cacheable request's solve method, appended to
-/// the key material; `None` for requests that are never cached.
-/// `Exact` and `Colgen` both produce the exact bound but may differ in
-/// the last ulps (different augmentation order), so they never share
-/// entries. The reference solver is an audit oracle and weighted bounds
-/// have a different objective: neither is cached.
-fn method_tag(req: &LbRequest) -> Option<u8> {
-    if req.weighted {
-        return None;
-    }
-    match req.method {
-        Method::Exact => Some(0),
-        Method::Colgen(_) => Some(1),
-        Method::Reference => None,
-    }
+/// Whether `req` is cached: unweighted [`Method::Exact`] requests only.
+/// The reference solver is an audit oracle and weighted bounds have a
+/// different objective: neither is cached.
+fn cacheable(req: &LbRequest) -> bool {
+    !req.weighted && matches!(req.method, Method::Exact)
 }
 
 static ENABLED: AtomicBool = AtomicBool::new(true);
@@ -101,9 +95,9 @@ fn fnv1a(bytes: impl IntoIterator<Item = u8>, seed: u64) -> u64 {
     h
 }
 
-/// 128-bit content key over the trace's job data, the bound parameters,
-/// and the solve method's tag.
-fn key(trace: &Trace, m: usize, k: u32, tag: u8) -> String {
+/// 128-bit content key over the trace's job data and the bound
+/// parameters.
+fn key(trace: &Trace, m: usize, k: u32) -> String {
     let mut bytes: Vec<u8> = Vec::with_capacity(trace.len() * 24 + 32);
     for j in trace.jobs() {
         bytes.extend_from_slice(&j.arrival.to_bits().to_le_bytes());
@@ -113,16 +107,13 @@ fn key(trace: &Trace, m: usize, k: u32, tag: u8) -> String {
     bytes.extend_from_slice(&(m as u64).to_le_bytes());
     bytes.extend_from_slice(&k.to_le_bytes());
     bytes.extend_from_slice(&SOLVER_VERSION.to_le_bytes());
-    bytes.push(tag);
     let lo = fnv1a(bytes.iter().copied(), 0);
     let hi = fnv1a(bytes.iter().copied(), 0x9e3779b97f4a7c15);
     format!("{hi:016x}{lo:016x}")
 }
 
 /// [`tf_lowerbound::lower_bound`] with on-disk memoization. Semantics are
-/// identical to calling the solver directly; only wall-clock differs —
-/// except that a hit carries no warm-start handle (there was no solve to
-/// harvest duals from).
+/// identical to calling the solver directly; only wall-clock differs.
 ///
 /// Hits are returned whatever the request's budget: a cached entry is
 /// always the *full* bound, so it can only be better than a degraded
@@ -130,12 +121,11 @@ fn key(trace: &Trace, m: usize, k: u32, tag: u8) -> String {
 /// fallback — is **not** stored: caching it would silently weaken later
 /// unlimited runs that trust cache entries to be full bounds.
 pub fn cached_lower_bound(trace: &Trace, req: &LbRequest) -> LbOutcome {
-    let tag = method_tag(req).filter(|_| enabled());
-    let Some(tag) = tag else {
+    if !(cacheable(req) && enabled()) {
         MISSES.fetch_add(1, Ordering::Relaxed);
         return lower_bound(trace, req);
-    };
-    let path = cache_dir().join(format!("lb-{}.json", key(trace, req.m, req.k, tag)));
+    }
+    let path = cache_dir().join(format!("lb-{}.json", key(trace, req.m, req.k)));
     if let Ok(text) = std::fs::read_to_string(&path) {
         if let Ok(bound) = serde_json::from_str::<LowerBound>(&text) {
             HITS.fetch_add(1, Ordering::Relaxed);
@@ -143,7 +133,6 @@ pub fn cached_lower_bound(trace: &Trace, req: &LbRequest) -> LbOutcome {
             return LbOutcome {
                 bound,
                 degraded: false,
-                warm: LpWarmStart::default(),
             };
         }
     }
@@ -196,92 +185,37 @@ mod tests {
         LbRequest::new(m, k)
     }
 
-    fn colgen(m: usize, k: u32) -> LbRequest<'static> {
-        LbRequest {
-            method: Method::Colgen(None),
-            ..LbRequest::new(m, k)
-        }
-    }
-
     #[test]
     fn key_is_content_addressed() {
         let t = trace();
-        assert_eq!(key(&t, 1, 2, 0), key(&trace(), 1, 2, 0));
-        assert_ne!(key(&t, 1, 2, 0), key(&t, 2, 2, 0));
-        assert_ne!(key(&t, 1, 2, 0), key(&t, 1, 3, 0));
+        assert_eq!(key(&t, 1, 2), key(&trace(), 1, 2));
+        assert_ne!(key(&t, 1, 2), key(&t, 2, 2));
+        assert_ne!(key(&t, 1, 2), key(&t, 1, 3));
         let other = Trace::from_pairs([(0.0, 2.0), (1.0, 1.0), (1.0, 3.5)]).unwrap();
-        assert_ne!(key(&t, 1, 2, 0), key(&other, 1, 2, 0));
+        assert_ne!(key(&t, 1, 2), key(&other, 1, 2));
     }
 
-    /// The key material is a persistent format: a change to these
-    /// digests orphans every existing `results/cache/` entry.
+    /// The key material is a persistent format: a change to this digest
+    /// orphans every existing `results/cache/` entry.
     #[test]
     fn cache_key_bytes_are_pinned() {
-        let t = trace();
-        let tag = |req: LbRequest| method_tag(&req).expect("cacheable");
-        assert_eq!(
-            key(&t, 2, 2, tag(exact(2, 2))),
-            "6066519c1069a4c1211537f89f64987a"
-        );
-        assert_eq!(
-            key(&t, 2, 2, tag(colgen(2, 2))),
-            "6066509c1069a30e211538f89f649a2d"
-        );
+        assert_eq!(key(&trace(), 2, 2), "084d024cf6523a4cfb111d6c5e4395c9");
     }
 
-    /// The pre-fix key ignored the solve method, so an entry from one
-    /// path could be read back by a lookup for another — this test fails
-    /// on that key. Oracle and weighted bounds are never cached at all.
+    /// Oracle and weighted bounds are never cached at all.
     #[test]
-    fn solve_methods_never_alias_in_the_key() {
-        let t = trace();
-        let ex = method_tag(&exact(2, 2)).unwrap();
-        let cg = method_tag(&colgen(2, 2)).unwrap();
-        assert_ne!(key(&t, 2, 2, ex), key(&t, 2, 2, cg));
+    fn only_unweighted_exact_requests_are_cached() {
+        assert!(cacheable(&exact(2, 2)));
         let reference = LbRequest {
             method: Method::Reference,
             ..LbRequest::new(2, 2)
         };
-        assert_eq!(method_tag(&reference), None);
+        assert!(!cacheable(&reference));
         let weighted = LbRequest {
             weighted: true,
             ..LbRequest::new(2, 2)
         };
-        assert_eq!(method_tag(&weighted), None);
-    }
-
-    #[test]
-    fn cached_colgen_matches_the_solver_and_is_stored_separately() {
-        let _guard = ENABLED_LOCK.lock().unwrap();
-        if !enabled() {
-            return; // TF_LB_CACHE=0 in the environment: nothing to test
-        }
-        // A trace no other test uses, so this test owns its cache entries.
-        let t = Trace::from_pairs([(0.0, 2.0), (0.0, 1.0), (2.0, 3.0), (4.0, 1.0), (4.0, 2.0)])
-            .unwrap();
-        let (m, k) = (2usize, 2u32);
-        let cg_path = cache_dir().join(format!("lb-{}.json", key(&t, m, k, 1)));
-        let ex_path = cache_dir().join(format!("lb-{}.json", key(&t, m, k, 0)));
-        let _ = std::fs::remove_file(&cg_path);
-        let _ = std::fs::remove_file(&ex_path);
-
-        let cold = cached_lower_bound(&t, &colgen(m, k));
-        assert_eq!(cold.bound, lk_lower_bound(&t, m, k));
-        assert!(cg_path.exists(), "colgen entry written under its own key");
-        assert!(!ex_path.exists(), "the exact key must stay untouched");
-        let hit = cached_lower_bound(&t, &colgen(m, k));
-        assert_eq!(hit.bound, cold.bound);
-
-        // A zero budget degrades and never caches.
-        let _ = std::fs::remove_file(&cg_path);
-        let spent = SolveBudget::with_timeout(std::time::Duration::ZERO);
-        let req = LbRequest {
-            budget: &spent,
-            ..colgen(m, k)
-        };
-        assert!(cached_lower_bound(&t, &req).degraded);
-        assert!(!cg_path.exists(), "a tripped colgen solve must not cache");
-        let _ = std::fs::remove_file(&cg_path);
+        assert!(!cacheable(&weighted));
     }
 
     #[test]
@@ -322,7 +256,7 @@ mod tests {
         // A trace no other test uses, so this test owns its cache entry.
         let t = Trace::from_pairs([(0.0, 3.0), (1.0, 4.0), (2.0, 2.0), (5.0, 1.0)]).unwrap();
         let (m, k) = (1usize, 3u32);
-        let path = cache_dir().join(format!("lb-{}.json", key(&t, m, k, 0)));
+        let path = cache_dir().join(format!("lb-{}.json", key(&t, m, k)));
         let _ = std::fs::remove_file(&path);
 
         let spent = SolveBudget::with_timeout(std::time::Duration::ZERO);
@@ -355,7 +289,7 @@ mod tests {
         let t = Trace::from_pairs([(0.0, 4.0), (1.0, 2.0), (3.0, 3.0), (3.0, 1.0), (6.0, 2.0)])
             .unwrap();
         let (m, k) = (2usize, 2u32);
-        let path = cache_dir().join(format!("lb-{}.json", key(&t, m, k, 0)));
+        let path = cache_dir().join(format!("lb-{}.json", key(&t, m, k)));
         let expect = lk_lower_bound(&t, m, k);
 
         // Both threads start cold on the same key and race the full

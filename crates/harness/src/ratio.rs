@@ -15,7 +15,7 @@ use crate::campaign::{fingerprint128, CampaignScope, TaskKey};
 use crate::lbcache::cached_lower_bound;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
-use tf_lowerbound::{LbOutcome, LbRequest, LpWarmStart, Method};
+use tf_lowerbound::LbRequest;
 use tf_policies::Policy;
 use tf_simcore::{simulate, MachineConfig, SimOptions, SimStats, Trace};
 
@@ -101,6 +101,11 @@ pub fn empirical_ratio(
 /// [`empirical_ratio`] under a [`CampaignScope`]: the LP solve runs
 /// against the scope's per-task budget, and a degraded bound is counted
 /// on the scope's campaign.
+///
+/// The lower bound comes through the lb cache with its provenance label:
+/// the winning bound's label, plus ` (degraded)` when the LP solve was
+/// abandoned for budget reasons. A degraded bound stays valid, only
+/// weaker.
 #[allow(clippy::too_many_arguments)]
 pub fn empirical_ratio_scoped(
     scope: &CampaignScope,
@@ -116,52 +121,14 @@ pub fn empirical_ratio_scoped(
         budget: &budget,
         ..LbRequest::new(m, k)
     };
-    let (lb, lb_provenance) = scoped_lower_bound(scope, trace, &req);
-    assemble_estimate(
-        trace,
-        policy,
-        m,
-        speed,
-        k,
-        baselines,
-        lb.bound.value,
-        lb_provenance,
-    )
-}
-
-/// The certified lower bound for `req`, through the lb cache, with its
-/// provenance label: the winning bound's label, plus ` (degraded)` when
-/// the LP solve was abandoned for budget reasons — the degradation is
-/// then also counted on `scope`'s campaign. A degraded bound stays valid,
-/// only weaker.
-fn scoped_lower_bound(
-    scope: &CampaignScope,
-    trace: &Trace,
-    req: &LbRequest,
-) -> (LbOutcome, String) {
-    let out = cached_lower_bound(trace, req);
-    let mut provenance = out.bound.kind.label().to_string();
-    if out.degraded {
-        provenance.push_str(" (degraded)");
+    let lb = cached_lower_bound(trace, &req);
+    let mut lb_provenance = lb.bound.kind.label().to_string();
+    if lb.degraded {
+        lb_provenance.push_str(" (degraded)");
         scope.note_degraded();
     }
-    (out, provenance)
-}
+    let lb_value = lb.bound.value;
 
-/// Shared tail of every `empirical_ratio*` variant: evaluate the policy
-/// and the baselines, then assemble the bracket around the given
-/// certified lower bound.
-#[allow(clippy::too_many_arguments)]
-fn assemble_estimate(
-    trace: &Trace,
-    policy: Policy,
-    m: usize,
-    speed: f64,
-    k: u32,
-    baselines: &[Policy],
-    lb_value: f64,
-    lb_provenance: String,
-) -> RatioEstimate {
     let kf = f64::from(k);
     let mut alloc = policy.make();
     let alg = simulate(
@@ -192,46 +159,6 @@ fn assemble_estimate(
         stats: alg.stats,
         lb_provenance,
     }
-}
-
-/// [`empirical_ratio`] with the lower bound computed by the
-/// column-generation solver, threading a dual warm-start handle between
-/// neighbouring calls (sweeps over `m`, `k`, or nearby traces). The
-/// bound value is the exact LP bound — colgen terminates on a clean
-/// pricing certificate — so the estimate's semantics match
-/// [`empirical_ratio`]; only wall-clock differs. Returns the handle to
-/// pass to the next neighbour (`None` if the solve degraded — a tripped
-/// budget degrades to the closed-form bounds, as in
-/// [`empirical_ratio_scoped`]).
-#[allow(clippy::too_many_arguments)]
-pub fn empirical_ratio_warm(
-    scope: &CampaignScope,
-    trace: &Trace,
-    policy: Policy,
-    m: usize,
-    speed: f64,
-    k: u32,
-    baselines: &[Policy],
-    warm: Option<&LpWarmStart>,
-) -> (RatioEstimate, Option<LpWarmStart>) {
-    let budget = scope.task_budget();
-    let req = LbRequest {
-        method: Method::Colgen(warm),
-        budget: &budget,
-        ..LbRequest::new(m, k)
-    };
-    let (lb, lb_provenance) = scoped_lower_bound(scope, trace, &req);
-    let estimate = assemble_estimate(
-        trace,
-        policy,
-        m,
-        speed,
-        k,
-        baselines,
-        lb.bound.value,
-        lb_provenance,
-    );
-    (estimate, (!lb.degraded).then_some(lb.warm))
 }
 
 /// One (trace, policy, m, speed, k) evaluation for the batched fan-out
@@ -508,36 +435,6 @@ mod tests {
             second[0].lower_bound.to_bits()
         );
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn warm_ratio_matches_the_exact_bracket_and_chains_handles() {
-        // Big enough to exercise the colgen path (not the SSP crossover).
-        let t = Trace::from_pairs((0..100).map(|i| ((i / 2) as f64, (1 + (i * 7 + 3) % 4) as f64)))
-            .unwrap();
-        let mut warm: Option<LpWarmStart> = None;
-        for m in [1usize, 2] {
-            let exact = empirical_ratio(&t, Policy::Rr, m, 1.0, 2, &default_baselines());
-            let (r, handle) = empirical_ratio_warm(
-                &CampaignScope::none(),
-                &t,
-                Policy::Rr,
-                m,
-                1.0,
-                2,
-                &default_baselines(),
-                warm.as_ref(),
-            );
-            assert_eq!(r.alg_power_sum, exact.alg_power_sum, "m={m}");
-            assert!(
-                (r.lower_bound - exact.lower_bound).abs() <= 1e-7 * exact.lower_bound,
-                "m={m}: warm {} vs exact {}",
-                r.lower_bound,
-                exact.lower_bound
-            );
-            assert!(!r.lb_provenance.contains("degraded"), "m={m}");
-            warm = handle;
-        }
     }
 
     #[test]

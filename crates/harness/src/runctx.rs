@@ -175,8 +175,8 @@ impl RunCtx {
             Ok(_) => {
                 let s = c.stats();
                 eprintln!(
-                    "campaign: {} replayed, {} computed, {} attempts, {} retries, {} degradations",
-                    s.replays, s.computed, s.attempts, s.retries, s.degradations
+                    "campaign: {} replayed, {} computed, {} attempts, {} degradations",
+                    s.replays, s.computed, s.attempts, s.degradations
                 );
             }
             Err(e) => eprintln!("campaign: manifest write failed: {e}"),

@@ -38,8 +38,9 @@ pub enum SweepInstance {
     },
 }
 
-/// A full sweep specification.
-#[derive(Debug, Clone, Serialize)]
+/// A full sweep specification. Unknown keys are ignored, so configs
+/// that still carry the retired `warm_lb` flag parse unchanged.
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SweepConfig {
     /// Instances to evaluate.
     pub instances: Vec<SweepInstance>,
@@ -52,36 +53,6 @@ pub struct SweepConfig {
     pub ks: Vec<u32>,
     /// Machine counts.
     pub ms: Vec<usize>,
-    /// Opt-in: compute lower bounds with the warm-started
-    /// column-generation solver, chaining each grid point's dual handle
-    /// into the next point of the same instance (same certified exact
-    /// bound, fewer solver phases on large grids). Off by default — the
-    /// default path is byte-identical to previous releases.
-    pub warm_lb: bool,
-}
-
-/// Hand-written (the vendored derive has no `#[serde(default)]`) so
-/// configs written before `warm_lb` existed still parse, defaulting to
-/// the exact-solver path.
-impl serde::Deserialize for SweepConfig {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let m = v
-            .as_map()
-            .ok_or_else(|| serde::Error::expected("map for struct SweepConfig", v))?;
-        let req =
-            |f: &'static str| serde::map_get(m, f).ok_or_else(|| serde::Error::missing_field(f));
-        Ok(SweepConfig {
-            instances: serde::Deserialize::from_value(req("instances")?)?,
-            policies: serde::Deserialize::from_value(req("policies")?)?,
-            speeds: serde::Deserialize::from_value(req("speeds")?)?,
-            ks: serde::Deserialize::from_value(req("ks")?)?,
-            ms: serde::Deserialize::from_value(req("ms")?)?,
-            warm_lb: match serde::map_get(m, "warm_lb") {
-                Some(v) => serde::Deserialize::from_value(v)?,
-                None => false,
-            },
-        })
-    }
 }
 
 impl SweepConfig {
@@ -127,11 +98,8 @@ pub fn run_sweep(cfg: &SweepConfig) -> Result<Table, String> {
     run_sweep_scoped(&CampaignScope::none(), cfg)
 }
 
-/// [`run_sweep`] under a [`CampaignScope`]: on the default (exact) path
-/// each grid point journals under its content-addressed ratio key and
-/// replays on resume. The warm path chains solver state between points,
-/// so its points are not independently journalable; it uses the scope
-/// for per-task budgets only.
+/// [`run_sweep`] under a [`CampaignScope`]: each grid point journals
+/// under its content-addressed ratio key and replays on resume.
 pub fn run_sweep_scoped(scope: &CampaignScope, cfg: &SweepConfig) -> Result<Table, String> {
     let mut obs_span = tf_obs::span!("harness", "sweep");
     let policies = cfg.parsed_policies()?;
@@ -159,82 +127,32 @@ pub fn run_sweep_scoped(scope: &CampaignScope, cfg: &SweepConfig) -> Result<Tabl
     }
     // Grid point `i` records onto logical track `i + 1` (track 0 is the
     // main thread), keeping trace structure thread-count independent.
-    let render = |name: &str, p: &Policy, m: usize, s: f64, k: u32, r: &RatioEstimate| {
-        vec![
-            name.to_string(),
-            p.to_string(),
-            m.to_string(),
-            fnum(s),
-            k.to_string(),
-            fnum(r.alg_power_sum),
-            fnum(r.lower_bound),
-            fnum(r.best_power_sum),
-            fnum(r.ratio_vs_best),
-            fnum(r.ratio_vs_lb),
-        ]
-    };
-    let rows: Vec<_> = if cfg.warm_lb {
-        // Warm path: points of one instance share a dual warm-start
-        // chain, so they must run sequentially; distinct instances still
-        // fan out in parallel. Row order matches the default path — the
-        // groups are contiguous runs of the point list.
-        let mut groups: Vec<(u32, Vec<&SweepPoint>)> = Vec::new();
-        for (idx, point) in points.iter().enumerate() {
-            let start_new = match groups.last().and_then(|(_, g)| g.last()) {
-                Some(prev) => prev.0 != point.0 || prev.3 != point.3,
-                None => true,
-            };
-            if start_new {
-                groups.push((idx as u32, Vec::new()));
-            }
-            groups.last_mut().expect("just pushed").1.push(point);
-        }
-        let mut rows: Vec<Vec<String>> = Vec::with_capacity(points.len());
-        let group_rows: Vec<Vec<Vec<String>>> = groups
-            .par_iter()
-            .map(|(first, group)| {
-                let mut warm = None;
-                let mut out = Vec::with_capacity(group.len());
-                for (off, (name, trace, p, m, s, k)) in group.iter().enumerate() {
-                    let i = *first + off as u32;
-                    let _track = tf_obs::set_track(i + 1);
-                    let mut span = tf_obs::span!("harness", "sweep_point");
-                    span.arg("point", f64::from(i));
-                    let (r, handle) = crate::ratio::empirical_ratio_warm(
-                        scope,
-                        trace,
-                        *p,
-                        *m,
-                        *s,
-                        *k,
-                        &baselines,
-                        warm.as_ref(),
-                    );
-                    warm = handle;
-                    out.push(render(name, p, *m, *s, *k, &r));
-                }
-                out
-            })
-            .collect();
-        rows.extend(group_rows.into_iter().flatten());
-        rows
-    } else {
-        let indexed: Vec<(u32, _)> = (0u32..).zip(points.iter()).collect();
-        indexed
-            .par_iter()
-            .map(|&(i, (name, trace, p, m, s, k))| {
-                let _track = tf_obs::set_track(i + 1);
-                let mut span = tf_obs::span!("harness", "sweep_point");
-                span.arg("point", f64::from(i));
-                let r = scope.run_leaf(
-                    &ratio_task_key(trace, *p, *m, *s, *k, &baselines),
-                    || empirical_ratio_scoped(scope, trace, *p, *m, *s, *k, &baselines),
-                    RatioEstimate::skipped,
-                );
-                render(name, p, *m, *s, *k, &r)
-            })
-            .collect()
-    };
+    let indexed: Vec<(u32, _)> = (0u32..).zip(points.iter()).collect();
+    let rows: Vec<_> = indexed
+        .par_iter()
+        .map(|&(i, (name, trace, p, m, s, k))| {
+            let _track = tf_obs::set_track(i + 1);
+            let mut span = tf_obs::span!("harness", "sweep_point");
+            span.arg("point", f64::from(i));
+            let r = scope.run_leaf(
+                &ratio_task_key(trace, *p, *m, *s, *k, &baselines),
+                || empirical_ratio_scoped(scope, trace, *p, *m, *s, *k, &baselines),
+                RatioEstimate::skipped,
+            );
+            vec![
+                name.to_string(),
+                p.to_string(),
+                m.to_string(),
+                fnum(*s),
+                k.to_string(),
+                fnum(r.alg_power_sum),
+                fnum(r.lower_bound),
+                fnum(r.best_power_sum),
+                fnum(r.ratio_vs_best),
+                fnum(r.ratio_vs_lb),
+            ]
+        })
+        .collect();
     for row in rows {
         table.push_row(row);
     }
@@ -264,7 +182,6 @@ mod tests {
             speeds: vec![1.0, 2.0],
             ks: vec![1, 2],
             ms: vec![1],
-            warm_lb: false,
         }
     }
 
@@ -281,35 +198,16 @@ mod tests {
     }
 
     #[test]
-    fn warm_sweep_matches_the_default_bracket() {
-        let mut cfg = tiny_cfg();
-        cfg.ms = vec![1, 2];
-        let cold = run_sweep(&cfg).unwrap();
-        cfg.warm_lb = true;
-        let warm = run_sweep(&cfg).unwrap();
-        assert_eq!(cold.rows.len(), warm.rows.len());
-        for (c, w) in cold.rows.iter().zip(&warm.rows) {
-            // Identity columns are byte-equal; the LB column is the same
-            // exact LP bound computed by a different augmentation order,
-            // so compare numerically.
-            assert_eq!(c[..6], w[..6], "identity/alg columns differ");
-            for col in 6..10 {
-                let cv: f64 = c[col].parse().unwrap();
-                let wv: f64 = w[col].parse().unwrap();
-                assert!(
-                    (cv - wv).abs() <= 1e-6 * (1.0 + cv.abs()),
-                    "col {col}: {cv} vs {wv}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn config_without_warm_lb_field_still_parses() {
-        let json = r#"{"instances":[{"Poisson":{"n":8,"rho":0.8,"sizes":{"Uniform":{"lo":1.0,"hi":3.0}},"seed":1}}],
-                       "policies":["rr"],"speeds":[1.0],"ks":[1],"ms":[1]}"#;
-        let cfg: SweepConfig = serde_json::from_str(json).unwrap();
-        assert!(!cfg.warm_lb, "missing field defaults to the exact path");
+    fn config_with_the_retired_warm_lb_field_still_parses() {
+        let json = |extra: &str| {
+            format!(
+                r#"{{"instances":[{{"Poisson":{{"n":8,"rho":0.8,"sizes":{{"Uniform":{{"lo":1.0,"hi":3.0}}}},"seed":1}}}}],
+                    "policies":["rr"],"speeds":[1.0],"ks":[1],"ms":[1]{extra}}}"#
+            )
+        };
+        let plain: SweepConfig = serde_json::from_str(&json("")).unwrap();
+        let legacy: SweepConfig = serde_json::from_str(&json(r#","warm_lb":true"#)).unwrap();
+        assert_eq!(run_sweep(&plain).unwrap(), run_sweep(&legacy).unwrap());
     }
 
     #[test]
@@ -340,7 +238,6 @@ mod tests {
             speeds: vec![1.0],
             ks: vec![2],
             ms: vec![1],
-            warm_lb: false,
         };
         let t = run_sweep(&cfg).unwrap();
         assert_eq!(t.rows.len(), 1);

@@ -18,8 +18,9 @@
 //! We compute that LP **exactly** for integral traces by casting it as a
 //! min-cost transportation problem (jobs supply `p_j` units; unit time
 //! slots have capacity `m`; the per-job per-slot rate cap of a feasible
-//! schedule adds edge capacity 1) and solving it with our own
-//! successive-shortest-paths min-cost-flow solver ([`mcmf`]).
+//! schedule adds edge capacity 1) and solving it with our own min-cost-flow
+//! solvers ([`mcmf`]), by delayed column generation above 80 jobs
+//! ([`Method::Exact`]).
 //!
 //! Two cheaper bounds complement it:
 //! * [`bounds::size_bound`] — `Σ_j p_j^k`, since `F_j ≥ p_j` at speed 1;
@@ -52,7 +53,7 @@ pub mod mcmf;
 pub use bounds::{size_bound, srpt_super_machine_bound};
 pub use budget::SolveBudget;
 pub use exact::{exact_slotted_opt, ExactLimits, ExactResult};
-pub use lp::{last_solve_stats, LpWarmStart};
+pub use lp::last_solve_stats;
 pub use mcmf::{FlowResult, McmfGraph, McmfStats, MinCostFlow, WarmStart};
 
 use serde::{Deserialize, Serialize};
@@ -98,19 +99,16 @@ impl LowerBound {
     }
 }
 
-/// How [`lower_bound`] solves the LP relaxation. Every method reaches
-/// the same exact optimum, up to the last ulps of float rounding; they
+/// How [`lower_bound`] solves the LP relaxation. Both methods reach the
+/// same exact optimum, up to the last ulps of float rounding; they
 /// differ in cost.
 #[derive(Debug, Clone, Copy)]
-pub enum Method<'a> {
-    /// The full pruned network: the unit-SSP [`MinCostFlow`] solver up
-    /// to 80 jobs, the [`McmfGraph`] arena above (a pure speed decision;
-    /// both return the exact optimum).
+pub enum Method {
+    /// The production solve. Up to 80 jobs: the unit-SSP [`MinCostFlow`]
+    /// solver on the pruned network. Above: delayed column generation on
+    /// the [`McmfGraph`] arena, building only each job's active slots and
+    /// pricing the rest, which certifies the full LP's optimum.
     Exact,
-    /// Delayed column generation: the same exact optimum, reached by
-    /// building only each job's active slots — the scale path. An
-    /// [`LpWarmStart`] from a neighbouring request seeds its duals.
-    Colgen(Option<&'a LpWarmStart>),
     /// The PR-1 unit-augmenting solver on the unpruned network, kept
     /// verbatim as the oracle the optimized paths are checked against
     /// (audit check `X3-SOLVER-EQUIV` and the property tests). It never
@@ -133,7 +131,7 @@ pub struct LbRequest<'a> {
     /// weights, so a weighted bound is the LP component alone.
     pub weighted: bool,
     /// How the LP component is solved.
-    pub method: Method<'a>,
+    pub method: Method,
     /// Cooperative deadline / cancel flag for the LP component.
     pub budget: &'a SolveBudget,
 }
@@ -161,9 +159,6 @@ pub struct LbOutcome {
     /// invalid. Degraded bounds must not be cached as if they were the
     /// full bound.
     pub degraded: bool,
-    /// Dual handle for the next neighbouring [`Method::Colgen`] request;
-    /// empty for the other methods.
-    pub warm: LpWarmStart,
 }
 
 /// Best available lower bound on `Σ_j F_j^k` for the optimal schedule on
@@ -196,14 +191,12 @@ pub fn lower_bound(trace: &Trace, req: &LbRequest) -> LbOutcome {
         kind: BoundKind::Size,
         lp_raw: 0.0,
     };
-    let mut warm = LpWarmStart::default();
     let mut degraded = false;
 
     if trace.is_integral(1e-9) && !trace.is_empty() {
         match lp_component(trace, req) {
-            Some((lp, handle)) => {
+            Some(lp) => {
                 best.lp_raw = lp;
-                warm = handle;
                 let half = lp / 2.0;
                 if half > best.value {
                     best.value = half;
@@ -227,13 +220,12 @@ pub fn lower_bound(trace: &Trace, req: &LbRequest) -> LbOutcome {
     LbOutcome {
         bound: best,
         degraded,
-        warm,
     }
 }
 
-/// The LP relaxation's value by `req.method`, plus the
-/// column-generation handle; `None` iff the budget tripped.
-fn lp_component(trace: &Trace, req: &LbRequest) -> Option<(f64, LpWarmStart)> {
+/// The LP relaxation's value by `req.method`; `None` iff the budget
+/// tripped.
+fn lp_component(trace: &Trace, req: &LbRequest) -> Option<f64> {
     let LbRequest {
         m,
         k,
@@ -246,21 +238,11 @@ fn lp_component(trace: &Trace, req: &LbRequest) -> Option<(f64, LpWarmStart)> {
     if budget.exhausted() {
         return None; // don't even pay for the build
     }
-    match method {
-        Method::Exact => {
-            let horizon = lp::tight_horizon(trace, m);
-            let lp = lp::with_solver(|s| s.solve(trace, m, k, weighted, horizon, budget))?;
-            Some((lp.objective, LpWarmStart::default()))
-        }
-        Method::Colgen(handle) => {
-            let (lp, next) = lp::with_solver(|s| s.colgen(trace, m, k, weighted, budget, handle))?;
-            Some((lp.objective, next))
-        }
-        Method::Reference => {
-            let lp = lp::lp_relaxation_value_reference(trace, m, k, weighted);
-            Some((lp.objective, LpWarmStart::default()))
-        }
-    }
+    let lp = match method {
+        Method::Exact => lp::with_solver(|s| s.colgen(trace, m, k, weighted, budget))?,
+        Method::Reference => lp::lp_relaxation_value_reference(trace, m, k, weighted),
+    };
+    Some(lp.objective)
 }
 
 /// [`lower_bound`] for an unweighted [`Method::Exact`] request with an
@@ -348,7 +330,7 @@ mod tests {
 
     /// Every method, for one trace and one base request.
     fn all_methods(t: &Trace, base: LbRequest) -> Vec<LbOutcome> {
-        [Method::Exact, Method::Colgen(None), Method::Reference]
+        [Method::Exact, Method::Reference]
             .into_iter()
             .map(|method| lower_bound(t, &LbRequest { method, ..base }))
             .collect()

@@ -21,15 +21,18 @@
 //! with integral vertices; the min-cost flow solver returns its exact
 //! optimum.
 //!
-//! Two solve paths exist. The hot path is `LpSolver` — a reusable arena
-//! around [`McmfGraph`] with **per-job horizon pruning** (job `j` only
-//! gets arcs to slots below `r_j + p_j + ⌈W_j/m⌉ + 1`, where `W_j` is the
-//! other jobs' total work — see `docs/SOLVER.md` for the exchange
-//! argument). [`crate::lower_bound`] reaches it through one thread-local
-//! instance per thread, so sweeps stop reallocating. The reference path
-//! ([`crate::Method::Reference`]) keeps the PR-1 successive-shortest-paths
-//! build verbatim as the oracle the audit and the property tests compare
-//! against.
+//! Two solve paths exist. The production path ([`crate::Method::Exact`])
+//! is `LpSolver::colgen` on a reusable solver with **per-job horizon
+//! pruning** (job `j` only gets arcs to slots below
+//! `r_j + p_j + ⌈W_j/m⌉ + 1`, where `W_j` is the other jobs' total work —
+//! see `docs/SOLVER.md` for the exchange argument): up to
+//! `SSP_CROSSOVER_JOBS` (80) jobs it solves the whole pruned network on the
+//! unit-SSP [`MinCostFlow`], above that it runs delayed column generation
+//! on the [`McmfGraph`] arena. [`crate::lower_bound`] reaches it through
+//! one thread-local instance per thread, so sweeps stop reallocating. The
+//! reference path ([`crate::Method::Reference`]) keeps the PR-1
+//! successive-shortest-paths build verbatim as the oracle the audit and
+//! the property tests compare against.
 
 use crate::budget::SolveBudget;
 use crate::mcmf::{McmfGraph, McmfStats, MinCostFlow, WarmStart};
@@ -37,16 +40,15 @@ use std::cell::RefCell;
 use tf_policies::Fcfs;
 use tf_simcore::{simulate, MachineConfig, SimOptions, Trace};
 
-/// Up to this many jobs the LP dispatches to the unit-SSP
-/// [`MinCostFlow`] solver instead of the [`McmfGraph`] arena: the
-/// arena's phase machinery (CSR rebuild, level BFS, blocking-flow DFS)
-/// costs more than it saves on tiny networks. BENCH_3 measured
-/// `lower_bound_speedup_vs_ssp` at 0.955 (n=40) and 0.989 (n=80) — the
-/// arena only pulls ahead above ≈80 jobs — and the `ssp_crossover`
-/// group in BENCH_5.json re-measures the boundary. Both solvers return
-/// the exact transportation optimum (pinned against each other by
-/// `optimized_matches_reference_oracle` and the proptests), so the
-/// dispatch is a pure perf decision.
+/// Up to this many jobs the LP solves the whole pruned network on the
+/// unit-SSP [`MinCostFlow`] solver instead of running column generation
+/// on the [`McmfGraph`] arena: the arena's phase machinery (CSR rebuild,
+/// level BFS, blocking-flow DFS) costs more than it saves on small
+/// networks. Timed on the same pruned network, the arena was 1.3–2×
+/// slower at n = 12, 40, 60 and 80 (the table in `docs/SOLVER.md` §8).
+/// Both solvers return the exact transportation optimum (pinned against
+/// the reference by `crossover_dispatch_agrees_across_the_boundary` and
+/// the proptests), so the dispatch is a pure perf decision.
 pub(crate) const SSP_CROSSOVER_JOBS: usize = 80;
 
 /// Budget poll cadence for the column-generation pricing scan, matching
@@ -56,9 +58,10 @@ pub(crate) const SSP_CROSSOVER_JOBS: usize = 80;
 const BUDGET_POLL_COLS: u64 = 4096;
 
 /// Column-generation round cap before falling back to the full arena
-/// build. Each round either adds a priced-in column or widens an
-/// unsaturated job's window, so termination is guaranteed anyway; the
-/// cap just bounds the worst case to one predictable full solve.
+/// build ([`LpSolver::solve`]). Each round either adds a priced-in column
+/// or widens an unsaturated job's window, so termination is guaranteed
+/// anyway; the cap just bounds the worst case to one predictable full
+/// solve.
 const COLGEN_MAX_ROUNDS: u32 = 64;
 
 /// Initial active window padding beyond `p_j` slots per job (see
@@ -235,70 +238,16 @@ fn build_network(
     }
 }
 
-/// A dual warm-start handle at the LP layer: the arena's node potentials
-/// from a finished solve, stored *by role* (source, per-job, per-slot,
-/// sink) rather than by raw node index, so they can be remapped onto a
-/// neighbouring instance whose network has a different shape — another
-/// machine count (different tight horizon) or a perturbed trace
-/// (different job count).
-///
-/// Soundness never depends on the mapping being good: the remapped
-/// vector goes through [`McmfGraph::solve_warm_budgeted`]'s price
-/// fix-up + O(E) dual-feasibility revalidation, and a rejected handle
-/// just falls back to the cold start. A sloppy mapping costs phases,
-/// not correctness.
-#[derive(Debug, Clone, Default)]
-pub struct LpWarmStart {
-    source_pot: f64,
-    sink_pot: f64,
-    job_pot: Vec<f64>,
-    slot_pot: Vec<f64>,
-}
-
-impl LpWarmStart {
-    /// Extract role-mapped potentials from a solved arena with the
-    /// standard layout (`source, jobs[n], slots[h], sink`).
-    fn from_arena(graph: &McmfGraph, n: usize, horizon: u64) -> Self {
-        let pot = graph.potentials();
-        let slots = horizon as usize;
-        debug_assert_eq!(pot.len(), 2 + n + slots);
-        LpWarmStart {
-            source_pot: pot[0],
-            sink_pot: pot[1 + n + slots],
-            job_pot: pot[1..1 + n].to_vec(),
-            slot_pot: pot[1 + n..1 + n + slots].to_vec(),
-        }
-    }
-
-    /// Remap onto a target layout with `n` jobs and `horizon` slots.
-    /// Extra jobs inherit the source potential (feasible for their only
-    /// incoming arc), extra slots the last known slot potential falling
-    /// back to the sink potential (feasible for their outgoing arc); the
-    /// solver's repair sweep and validation scan do the rest.
-    fn remap(&self, n: usize, horizon: u64) -> WarmStart {
-        let slots = horizon as usize;
-        let mut pot = Vec::with_capacity(2 + n + slots);
-        pot.push(self.source_pot);
-        for ji in 0..n {
-            pot.push(self.job_pot.get(ji).copied().unwrap_or(self.source_pot));
-        }
-        let slot_fill = self.slot_pot.last().copied().unwrap_or(self.sink_pot);
-        for t in 0..slots {
-            pot.push(self.slot_pot.get(t).copied().unwrap_or(slot_fill));
-        }
-        pot.push(self.sink_pot);
-        WarmStart::from_potentials(pot)
-    }
-}
-
 impl LpSolver {
-    /// The exact LP optimum of an integral, non-empty trace over
-    /// `horizon` slots (at least [`tight_horizon`], or the network cannot
-    /// carry the supply); `None` once `budget` trips. Instances of up to
-    /// [`SSP_CROSSOVER_JOBS`] jobs run on the unit-SSP solver, larger
-    /// ones on the arena. An aborted solve leaves the solver reusable —
-    /// the next build resets the graph — but its partial flow is never
-    /// surfaced: a partial LP cost is not a lower bound on anything.
+    /// The exact LP optimum of an integral, non-empty trace over the whole
+    /// pruned network of `horizon` slots (at least [`tight_horizon`], or
+    /// the network cannot carry the supply); `None` once `budget` trips.
+    /// Instances of up to [`SSP_CROSSOVER_JOBS`] jobs run on the unit-SSP
+    /// solver — [`LpSolver::colgen`]'s small-instance path — and larger
+    /// ones on the arena, which only column generation's fallback reaches.
+    /// An aborted solve leaves the solver reusable — the next build resets
+    /// the graph — but its partial flow is never surfaced: a partial LP
+    /// cost is not a lower bound on anything.
     pub(crate) fn solve(
         &mut self,
         trace: &Trace,
@@ -385,11 +334,13 @@ impl LpSolver {
     /// `COLGEN_MAX_ROUNDS` the solver falls back to the full arena
     /// build, which is always correct.
     ///
-    /// Returns the solution and a dual warm-start handle for the next
-    /// neighbouring instance; `None` iff `budget` tripped. Small instances
-    /// (≤ [`SSP_CROSSOVER_JOBS`]) dispatch to [`LpSolver::solve`] with an
-    /// empty handle — the restricted machinery cannot beat the unit-SSP
-    /// solver there.
+    /// Each round after the first starts from the previous round's
+    /// potentials, which the solver repairs and revalidates before use.
+    ///
+    /// `None` iff `budget` tripped. Small instances
+    /// (≤ [`SSP_CROSSOVER_JOBS`]) dispatch to [`LpSolver::solve`] on the
+    /// whole pruned network — the restricted machinery cannot beat the
+    /// unit-SSP solver there.
     pub(crate) fn colgen(
         &mut self,
         trace: &Trace,
@@ -397,11 +348,9 @@ impl LpSolver {
         k: u32,
         weighted: bool,
         budget: &SolveBudget,
-        warm: Option<&LpWarmStart>,
-    ) -> Option<(LpSolution, LpWarmStart)> {
+    ) -> Option<LpSolution> {
         if trace.len() <= SSP_CROSSOVER_JOBS {
-            let sol = self.solve(trace, m, k, weighted, tight_horizon(trace, m), budget)?;
-            return Some((sol, LpWarmStart::default()));
+            return self.solve(trace, m, k, weighted, tight_horizon(trace, m), budget);
         }
 
         let mut obs_span = tf_obs::span!("lb", "lp_colgen");
@@ -461,15 +410,14 @@ impl LpSolver {
             .collect();
         let mut src_ids: Vec<usize> = Vec::with_capacity(n);
         let mut pending: Vec<u64> = Vec::new();
-        let mut warm_pot: Option<WarmStart> = warm.map(|w| w.remap(n, horizon));
+        let mut warm_pot: Option<WarmStart> = None;
         let mut rounds = 0u32;
         loop {
             rounds += 1;
             if rounds > COLGEN_MAX_ROUNDS {
                 // Defensive fallback: the full build is always correct.
                 tf_obs::instant!("lb", "colgen_fallback");
-                let sol = self.solve(trace, m, k, weighted, horizon, budget)?;
-                return Some((sol, LpWarmStart::from_arena(&self.graph, n, horizon)));
+                return self.solve(trace, m, k, weighted, horizon, budget);
             }
             let mut total_cols = 0u64;
             {
@@ -522,10 +470,9 @@ impl LpSolver {
                     // deficiency hides behind a saturated neighbour) —
                     // stop guessing and solve the full network.
                     tf_obs::instant!("lb", "colgen_fallback");
-                    let sol = self.solve(trace, m, k, weighted, horizon, budget)?;
-                    return Some((sol, LpWarmStart::from_arena(&self.graph, n, horizon)));
+                    return self.solve(trace, m, k, weighted, horizon, budget);
                 }
-                warm_pot = Some(WarmStart::from_potentials(self.graph.potentials().to_vec()));
+                warm_pot = Some(self.graph.warm_start());
                 tf_obs::instant!("lb", "colgen_widen");
                 continue;
             }
@@ -602,17 +549,13 @@ impl LpSolver {
                 obs_span.arg("rounds", f64::from(rounds));
                 obs_span.arg("columns", total_cols as f64);
                 self.last_ssp = None;
-                let handle = LpWarmStart::from_arena(&self.graph, n, horizon);
-                return Some((
-                    LpSolution {
-                        objective: res.cost,
-                        horizon,
-                        routed: res.flow,
-                    },
-                    handle,
-                ));
+                return Some(LpSolution {
+                    objective: res.cost,
+                    horizon,
+                    routed: res.flow,
+                });
             }
-            warm_pot = Some(WarmStart::from_potentials(self.graph.potentials().to_vec()));
+            warm_pot = Some(self.graph.warm_start());
         }
     }
 }
@@ -628,9 +571,10 @@ pub(crate) fn with_solver<R>(f: impl FnOnce(&mut LpSolver) -> R) -> R {
     SHARED_SOLVER.with(|s| f(&mut s.borrow_mut()))
 }
 
-/// Work counters of this thread's most recent [`crate::Method::Exact`] or
-/// [`crate::Method::Colgen`] LP solve (both run on one thread-local
-/// solver). Zeroed stats if the thread has not solved yet.
+/// Work counters of this thread's most recent [`crate::Method::Exact`] LP
+/// solve (it runs on one thread-local solver; after column generation,
+/// the last restricted round's). Zeroed stats if the thread has not
+/// solved yet.
 pub fn last_solve_stats() -> McmfStats {
     SHARED_SOLVER.with(|s| s.borrow().last_stats())
 }
@@ -1022,8 +966,8 @@ mod tests {
             let t = biggish_trace(n);
             for (m, k) in [(1usize, 1u32), (2, 2), (3, 3)] {
                 let full = lp_relaxation_value(&t, m, k);
-                let (cg, _) = solver
-                    .colgen(&t, m, k, false, &SolveBudget::unlimited(), None)
+                let cg = solver
+                    .colgen(&t, m, k, false, &SolveBudget::unlimited())
                     .unwrap();
                 assert_eq!(cg.routed, full.routed, "n={n} m={m} k={k}");
                 assert_eq!(cg.horizon, full.horizon, "n={n} m={m} k={k}");
@@ -1038,34 +982,14 @@ mod tests {
     }
 
     #[test]
-    fn colgen_warm_chain_matches_cold_across_machine_sweep() {
-        let t = biggish_trace(SSP_CROSSOVER_JOBS + 30);
-        let mut solver = LpSolver::default();
-        let mut warm: Option<LpWarmStart> = None;
-        for m in [1usize, 2, 3] {
-            let cold = lp_relaxation_value(&t, m, 2);
-            let (cg, next) = solver
-                .colgen(&t, m, 2, false, &SolveBudget::unlimited(), warm.as_ref())
-                .unwrap();
-            assert!(
-                (cg.objective - cold.objective).abs() <= 1e-7 * (1.0 + cold.objective.abs()),
-                "m={m}: colgen {} vs cold {}",
-                cg.objective,
-                cold.objective
-            );
-            warm = Some(next);
-        }
-    }
-
-    #[test]
     fn colgen_honours_the_budget_and_empty_traces() {
         let mut solver = LpSolver::default();
         let spent = SolveBudget::with_timeout(std::time::Duration::ZERO);
         let t = biggish_trace(SSP_CROSSOVER_JOBS + 30);
-        assert!(solver.colgen(&t, 2, 2, false, &spent, None).is_none());
+        assert!(solver.colgen(&t, 2, 2, false, &spent).is_none());
         let empty = Trace::from_pairs(std::iter::empty()).unwrap();
-        let (sol, _) = solver
-            .colgen(&empty, 2, 2, false, &SolveBudget::unlimited(), None)
+        let sol = solver
+            .colgen(&empty, 2, 2, false, &SolveBudget::unlimited())
             .unwrap();
         assert_eq!(sol.objective, 0.0);
     }
@@ -1094,11 +1018,13 @@ mod tests {
                 "tight {} vs loose {}", tight.objective, loose.objective);
         }
 
-        /// Solver equivalence: the optimized arena solver (early-exit
-        /// Dijkstra, multi-unit blocking phases, per-job pruning) matches the
-        /// PR-1 successive-shortest-paths oracle on random traces across
-        /// k ∈ {1,2,3}, m ∈ {1,2,4}, and its flow passes the independent
-        /// negative-cycle certificate.
+        /// Solver equivalence: the whole pruned network — at these sizes
+        /// (1–13 jobs, below the crossover) solved by the unit-SSP solver,
+        /// column generation's small-instance path — matches the unpruned
+        /// PR-1 oracle on random traces across k ∈ {1,2,3}, m ∈ {1,2,4},
+        /// and its flow passes the independent negative-cycle certificate.
+        /// The arena and column generation meet the oracle above the
+        /// crossover in `production_lp_matches_the_reference_above_the_crossover`.
         #[test]
         fn optimized_lp_matches_ssp_oracle_and_certifies(t in arb_integral_trace()) {
             let mut solver = LpSolver::default();

@@ -389,8 +389,8 @@ pub struct McmfGraph {
 
 /// A dual warm-start handle: node potentials snapshotted from a finished
 /// [`McmfGraph`] solve, to seed a later solve on a *neighbouring*
-/// instance (same trace at a different machine count, a perturbed hunt
-/// candidate).
+/// network — in production, the next column-generation round, which has
+/// the same nodes and more arcs.
 ///
 /// Correctness does not rest on the neighbour relation: before use, the
 /// potentials are repaired by one price fix-up sweep (saturated arcs end
@@ -760,8 +760,7 @@ impl McmfGraph {
     }
 
     /// The current node potentials (duals) — empty before the first
-    /// solve. Exposed so higher layers can remap them onto a
-    /// differently-shaped neighbour network.
+    /// solve. Column generation prices its omitted columns against them.
     pub fn potentials(&self) -> &[f64] {
         &self.potential
     }

@@ -2,7 +2,7 @@
 //! feasible schedule, on arbitrary integral traces.
 
 use proptest::prelude::*;
-use tf_lowerbound::{lk_lower_bound, lower_bound, LbRequest, LpWarmStart, Method};
+use tf_lowerbound::{lk_lower_bound, lower_bound, LbRequest, Method};
 use tf_policies::Policy;
 use tf_simcore::{simulate, MachineConfig, SimOptions, Trace};
 
@@ -66,42 +66,35 @@ proptest! {
     }
 }
 
+/// Traces above the SSP crossover (80 jobs), where [`Method::Exact`]
+/// runs column generation on the arena.
+fn arb_large_integral_trace() -> impl Strategy<Value = Trace> {
+    prop::collection::vec((0u32..200, 1u32..7), 81..121).prop_map(|pairs| {
+        Trace::from_pairs(pairs.into_iter().map(|(a, p)| (f64::from(a), f64::from(p))))
+            .expect("valid jobs")
+    })
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(30))]
+    #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Warm-start equivalence (audit check X4): chaining dual handles
-    /// across a machine-count sweep reproduces every cold exact bound.
-    /// The warm path re-validates the remapped potentials before trusting
-    /// them, so a stale or corrupt handle can slow a solve down but never
-    /// change its value.
+    /// The production path above the crossover — column generation on
+    /// the arena, with its pricing rounds — reaches the unpruned
+    /// reference LP's optimum, and no unlimited request degrades. Clean pricing implies full-LP dual feasibility,
+    /// so the restricted optimum IS the LP optimum, not an approximation.
     #[test]
-    fn warm_chained_colgen_matches_cold(t in arb_integral_trace(), k in 1u32..4) {
-        let mut warm: Option<LpWarmStart> = None;
-        for m in [1usize, 2, 3] {
-            let cold = lk_lower_bound(&t, m, k);
-            let req = LbRequest { method: Method::Colgen(warm.as_ref()), ..LbRequest::new(m, k) };
-            let out = lower_bound(&t, &req);
-            prop_assert!(!out.degraded, "unlimited budget never trips");
-            let w = out.bound;
-            prop_assert!((w.value - cold.value).abs() <= 1e-6 * (1.0 + cold.value.abs()),
-                "m={m} k={k}: warm {} vs cold {}", w.value, cold.value);
-            warm = Some(out.warm);
+    fn production_lp_matches_the_reference_above_the_crossover(t in arb_large_integral_trace()) {
+        for m in [1usize, 2] {
+            for k in [1u32, 2] {
+                let exact = lower_bound(&t, &LbRequest::new(m, k));
+                let reference = LbRequest { method: Method::Reference, ..LbRequest::new(m, k) };
+                let reference = lower_bound(&t, &reference);
+                prop_assert!(!exact.degraded && !reference.degraded, "unlimited budget never trips");
+                let (got, want) = (exact.bound.lp_raw, reference.bound.lp_raw);
+                prop_assert!(want > 0.0, "the LP must run on an integral trace");
+                prop_assert!((got - want).abs() <= 1e-9 * want,
+                    "n={} m={m} k={k}: production LP {got} vs reference {want}", t.len());
+            }
         }
-    }
-
-    /// Column generation is exact, not approximate: clean pricing implies
-    /// full-LP dual feasibility, so the restricted optimum IS the LP
-    /// optimum — on every random trace, from a cold start.
-    #[test]
-    fn colgen_equals_the_full_lp(t in arb_integral_trace(), m in 1usize..4, k in 1u32..4) {
-        let exact = lk_lower_bound(&t, m, k);
-        let req = LbRequest { method: Method::Colgen(None), ..LbRequest::new(m, k) };
-        let out = lower_bound(&t, &req);
-        prop_assert!(!out.degraded, "unlimited budget never trips");
-        let cg = out.bound;
-        prop_assert!((cg.value - exact.value).abs() <= 1e-6 * (1.0 + exact.value.abs()),
-            "m={m} k={k}: colgen {} vs exact {}", cg.value, exact.value);
-        prop_assert!((cg.lp_raw - exact.lp_raw).abs() <= 1e-6 * (1.0 + exact.lp_raw.abs()),
-            "m={m} k={k}: colgen LP {} vs exact LP {}", cg.lp_raw, exact.lp_raw);
     }
 }
