@@ -15,9 +15,9 @@
 //! changes; stale entries are then simply never looked up again.
 //!
 //! The cache is enabled by default. Disable per-process with
-//! [`set_enabled`]`(false)` (the `--no-cache` flag in the harness bins) or
-//! with the environment variable `TF_LB_CACHE=0`. All I/O errors degrade
-//! to a cache miss — the cache can never make a run fail.
+//! [`set_enabled`]`(false)` (the `--no-cache` flag in the harness bins).
+//! All I/O errors degrade to a cache miss — the cache can never make a
+//! run fail.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -58,7 +58,7 @@ pub fn set_enabled(on: bool) {
 
 /// True iff lookups/stores are currently performed.
 pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed) && std::env::var("TF_LB_CACHE").as_deref() != Ok("0")
+    ENABLED.load(Ordering::Relaxed)
 }
 
 /// Directory the cache lives in, relative to the working directory —
@@ -250,9 +250,6 @@ mod tests {
     #[test]
     fn degraded_bounds_are_never_cached() {
         let _guard = ENABLED_LOCK.lock().unwrap();
-        if !enabled() {
-            return; // TF_LB_CACHE=0 in the environment: nothing to test
-        }
         // A trace no other test uses, so this test owns its cache entry.
         let t = Trace::from_pairs([(0.0, 3.0), (1.0, 4.0), (2.0, 2.0), (5.0, 1.0)]).unwrap();
         let (m, k) = (1usize, 3u32);
@@ -282,9 +279,6 @@ mod tests {
     #[test]
     fn concurrent_writers_never_tear_an_entry() {
         let _guard = ENABLED_LOCK.lock().unwrap();
-        if !enabled() {
-            return; // TF_LB_CACHE=0 in the environment: nothing to test
-        }
         // A trace no other test uses, so this test owns its cache entry.
         let t = Trace::from_pairs([(0.0, 4.0), (1.0, 2.0), (3.0, 3.0), (3.0, 1.0), (6.0, 2.0)])
             .unwrap();

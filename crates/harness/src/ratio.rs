@@ -178,54 +178,35 @@ pub struct RatioTask {
     pub k: u32,
 }
 
-/// Content-addressed campaign key for one ratio evaluation: every input
-/// that affects the estimate (trace contents, policy, m, speed, k,
-/// baseline set, solver version) appears in the full descriptor, so two
-/// tasks share a key exactly when their results are interchangeable. The
-/// trace contents enter as a 128-bit fingerprint — strong enough that
-/// the descriptor itself is collision-free in practice, while keeping
-/// the journal line bounded for large traces.
-pub fn ratio_task_key(
-    trace: &Trace,
-    policy: Policy,
-    m: usize,
-    speed: f64,
-    k: u32,
-    baselines: &[Policy],
-) -> TaskKey {
-    let mut trace_bytes: Vec<u8> = Vec::with_capacity(trace.len() * 24);
-    for j in trace.jobs() {
-        trace_bytes.extend_from_slice(&j.arrival.to_bits().to_le_bytes());
-        trace_bytes.extend_from_slice(&j.size.to_bits().to_le_bytes());
-        trace_bytes.extend_from_slice(&j.weight.to_bits().to_le_bytes());
-    }
-    let names: Vec<String> = baselines.iter().map(|b| b.to_string()).collect();
-    let full = format!(
-        "ratio v{} trace {:032x} n {} policy {} m {} speed {:016x} k {} baselines {}",
-        crate::lbcache::SOLVER_VERSION,
-        fingerprint128(trace_bytes),
-        trace.len(),
-        policy,
-        m,
-        speed.to_bits(),
-        k,
-        names.join(";"),
-    );
-    TaskKey::hashed("ratio", full)
-}
-
 impl RatioTask {
-    /// This task's content-addressed campaign key (see
-    /// [`ratio_task_key`]).
+    /// This task's content-addressed campaign key: every input that
+    /// affects the estimate (trace contents, policy, m, speed, k,
+    /// baseline set, solver version) appears in the full descriptor, so
+    /// two tasks share a key exactly when their results are
+    /// interchangeable. The trace contents enter as a 128-bit
+    /// fingerprint — strong enough that the descriptor itself is
+    /// collision-free in practice, while keeping the journal line
+    /// bounded for large traces.
     pub fn task_key(&self, baselines: &[Policy]) -> TaskKey {
-        ratio_task_key(
-            &self.trace,
+        let mut trace_bytes: Vec<u8> = Vec::with_capacity(self.trace.len() * 24);
+        for j in self.trace.jobs() {
+            trace_bytes.extend_from_slice(&j.arrival.to_bits().to_le_bytes());
+            trace_bytes.extend_from_slice(&j.size.to_bits().to_le_bytes());
+            trace_bytes.extend_from_slice(&j.weight.to_bits().to_le_bytes());
+        }
+        let names: Vec<String> = baselines.iter().map(|b| b.to_string()).collect();
+        let full = format!(
+            "ratio v{} trace {:032x} n {} policy {} m {} speed {:016x} k {} baselines {}",
+            crate::lbcache::SOLVER_VERSION,
+            fingerprint128(trace_bytes),
+            self.trace.len(),
             self.policy,
             self.m,
-            self.speed,
+            self.speed.to_bits(),
             self.k,
-            baselines,
-        )
+            names.join(";"),
+        );
+        TaskKey::hashed("ratio", full)
     }
 }
 

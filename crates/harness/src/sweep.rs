@@ -8,9 +8,8 @@
 
 use crate::campaign::CampaignScope;
 use crate::corpus::integral_poisson;
-use crate::ratio::{default_baselines, empirical_ratio_scoped, ratio_task_key, RatioEstimate};
+use crate::ratio::{default_baselines, empirical_ratios_scoped, RatioTask};
 use crate::table::{fnum, Table};
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use tf_policies::Policy;
 use tf_simcore::Trace;
@@ -89,17 +88,15 @@ fn materialize(inst: &SweepInstance, m: usize) -> Result<(String, Trace), String
     }
 }
 
-/// One materialized grid point: (instance name, trace, policy, m, speed, k).
-type SweepPoint = (String, Trace, Policy, usize, f64, u32);
-
 /// Run the sweep, producing one row per grid point. Runs outside any
 /// campaign scope; see [`run_sweep_scoped`].
 pub fn run_sweep(cfg: &SweepConfig) -> Result<Table, String> {
     run_sweep_scoped(&CampaignScope::none(), cfg)
 }
 
-/// [`run_sweep`] under a [`CampaignScope`]: each grid point journals
-/// under its content-addressed ratio key and replays on resume.
+/// [`run_sweep`] under a [`CampaignScope`]: the grid points run through
+/// [`empirical_ratios_scoped`], so each journals under its
+/// content-addressed ratio key and replays on resume.
 pub fn run_sweep_scoped(scope: &CampaignScope, cfg: &SweepConfig) -> Result<Table, String> {
     let mut obs_span = tf_obs::span!("harness", "sweep");
     let policies = cfg.parsed_policies()?;
@@ -112,49 +109,41 @@ pub fn run_sweep_scoped(scope: &CampaignScope, cfg: &SweepConfig) -> Result<Tabl
     );
 
     // Materialize instances per machine count (Poisson load depends on m).
-    let mut points: Vec<SweepPoint> = Vec::new();
-    for m in &cfg.ms {
+    let mut names: Vec<String> = Vec::new();
+    let mut tasks: Vec<RatioTask> = Vec::new();
+    for &m in &cfg.ms {
         for inst in &cfg.instances {
-            let (name, trace) = materialize(inst, *m)?;
-            for p in &policies {
-                for s in &cfg.speeds {
-                    for k in &cfg.ks {
-                        points.push((name.clone(), trace.clone(), *p, *m, *s, *k));
+            let (name, trace) = materialize(inst, m)?;
+            for &policy in &policies {
+                for &speed in &cfg.speeds {
+                    for &k in &cfg.ks {
+                        names.push(name.clone());
+                        tasks.push(RatioTask {
+                            trace: trace.clone(),
+                            policy,
+                            m,
+                            speed,
+                            k,
+                        });
                     }
                 }
             }
         }
     }
-    // Grid point `i` records onto logical track `i + 1` (track 0 is the
-    // main thread), keeping trace structure thread-count independent.
-    let indexed: Vec<(u32, _)> = (0u32..).zip(points.iter()).collect();
-    let rows: Vec<_> = indexed
-        .par_iter()
-        .map(|&(i, (name, trace, p, m, s, k))| {
-            let _track = tf_obs::set_track(i + 1);
-            let mut span = tf_obs::span!("harness", "sweep_point");
-            span.arg("point", f64::from(i));
-            let r = scope.run_leaf(
-                &ratio_task_key(trace, *p, *m, *s, *k, &baselines),
-                || empirical_ratio_scoped(scope, trace, *p, *m, *s, *k, &baselines),
-                RatioEstimate::skipped,
-            );
-            vec![
-                name.to_string(),
-                p.to_string(),
-                m.to_string(),
-                fnum(*s),
-                k.to_string(),
-                fnum(r.alg_power_sum),
-                fnum(r.lower_bound),
-                fnum(r.best_power_sum),
-                fnum(r.ratio_vs_best),
-                fnum(r.ratio_vs_lb),
-            ]
-        })
-        .collect();
-    for row in rows {
-        table.push_row(row);
+    let estimates = empirical_ratios_scoped(scope, &tasks, &baselines);
+    for ((name, t), r) in names.into_iter().zip(&tasks).zip(&estimates) {
+        table.push_row(vec![
+            name,
+            t.policy.to_string(),
+            t.m.to_string(),
+            fnum(t.speed),
+            t.k.to_string(),
+            fnum(r.alg_power_sum),
+            fnum(r.lower_bound),
+            fnum(r.best_power_sum),
+            fnum(r.ratio_vs_best),
+            fnum(r.ratio_vs_lb),
+        ]);
     }
     table.note(format!(
         "{} grid points; baselines at speed 1: SRPT/SJF/SETF/RR.",

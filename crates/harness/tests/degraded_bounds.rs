@@ -26,7 +26,6 @@ fn e1_lb_sources(cwd: &Path, extra: &[&str]) -> Vec<String> {
         .args(["e1", "--quick", "--format", "csv"])
         .args(extra)
         .current_dir(cwd)
-        .env_remove("TF_LB_CACHE")
         .output()
         .expect("spawn experiments binary");
     assert!(

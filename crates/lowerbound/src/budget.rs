@@ -61,14 +61,6 @@ impl SolveBudget {
         }
     }
 
-    /// Trip at the given instant.
-    pub fn with_deadline(deadline: Instant) -> Self {
-        SolveBudget {
-            deadline: Some(deadline),
-            cancel: None,
-        }
-    }
-
     /// Also trip when `flag` becomes `true` (e.g. a supervising thread
     /// or signal handler requesting cancellation).
     pub fn cancelled_by(mut self, flag: Arc<AtomicBool>) -> Self {

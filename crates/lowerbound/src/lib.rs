@@ -54,7 +54,7 @@ pub use bounds::{size_bound, srpt_super_machine_bound};
 pub use budget::SolveBudget;
 pub use exact::{exact_slotted_opt, ExactLimits, ExactResult};
 pub use lp::last_solve_stats;
-pub use mcmf::{FlowResult, McmfGraph, McmfStats, MinCostFlow, WarmStart};
+pub use mcmf::{FlowResult, McmfGraph, McmfStats, MinCostFlow};
 
 use serde::{Deserialize, Serialize};
 use tf_simcore::Trace;

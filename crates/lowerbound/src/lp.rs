@@ -35,7 +35,7 @@
 //! the property tests compare against.
 
 use crate::budget::SolveBudget;
-use crate::mcmf::{McmfGraph, McmfStats, MinCostFlow, WarmStart};
+use crate::mcmf::{McmfGraph, McmfStats, MinCostFlow};
 use std::cell::RefCell;
 use tf_policies::Fcfs;
 use tf_simcore::{simulate, MachineConfig, SimOptions, Trace};
@@ -178,9 +178,14 @@ pub(crate) struct LpSolver {
     graph: McmfGraph,
     /// When the last solve dispatched to the unit-SSP solver (small
     /// instances, see [`SSP_CROSSOVER_JOBS`]), the solved graph lives
-    /// here, so stats and certification read the network that was
-    /// actually solved. `None` after an arena solve.
+    /// here, so certification reads the network that was actually
+    /// solved. `None` after an arena solve.
     last_ssp: Option<MinCostFlow>,
+    /// Work counters of the most recent LP solve — from whichever solver
+    /// the size crossover dispatched to, so the `mcmf.*` namespace never
+    /// goes dark on small instances — summed over its column-generation
+    /// rounds and any fallback solve.
+    stats: McmfStats,
 }
 
 /// Node layout + supply of a built LP network.
@@ -278,12 +283,19 @@ impl LpSolver {
         };
         let r = {
             let _s = tf_obs::span!("lb", "solve");
-            match &mut self.last_ssp {
-                Some(g) => g.solve_budgeted(b.source, b.sink, b.total_supply, budget),
-                None => self
-                    .graph
-                    .solve_budgeted(b.source, b.sink, b.total_supply, budget),
-            }
+            let (r, stats) = match &mut self.last_ssp {
+                Some(g) => (
+                    g.solve_budgeted(b.source, b.sink, b.total_supply, budget),
+                    g.stats(),
+                ),
+                None => (
+                    self.graph
+                        .solve_budgeted(b.source, b.sink, b.total_supply, budget),
+                    self.graph.stats(),
+                ),
+            };
+            self.stats = stats;
+            r
         }?;
         debug_assert_eq!(r.flow, b.total_supply, "horizon too small for feasibility");
         Some(LpSolution {
@@ -293,23 +305,12 @@ impl LpSolver {
         })
     }
 
-    /// Work counters of the most recent solve (see [`McmfStats`]) —
-    /// from whichever solver the size crossover dispatched to, so the
-    /// `mcmf.*` observability namespace never goes dark on small
-    /// instances. Zeroed stats before the first solve.
-    fn last_stats(&self) -> McmfStats {
-        match &self.last_ssp {
-            Some(g) => g.stats(),
-            None => self.graph.stats(),
-        }
-    }
-
     /// Exact LP value by **delayed column generation**: build only a
     /// small *active* slot window per job, solve the restricted
     /// transportation problem, then price every omitted `(job, slot)`
     /// column against the restricted optimum's duals — an arithmetic-only
-    /// scan, no graph build — and re-solve (warm-started) with the
-    /// violated columns added, until no column prices negative.
+    /// scan, no graph build — and re-solve with the violated columns
+    /// added, until no column prices negative.
     ///
     /// ## Why the result is the exact LP optimum
     ///
@@ -334,8 +335,9 @@ impl LpSolver {
     /// `COLGEN_MAX_ROUNDS` the solver falls back to the full arena
     /// build, which is always correct.
     ///
-    /// Each round after the first starts from the previous round's
-    /// potentials, which the solver repairs and revalidates before use.
+    /// Every round solves its network from zero potentials: seeding a
+    /// round with the previous round's duals cost more in repair and
+    /// revalidation than it saved in phases (`docs/SOLVER.md` §9).
     ///
     /// `None` iff `budget` tripped. Small instances
     /// (≤ [`SSP_CROSSOVER_JOBS`]) dispatch to [`LpSolver::solve`] on the
@@ -356,6 +358,8 @@ impl LpSolver {
         let mut obs_span = tf_obs::span!("lb", "lp_colgen");
         obs_span.arg("n", trace.len() as f64);
         obs_span.arg("m", m as f64);
+        self.last_ssp = None;
+        self.stats = McmfStats::default();
 
         let (horizon, fcfs_ends) = fcfs_horizon(trace, m);
         let n = trace.len();
@@ -410,15 +414,9 @@ impl LpSolver {
             .collect();
         let mut src_ids: Vec<usize> = Vec::with_capacity(n);
         let mut pending: Vec<u64> = Vec::new();
-        let mut warm_pot: Option<WarmStart> = None;
         let mut rounds = 0u32;
-        loop {
+        while rounds < COLGEN_MAX_ROUNDS {
             rounds += 1;
-            if rounds > COLGEN_MAX_ROUNDS {
-                // Defensive fallback: the full build is always correct.
-                tf_obs::instant!("lb", "colgen_fallback");
-                return self.solve(trace, m, k, weighted, horizon, budget);
-            }
             let mut total_cols = 0u64;
             {
                 let mut s = tf_obs::span!("lb", "build");
@@ -438,15 +436,13 @@ impl LpSolver {
                 s.arg("jobs", n as f64);
                 s.arg("columns", total_cols as f64);
             }
-            let (res, _) = {
+            let res = {
                 let _s = tf_obs::span!("lb", "solve");
-                self.graph.solve_warm_budgeted(
-                    source,
-                    sink,
-                    total_supply,
-                    warm_pot.as_ref(),
-                    budget,
-                )?
+                let res = self
+                    .graph
+                    .solve_budgeted(source, sink, total_supply, budget);
+                self.stats.absorb(&self.graph.stats());
+                res?
             };
 
             if res.flow < total_supply {
@@ -469,10 +465,8 @@ impl LpSolver {
                     // The deficient jobs are already at full width (their
                     // deficiency hides behind a saturated neighbour) —
                     // stop guessing and solve the full network.
-                    tf_obs::instant!("lb", "colgen_fallback");
-                    return self.solve(trace, m, k, weighted, horizon, budget);
+                    break;
                 }
-                warm_pot = Some(self.graph.warm_start());
                 tf_obs::instant!("lb", "colgen_widen");
                 continue;
             }
@@ -548,15 +542,20 @@ impl LpSolver {
             if violated == 0 {
                 obs_span.arg("rounds", f64::from(rounds));
                 obs_span.arg("columns", total_cols as f64);
-                self.last_ssp = None;
                 return Some(LpSolution {
                     objective: res.cost,
                     horizon,
                     routed: res.flow,
                 });
             }
-            warm_pot = Some(self.graph.warm_start());
         }
+        // Defensive fallback: the full build is always correct. Its
+        // counters add to the rounds'.
+        tf_obs::instant!("lb", "colgen_fallback");
+        let round_stats = self.stats;
+        let r = self.solve(trace, m, k, weighted, horizon, budget);
+        self.stats.absorb(&round_stats);
+        r
     }
 }
 
@@ -572,11 +571,11 @@ pub(crate) fn with_solver<R>(f: impl FnOnce(&mut LpSolver) -> R) -> R {
 }
 
 /// Work counters of this thread's most recent [`crate::Method::Exact`] LP
-/// solve (it runs on one thread-local solver; after column generation,
-/// the last restricted round's). Zeroed stats if the thread has not
-/// solved yet.
+/// solve (it runs on one thread-local solver), summed over every
+/// column-generation round. Zeroed stats if the thread has not solved
+/// yet.
 pub fn last_solve_stats() -> McmfStats {
-    SHARED_SOLVER.with(|s| s.borrow().last_stats())
+    SHARED_SOLVER.with(|s| s.borrow().stats)
 }
 
 /// The PR-1 solve path, kept verbatim as a test oracle: one-unit
@@ -953,7 +952,7 @@ mod tests {
         let certified = certified_value(&mut solver, &t, 2, 2);
         assert_eq!(plain, Some(certified));
         // SSP solves surface their own counters — never a stale arena's.
-        let st = solver.last_stats();
+        let st = solver.stats;
         assert!(st.heap_pops > 0 && st.phases > 0, "{st:?}");
         assert_eq!(st.units_routed, 6, "3 jobs × 2 slots each");
         assert_eq!(st.blocking_pushes, 0, "unit SSP has no blocking flow");
@@ -979,6 +978,18 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn solve_stats_sum_every_colgen_round() {
+        // This trace prices columns in after its first restricted round,
+        // and every round routes the whole supply, so counters summed
+        // over the rounds route more units than the trace has work.
+        let t = biggish_trace(SSP_CROSSOVER_JOBS + 40);
+        let work: u64 = t.jobs().iter().map(|j| j.size as u64).sum();
+        crate::lk_lower_bound(&t, 2, 2);
+        let st = last_solve_stats();
+        assert!(st.units_routed > work, "{work} units of work: {st:?}");
     }
 
     #[test]

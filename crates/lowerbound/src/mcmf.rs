@@ -30,11 +30,6 @@ use std::collections::BinaryHeap;
 
 use crate::budget::SolveBudget;
 
-/// How many residual arcs between budget polls inside the warm-start
-/// dual-feasibility scan — same cadence as [`BUDGET_POLL_POPS`], same
-/// rationale: the scan is O(E) and must honour a deadline mid-pass.
-const BUDGET_POLL_ARCS: u64 = 4096;
-
 /// How many heap pops between budget polls inside Dijkstra. Polling
 /// reads `Instant::now()` (~20ns); at this stride the overhead is
 /// unmeasurable while a deadline is still honoured within ~a millisecond
@@ -387,52 +382,6 @@ pub struct McmfGraph {
     stats: McmfStats,
 }
 
-/// A dual warm-start handle: node potentials snapshotted from a finished
-/// [`McmfGraph`] solve, to seed a later solve on a *neighbouring*
-/// network — in production, the next column-generation round, which has
-/// the same nodes and more arcs.
-///
-/// Correctness does not rest on the neighbour relation: before use, the
-/// potentials are repaired by one price fix-up sweep (saturated arcs end
-/// a solve with negative reduced cost, so the raw duals are residual-
-/// feasible only) and then revalidated against the target graph by an
-/// O(E) dual-feasibility scan ([`McmfGraph::solve_warm_budgeted`]);
-/// rejected potentials fall back to the cold all-zeros start. Dual
-/// feasibility (`cost + π[u] − π[v] ≥ 0` on every positive-capacity arc
-/// of the zero-flow graph) is exactly the invariant the cold start
-/// establishes trivially, so an accepted warm start runs the *same*
-/// primal-dual algorithm from a further-along dual point — the optimum
-/// it reaches is identical, only fewer phases are needed. Capacities
-/// never enter the invariant, which is why potentials transfer across
-/// machine counts unchanged.
-#[derive(Debug, Clone, Default)]
-pub struct WarmStart {
-    potentials: Vec<f64>,
-}
-
-impl WarmStart {
-    /// Wrap an explicit potential vector (one entry per node of the
-    /// target graph, in node order).
-    pub fn from_potentials(potentials: Vec<f64>) -> Self {
-        WarmStart { potentials }
-    }
-
-    /// The stored node potentials.
-    pub fn potentials(&self) -> &[f64] {
-        &self.potentials
-    }
-
-    /// Number of node potentials stored.
-    pub fn len(&self) -> usize {
-        self.potentials.len()
-    }
-
-    /// True iff no potentials are stored.
-    pub fn is_empty(&self) -> bool {
-        self.potentials.is_empty()
-    }
-}
-
 impl McmfGraph {
     /// An empty arena; call [`McmfGraph::reset`] to size it.
     pub fn new() -> Self {
@@ -748,174 +697,13 @@ impl McmfGraph {
         target: i64,
         budget: &SolveBudget,
     ) -> Option<FlowResult> {
-        self.solve_inner(s, t, target, budget, false)
-    }
-
-    /// Snapshot the potentials the last solve ended with, for seeding a
-    /// neighbouring solve via [`McmfGraph::solve_warm_budgeted`].
-    pub fn warm_start(&self) -> WarmStart {
-        WarmStart {
-            potentials: self.potential.clone(),
-        }
-    }
-
-    /// The current node potentials (duals) — empty before the first
-    /// solve. Column generation prices its omitted columns against them.
-    pub fn potentials(&self) -> &[f64] {
-        &self.potential
-    }
-
-    /// O(E) dual-feasibility revalidation of candidate initial
-    /// potentials against *this* graph (assumed zero-flow): every
-    /// positive-capacity arc must have reduced cost
-    /// `cost + π[u] − π[v] ≥ −tol`, with the same magnitude-scaled
-    /// tolerance the solver's admissibility filter uses — tiny negatives
-    /// are clamped by Dijkstra exactly like cold-start fp noise.
-    ///
-    /// Returns `Some(feasible)`, or `None` if `budget` tripped mid-scan
-    /// (polled every [`BUDGET_POLL_ARCS`] arcs).
-    fn potentials_dual_feasible(&self, pot: &[f64], budget: &SolveBudget) -> Option<bool> {
-        if pot.len() != self.n {
-            return Some(false);
-        }
-        let poll_budget = !budget.is_unlimited();
-        let mut scanned = 0u64;
-        for a in 0..self.cap.len() {
-            if self.cap[a] <= 0 {
-                continue;
-            }
-            scanned += 1;
-            if poll_budget && scanned.is_multiple_of(BUDGET_POLL_ARCS) && budget.exhausted() {
-                return None;
-            }
-            let u = self.tail[a] as usize;
-            let v = self.head[a] as usize;
-            let c = self.cost[a];
-            let rc = c + pot[u] - pot[v];
-            // Non-finite potentials (which would poison Dijkstra) reject
-            // explicitly — a bare `rc < -tol` would let NaN pass.
-            if !rc.is_finite() || rc < -1e-9 * (1.0 + c.abs() + pot[u].abs() + pot[v].abs()) {
-                return Some(false);
-            }
-        }
-        Some(true)
-    }
-
-    /// One price fix-up sweep: relax `π[v] ← min(π[v], π[u] + cost)` over
-    /// every positive-capacity arc in insertion order.
-    ///
-    /// A finished solve leaves potentials dual-feasible on the *residual*
-    /// graph only — forward arcs the flow saturated may carry strictly
-    /// negative reduced cost (complementary slackness), so the raw handle
-    /// is not a valid start for a fresh zero-flow solve. Lowering each
-    /// head to the tightest incoming bound is the minimal repair, and it
-    /// is exactly Bellman–Ford relaxation, so it never overshoots: with
-    /// non-negative arc costs the fixpoint exists and each sweep is
-    /// monotone. For the layered LP networks built by `lp.rs`
-    /// (source → job → slot → sink, arcs inserted in that order) one
-    /// in-order sweep reaches the fixpoint because every arc is relaxed
-    /// after all arcs into its tail. The [feasibility
-    /// scan](Self::potentials_dual_feasible) stays the arbiter afterwards,
-    /// so an order for which one sweep is *not* enough degrades to a cold
-    /// start rather than an unsound one.
-    ///
-    /// Returns `None` iff `budget` tripped (polled every
-    /// [`BUDGET_POLL_ARCS`] arcs).
-    fn repair_potentials(&self, pot: &mut [f64], budget: &SolveBudget) -> Option<()> {
-        let poll_budget = !budget.is_unlimited();
-        let mut scanned = 0u64;
-        for a in 0..self.cap.len() {
-            if self.cap[a] <= 0 {
-                continue;
-            }
-            scanned += 1;
-            if poll_budget && scanned.is_multiple_of(BUDGET_POLL_ARCS) && budget.exhausted() {
-                return None;
-            }
-            let u = self.tail[a] as usize;
-            let v = self.head[a] as usize;
-            let bound = self.cost[a] + pot[u];
-            if pot[v] > bound {
-                pot[v] = bound;
-            }
-        }
-        Some(())
-    }
-
-    /// [`McmfGraph::solve_budgeted`] with a dual warm start. The handle's
-    /// potentials are repaired by one price fix-up sweep
-    /// (`repair_potentials`) and revalidated by the O(E) feasibility
-    /// scan (`potentials_dual_feasible`); on acceptance
-    /// they seed the primal-dual loop (same algorithm, same optimum,
-    /// fewer phases — see [`WarmStart`]), on rejection the solve silently
-    /// falls back to the cold zero start. Returns the result plus whether
-    /// the warm start was accepted; `None` iff the budget tripped.
-    pub fn solve_warm_budgeted(
-        &mut self,
-        s: usize,
-        t: usize,
-        target: i64,
-        warm: Option<&WarmStart>,
-        budget: &SolveBudget,
-    ) -> Option<(FlowResult, bool)> {
-        let accepted = match warm {
-            Some(w) if w.potentials.len() == self.n => {
-                let mut pot = std::mem::take(&mut self.potential);
-                pot.clear();
-                pot.extend_from_slice(&w.potentials);
-                let repaired = self.repair_potentials(&mut pot, budget);
-                let ok = match repaired {
-                    Some(()) => match self.potentials_dual_feasible(&pot, budget) {
-                        Some(ok) => ok,
-                        None => {
-                            self.potential = pot;
-                            return None;
-                        }
-                    },
-                    None => {
-                        self.potential = pot;
-                        return None;
-                    }
-                };
-                self.potential = pot;
-                if ok {
-                    tf_obs::instant!("mcmf", "warm_accept");
-                } else {
-                    tf_obs::instant!("mcmf", "warm_reject");
-                }
-                ok
-            }
-            Some(_) => {
-                tf_obs::instant!("mcmf", "warm_reject");
-                false
-            }
-            None => false,
-        };
-        let r = self.solve_inner(s, t, target, budget, accepted)?;
-        Some((r, accepted))
-    }
-
-    /// Shared phase loop behind the cold and warm entry points. With
-    /// `keep_potentials` the current `self.potential` vector (already
-    /// validated dual-feasible) is used as the starting duals; otherwise
-    /// potentials reset to zero, the cold start.
-    fn solve_inner(
-        &mut self,
-        s: usize,
-        t: usize,
-        target: i64,
-        budget: &SolveBudget,
-        keep_potentials: bool,
-    ) -> Option<FlowResult> {
         assert!(s < self.n && t < self.n, "node out of range");
         let mut obs_span = tf_obs::span!("mcmf", "solve");
         if !self.csr_built {
             self.build_csr();
         }
-        if !keep_potentials {
-            self.potential.clear();
-            self.potential.resize(self.n, 0.0);
-        }
+        self.potential.clear();
+        self.potential.resize(self.n, 0.0);
         self.stats = McmfStats::default();
         let poll_budget = !budget.is_unlimited();
         let mut total_flow = 0i64;
@@ -977,6 +765,12 @@ impl McmfGraph {
             flow: total_flow,
             cost: total_cost,
         })
+    }
+
+    /// The current node potentials (duals) — empty before the first
+    /// solve. Column generation prices its omitted columns against them.
+    pub fn potentials(&self) -> &[f64] {
+        &self.potential
     }
 
     /// Independent optimality certificate: Bellman–Ford over the residual
@@ -1567,132 +1361,6 @@ mod tests {
         assert_eq!(plain, unlimited);
         let spent = SolveBudget::with_timeout(std::time::Duration::ZERO);
         assert!(build().solve_budgeted(0, 5, 3, &spent).is_none());
-    }
-
-    /// Build the LP-shaped arena instance used by the warm-start tests:
-    /// returns (graph, source, sink, supply).
-    fn lp_shaped_arena(m: i64) -> (McmfGraph, usize, usize, i64) {
-        use tf_simcore::Trace;
-        let tr = Trace::from_pairs(vec![(0.0, 2.0), (0.0, 3.0), (1.0, 1.0), (3.0, 2.0)]).unwrap();
-        let n = tr.len();
-        let horizon = tr.makespan_upper_bound(1.0).ceil() as usize + 1;
-        let (s, sink) = (0usize, 1 + n + horizon);
-        let mut g = McmfGraph::new();
-        g.reset(sink + 1);
-        let mut supply = 0;
-        for (ji, j) in tr.jobs().iter().enumerate() {
-            let p = j.size.round() as i64;
-            supply += p;
-            g.add_edge(s, 1 + ji, p, 0.0);
-            for slot in (j.arrival as usize)..horizon {
-                let age = slot as f64 - j.arrival;
-                g.add_edge(
-                    1 + ji,
-                    1 + n + slot,
-                    1,
-                    (age * age + j.size * j.size) / j.size,
-                );
-            }
-        }
-        for slot in 0..horizon {
-            g.add_edge(1 + n + slot, sink, m, 0.0);
-        }
-        (g, s, sink, supply)
-    }
-
-    #[test]
-    fn warm_start_across_machine_counts_matches_cold() {
-        // Solve at m=1, carry the duals to the same network at m=2:
-        // capacities never enter dual feasibility, so the handle must be
-        // accepted, and the warm optimum must equal the cold one.
-        let (mut g1, s, t, supply) = lp_shaped_arena(1);
-        g1.solve(s, t, supply);
-        let warm = g1.warm_start();
-
-        let (mut cold, ..) = lp_shaped_arena(2);
-        let rc = cold.solve(s, t, supply);
-
-        let (mut g2, ..) = lp_shaped_arena(2);
-        let (rw, accepted) = g2
-            .solve_warm_budgeted(s, t, supply, Some(&warm), &SolveBudget::unlimited())
-            .unwrap();
-        assert!(accepted, "same-cost neighbour duals must revalidate");
-        assert_eq!(rw.flow, rc.flow);
-        assert!(
-            (rw.cost - rc.cost).abs() <= 1e-9 * (1.0 + rc.cost.abs()),
-            "warm {} vs cold {}",
-            rw.cost,
-            rc.cost
-        );
-        assert!(g2.verify_optimal(1e-9), "warm-started flow not certified");
-        // The warm run must not be slower in phases than the cold run.
-        assert!(g2.stats().phases <= cold.stats().phases);
-    }
-
-    #[test]
-    fn infeasible_warm_potentials_fall_back_to_cold() {
-        let (mut cold, s, t, supply) = lp_shaped_arena(1);
-        let rc = cold.solve(s, t, supply);
-
-        // Wildly wrong (but finite) potentials: the price fix-up sweep
-        // repairs them into a valid — if useless — dual start, so the
-        // solve must still land on the cold optimum either way.
-        let (mut g, ..) = lp_shaped_arena(1);
-        let mut bad = vec![0.0; g.len()];
-        for (i, p) in bad.iter_mut().enumerate() {
-            *p = if i % 2 == 0 { 1e6 } else { -1e6 };
-        }
-        let (rw, _) = g
-            .solve_warm_budgeted(
-                s,
-                t,
-                supply,
-                Some(&WarmStart::from_potentials(bad)),
-                &SolveBudget::unlimited(),
-            )
-            .unwrap();
-        assert_eq!(rw.flow, rc.flow);
-        assert!((rw.cost - rc.cost).abs() <= 1e-9 * (1.0 + rc.cost.abs()));
-        assert!(g.verify_optimal(1e-9));
-
-        // NaN potentials survive the (head-lowering) repair but must be
-        // rejected by the feasibility scan, never fed to Dijkstra.
-        let (mut g2, ..) = lp_shaped_arena(1);
-        let (rw, accepted) = g2
-            .solve_warm_budgeted(
-                s,
-                t,
-                supply,
-                Some(&WarmStart::from_potentials(vec![f64::NAN; g2.len()])),
-                &SolveBudget::unlimited(),
-            )
-            .unwrap();
-        assert!(!accepted, "non-finite potentials must be rejected");
-        assert_eq!(rw.flow, rc.flow);
-        assert!((rw.cost - rc.cost).abs() <= 1e-9 * (1.0 + rc.cost.abs()));
-
-        // Wrong-length handles are rejected, not misapplied.
-        let (mut g3, ..) = lp_shaped_arena(1);
-        let (_, accepted) = g3
-            .solve_warm_budgeted(
-                s,
-                t,
-                supply,
-                Some(&WarmStart::from_potentials(vec![0.0; 3])),
-                &SolveBudget::unlimited(),
-            )
-            .unwrap();
-        assert!(!accepted);
-    }
-
-    #[test]
-    fn warm_validation_honours_the_budget() {
-        let (mut g, s, t, supply) = lp_shaped_arena(1);
-        let warm = WarmStart::from_potentials(vec![0.0; g.len()]);
-        let spent = SolveBudget::with_timeout(std::time::Duration::ZERO);
-        assert!(g
-            .solve_warm_budgeted(s, t, supply, Some(&warm), &spent)
-            .is_none());
     }
 
     #[test]

@@ -47,10 +47,11 @@
 //! tf_obs::install(tf_obs::SinkSpec::Off);
 //! ```
 //!
-//! Binaries install from the environment instead:
-//! `TF_TRACE={off,jsonl,chrome}` picks the sink, and an optional explicit
-//! path (the harness `--trace <path>` flag) overrides the default output
-//! file. See `docs/OBSERVABILITY.md` for the span-naming scheme.
+//! Binaries pick the sink from the environment with
+//! [`SinkSpec::from_env`]: `TF_TRACE={off,jsonl,chrome}` selects it, and
+//! an optional explicit path (the harness `--trace <path>` flag)
+//! overrides the default output file. See `docs/OBSERVABILITY.md` for
+//! the span-naming scheme.
 
 mod collector;
 mod registry;
@@ -69,19 +70,6 @@ pub use sink::{render_chrome, render_jsonl, SinkSpec};
 #[inline(always)]
 pub fn enabled() -> bool {
     cfg!(feature = "enabled") && collector::runtime_on()
-}
-
-/// Install the sink described by `TF_TRACE` (`off`, `jsonl`, `chrome`;
-/// unset/empty/`0` mean off). `path_override` (e.g. a `--trace` flag)
-/// replaces the default output path `<stem>.jsonl` / `<stem>.trace.json`.
-/// Returns the installed spec, or an error message for an unknown mode.
-pub fn init_from_env(
-    path_override: Option<std::path::PathBuf>,
-    default_stem: &str,
-) -> Result<SinkSpec, String> {
-    let spec = SinkSpec::from_env(path_override, default_stem)?;
-    install(spec.clone());
-    Ok(spec)
 }
 
 /// Drain the collected events through the installed sink, writing the
