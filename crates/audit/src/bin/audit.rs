@@ -4,7 +4,7 @@
 //! ```text
 //! audit [--traces N] [--seed S] [--quick] [--no-metamorphic]
 //!       [--k K] [--eps E] [--out DIR] [--no-cache] [--threads N] [--trace PATH]
-//!       [--campaign DIR] [--resume] [--task-timeout SECS] [--no-dirsync]
+//!       [--campaign DIR] [--resume] [--task-timeout SECS]
 //!       [--shard-workers N]
 //! ```
 //!
@@ -26,7 +26,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: audit [--traces N] [--seed S] [--quick] [--no-metamorphic] [--k K] [--eps E]\n\
          \x20            [--out DIR] [--no-cache] [--threads N] [--trace PATH]\n\
-         \x20            [--campaign DIR] [--resume] [--task-timeout SECS] [--no-dirsync] [--shard-workers N]\n\
+         \x20            [--campaign DIR] [--resume] [--task-timeout SECS] [--shard-workers N]\n\
          Fuzzes random traces through every registered policy and the full\n\
          invariant catalogue (see docs/VALIDATION.md). Failing traces are\n\
          shrunk to minimal counterexamples and written to the output dir.\n\
@@ -43,7 +43,6 @@ fn usage() -> ! {
          --campaign DIR    journal clean fuzz chunks to DIR (crash-safe resume)\n\
          --resume          replay clean chunks from the campaign journal\n\
          --task-timeout S  per-chunk lower-bound budget in seconds\n\
-         --no-dirsync      skip directory fsyncs on journal/manifest writes\n\
          --shard-workers N fuzz across N worker processes (see docs/DISTRIBUTED.md)"
     );
     std::process::exit(2);

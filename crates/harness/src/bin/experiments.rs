@@ -3,7 +3,7 @@
 //! ```text
 //! experiments [e1 e2 ... | all] [--quick] [--no-cache] [--format text|md|csv]
 //!             [--out DIR] [--threads N] [--trace PATH]
-//!             [--campaign DIR] [--resume] [--task-timeout SECS] [--no-dirsync]
+//!             [--campaign DIR] [--resume] [--task-timeout SECS]
 //!             [--shard-workers N]
 //! ```
 //!
@@ -38,7 +38,7 @@ fn usage() -> ! {
     let ids = all_ids();
     eprintln!(
         "usage: experiments [{first} {second} ... | all | {families}] [--quick] [--no-cache] [--format text|md|csv] [--out DIR] [--threads N] [--trace PATH]\n\
-         \x20                  [--campaign DIR] [--resume] [--task-timeout SECS] [--no-dirsync] [--shard-workers N]\n\
+         \x20                  [--campaign DIR] [--resume] [--task-timeout SECS] [--shard-workers N]\n\
          Runs the {first}-{last} experiment suite (see DESIGN.md) and prints the tables.\n\
          Named families ({families}) run only when requested: `stream` pushes 10^7 jobs\n\
          through the bounded-memory open-workload engine and writes BENCH_4.json\n\
@@ -49,7 +49,6 @@ fn usage() -> ! {
          --campaign DIR     journal completed tasks to DIR (crash-safe; see docs/ROBUSTNESS.md)\n\
          --resume           replay completed tasks from the campaign journal\n\
          --task-timeout S   per-task lower-bound budget in seconds (degrades to closed-form)\n\
-         --no-dirsync       skip directory fsyncs on journal/manifest writes (faster, less durable)\n\
          --shard-workers N  run the campaign across N worker processes (see docs/DISTRIBUTED.md)",
         first = ids.first().unwrap_or(&"e1"),
         second = ids.get(1).unwrap_or(&"e2"),

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! sweep <config.json> [--format text|md|csv] [--no-cache] [--threads N] [--trace PATH]
-//!       [--campaign DIR] [--resume] [--task-timeout SECS] [--no-dirsync]
+//!       [--campaign DIR] [--resume] [--task-timeout SECS]
 //! ```
 //!
 //! Example config:
@@ -28,7 +28,7 @@ use tf_harness::table::timing_table;
 fn usage() -> ! {
     eprintln!(
         "usage: sweep <config.json> [--format text|md|csv] [--no-cache] [--threads N] [--trace PATH]\n\
-         \x20            [--campaign DIR] [--resume] [--task-timeout SECS] [--no-dirsync]"
+         \x20            [--campaign DIR] [--resume] [--task-timeout SECS]"
     );
     std::process::exit(2);
 }

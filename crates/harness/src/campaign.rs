@@ -124,10 +124,6 @@ pub struct CampaignCfg {
     /// to `journal-<worker>.jsonl`. `None` = the ordinary single-process
     /// campaign.
     pub shard: Option<ShardSpec>,
-    /// Skip the directory/journal fsyncs. The default (`false`) makes the
-    /// journal and the manifest rename power-loss durable on ext4;
-    /// tmpfs-backed test dirs can opt out, where the fsyncs buy nothing.
-    pub no_dirsync: bool,
 }
 
 impl CampaignCfg {
@@ -138,7 +134,6 @@ impl CampaignCfg {
             resume: false,
             task_timeout: None,
             shard: None,
-            no_dirsync: false,
         }
     }
 
@@ -157,12 +152,6 @@ impl CampaignCfg {
     /// Run as one shard worker of a coordinated campaign.
     pub fn shard(mut self, spec: ShardSpec) -> Self {
         self.shard = Some(spec);
-        self
-    }
-
-    /// Skip directory fsyncs (tmpfs test dirs).
-    pub fn no_dirsync(mut self, on: bool) -> Self {
-        self.no_dirsync = on;
         self
     }
 }
@@ -233,12 +222,43 @@ struct Journal {
     writer: BufWriter<File>,
 }
 
-/// One line of `journal.jsonl`.
+/// One line of `journal.jsonl` (or of a shard's `journal-<w>.jsonl`).
 #[derive(Serialize, Deserialize)]
-struct JournalLine {
-    key: String,
-    full: String,
-    value: serde_json::Value,
+pub(crate) struct JournalLine {
+    /// Short key.
+    pub(crate) key: String,
+    /// Full task descriptor.
+    pub(crate) full: String,
+    /// Serialized result.
+    pub(crate) value: serde_json::Value,
+}
+
+/// The intact lines of a journal's `text`, each parsed and paired with
+/// its raw text. A kill mid-append can truncate only the last line, and
+/// lines from the pre-collision-guard schema have no `full` field; both
+/// are skipped. The one reader of the journal format: [`Campaign::open`]
+/// replays with it and the shard coordinator merges and releases leases
+/// with it.
+pub(crate) fn journal_lines(text: &str) -> impl Iterator<Item = (JournalLine, &str)> {
+    text.lines()
+        .filter_map(|line| Some((serde_json::from_str::<JournalLine>(line).ok()?, line)))
+}
+
+/// The lease file name of a short key: `<key>.lease`, with every
+/// character outside `[A-Za-z0-9-]` mapped to `_` (short keys are
+/// `[a-z0-9:-]`, and `:` is not portable in file names).
+pub(crate) fn lease_name(short: &str) -> String {
+    let stem: String = short
+        .chars()
+        .map(|c| {
+            if c.is_ascii_alphanumeric() || c == '-' {
+                c
+            } else {
+                '_'
+            }
+        })
+        .collect();
+    format!("{stem}.lease")
 }
 
 /// The completion record written atomically as `manifest.json` by
@@ -325,22 +345,16 @@ impl Campaign {
         let mut completed = HashMap::new();
         if cfg.resume {
             if let Ok(text) = std::fs::read_to_string(&path) {
-                for line in text.lines() {
-                    // A kill mid-append can truncate only the last line;
-                    // skip anything that does not parse. Lines from the
-                    // pre-collision-guard schema (no "full" field) also
-                    // land here and are recomputed.
-                    if let Ok(l) = serde_json::from_str::<JournalLine>(line) {
-                        if let Ok(raw) = serde_json::to_string(&l.value) {
-                            completed.insert(
-                                l.key,
-                                Entry {
-                                    full: l.full,
-                                    raw,
-                                    persisted: true,
-                                },
-                            );
-                        }
+                for (l, _) in journal_lines(&text) {
+                    if let Ok(raw) = serde_json::to_string(&l.value) {
+                        completed.insert(
+                            l.key,
+                            Entry {
+                                full: l.full,
+                                raw,
+                                persisted: true,
+                            },
+                        );
                     }
                 }
             }
@@ -351,11 +365,9 @@ impl Campaign {
             .truncate(completed.is_empty() && !cfg.resume)
             .write(true)
             .open(&path)?;
-        if !cfg.no_dirsync {
-            // The open may have created the journal file; make the
-            // directory entry durable before any task result lands in it.
-            sync_dir(&cfg.dir)?;
-        }
+        // The open may have created the journal file; make the directory
+        // entry durable before any task result lands in it.
+        sync_dir(&cfg.dir)?;
         tf_obs::counter!("campaign", "journal_loaded", completed.len() as f64);
         Ok(Arc::new(Campaign {
             cfg,
@@ -442,9 +454,7 @@ impl Campaign {
         let mut on_disk = false;
         if persist && j.writer.write_all(json.as_bytes()).is_ok() && j.writer.flush().is_ok() {
             on_disk = true;
-            if !self.cfg.no_dirsync {
-                let _ = j.writer.get_ref().sync_data();
-            }
+            let _ = j.writer.get_ref().sync_data();
         }
         j.completed.insert(
             key.short().to_string(),
@@ -470,20 +480,9 @@ impl Campaign {
         v
     }
 
-    /// Lease path for a short key. Short keys are `[a-z0-9:-]`; anything
-    /// outside the portable set is mapped to `_`.
+    /// Lease path for a short key (see [`lease_name`]).
     fn lease_path(&self, short: &str) -> PathBuf {
-        let name: String = short
-            .chars()
-            .map(|c| {
-                if c.is_ascii_alphanumeric() || c == '-' {
-                    c
-                } else {
-                    '_'
-                }
-            })
-            .collect();
-        self.cfg.dir.join("leases").join(format!("{name}.lease"))
+        self.cfg.dir.join("leases").join(lease_name(short))
     }
 
     /// Claim `short` for this worker via `O_EXCL` lease-file creation.
@@ -674,9 +673,7 @@ impl Campaign {
         {
             let mut j = self.journal.lock().unwrap_or_else(PoisonError::into_inner);
             j.writer.flush()?;
-            if !self.cfg.no_dirsync {
-                j.writer.get_ref().sync_data()?;
-            }
+            j.writer.get_ref().sync_data()?;
         }
         let stats = serde_json::to_string_pretty(&self.stats()).expect("stats serialize");
         std::fs::write(self.cfg.dir.join("stats.json"), stats)?;
@@ -690,17 +687,13 @@ impl Campaign {
         {
             let mut f = File::create(&tmp)?;
             f.write_all(json.as_bytes())?;
-            if !self.cfg.no_dirsync {
-                f.sync_all()?;
-            }
+            f.sync_all()?;
         }
         std::fs::rename(&tmp, &path)?;
-        if !self.cfg.no_dirsync {
-            // Make the rename itself durable: an ext4 power loss after
-            // this returns can no longer resurrect the old directory
-            // state (missing manifest / stale temp file).
-            sync_dir(&self.cfg.dir)?;
-        }
+        // Make the rename itself durable: an ext4 power loss after this
+        // returns can no longer resurrect the old directory state
+        // (missing manifest / stale temp file).
+        sync_dir(&self.cfg.dir)?;
         Ok(m)
     }
 }

@@ -66,8 +66,7 @@ pub struct CliSpec {
     pub effort: bool,
     /// `--out DIR`.
     pub out: bool,
-    /// `--campaign DIR`, `--resume`, `--task-timeout SECS`,
-    /// `--no-dirsync`.
+    /// `--campaign DIR`, `--resume`, `--task-timeout SECS`.
     pub campaign: bool,
     /// `--shard-workers N` (coordinator) and `--shard I/N` (worker).
     pub shard: bool,
@@ -92,8 +91,6 @@ pub struct CommonCli {
     pub resume: bool,
     /// `--task-timeout SECS` (validated finite and positive).
     pub task_timeout: Option<f64>,
-    /// `--no-dirsync`.
-    pub no_dirsync: bool,
     /// `--shard-workers N`: run as the sharding coordinator.
     pub shard_workers: Option<usize>,
     /// `--shard I/N`: run as shard worker I of N (spawned by the
@@ -157,7 +154,6 @@ pub fn parse(spec: CliSpec, args: impl Iterator<Item = String>) -> Result<Common
                 }
                 cli.task_timeout = Some(secs);
             }
-            "--no-dirsync" if spec.campaign => cli.no_dirsync = true,
             "--shard-workers" if spec.shard => {
                 let n: usize = value("--shard-workers", args.next(), "a worker count")?;
                 if n == 0 {
@@ -190,7 +186,6 @@ impl CommonCli {
             let dependents = [
                 (self.resume, "--resume"),
                 (self.task_timeout.is_some(), "--task-timeout"),
-                (self.no_dirsync, "--no-dirsync"),
                 (self.shard_workers.is_some(), "--shard-workers"),
                 (self.shard.is_some(), "--shard"),
             ];
@@ -223,9 +218,7 @@ impl CommonCli {
     /// coordinator's `--shard-workers` stays at the bin level).
     pub fn campaign_cfg(&self) -> Option<CampaignCfg> {
         let dir = self.campaign_dir.as_ref()?;
-        let mut cfg = CampaignCfg::new(dir)
-            .resume(self.resume)
-            .no_dirsync(self.no_dirsync);
+        let mut cfg = CampaignCfg::new(dir).resume(self.resume);
         if let Some(secs) = self.task_timeout {
             cfg = cfg.task_timeout(Duration::from_secs_f64(secs));
         }
@@ -318,7 +311,6 @@ mod tests {
         for flags in [
             &["--resume"][..],
             &["--task-timeout", "5"][..],
-            &["--no-dirsync"][..],
             &["--shard-workers", "4"][..],
             &["--shard", "0/4"][..],
         ] {

@@ -395,11 +395,11 @@ mod tests {
             speed: 2.0,
             k: 2,
         }];
-        let c = Campaign::open(CampaignCfg::new(&dir).no_dirsync(true)).unwrap();
+        let c = Campaign::open(CampaignCfg::new(&dir)).unwrap();
         let first =
             empirical_ratios_scoped(&CampaignScope::of(c.clone()), &tasks, &default_baselines());
         drop(c);
-        let c2 = Campaign::open(CampaignCfg::new(&dir).no_dirsync(true).resume(true)).unwrap();
+        let c2 = Campaign::open(CampaignCfg::new(&dir).resume(true)).unwrap();
         let second =
             empirical_ratios_scoped(&CampaignScope::of(c2.clone()), &tasks, &default_baselines());
         assert_eq!(

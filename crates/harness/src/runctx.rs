@@ -221,12 +221,12 @@ mod tests {
     fn apply_opens_the_campaign_into_the_scope() {
         let dir = std::env::temp_dir().join(format!("tf-runctx-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let mut ctx = RunCtx::quick().campaign(CampaignCfg::new(&dir).no_dirsync(true));
+        let mut ctx = RunCtx::quick().campaign(CampaignCfg::new(&dir));
         ctx.apply().unwrap();
         assert!(ctx.scope().campaign().is_some());
         assert!(ctx.campaign_handle().is_some());
         // Equality ignores the opened handle.
-        let unapplied = RunCtx::quick().campaign(CampaignCfg::new(&dir).no_dirsync(true));
+        let unapplied = RunCtx::quick().campaign(CampaignCfg::new(&dir));
         assert_eq!(ctx, unapplied);
         std::fs::remove_dir_all(&dir).ok();
     }

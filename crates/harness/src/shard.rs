@@ -50,6 +50,7 @@ use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::Duration;
 
+use crate::campaign::{journal_lines, lease_name};
 use crate::cli::CommonCli;
 use crate::runctx::RunCtx;
 
@@ -164,21 +165,13 @@ fn clear_leases(dir: &Path) -> std::io::Result<()> {
     std::fs::create_dir_all(&leases)
 }
 
-/// The short keys committed to one worker's shard journal.
-fn committed_keys(path: &Path) -> HashSet<String> {
-    let mut keys = HashSet::new();
-    if let Ok(text) = std::fs::read_to_string(path) {
-        for line in text.lines() {
-            if let Ok(v) = serde_json::from_str::<serde_json::Value>(line) {
-                if let Some(k) = v.as_map().and_then(|m| serde::map_get(m, "key")) {
-                    if let Some(k) = k.as_str() {
-                        keys.insert(k.to_string());
-                    }
-                }
-            }
-        }
-    }
-    keys
+/// The lease file names of the keys committed to one worker's shard
+/// journal.
+fn committed_leases(path: &Path) -> HashSet<String> {
+    let text = std::fs::read_to_string(path).unwrap_or_default();
+    journal_lines(&text)
+        .map(|(l, _)| lease_name(&l.key))
+        .collect()
 }
 
 /// Delete every lease held by `worker` whose key is NOT in the worker's
@@ -186,7 +179,7 @@ fn committed_keys(path: &Path) -> HashSet<String> {
 /// must become claimable again. Committed keys keep their leases (the
 /// result is safe in the journal; the respawned worker replays it).
 fn release_uncommitted_leases(dir: &Path, worker: usize) -> std::io::Result<u64> {
-    let committed = committed_keys(&dir.join(format!("journal-{worker}.jsonl")));
+    let committed = committed_leases(&dir.join(format!("journal-{worker}.jsonl")));
     let leases = dir.join("leases");
     let mut released = 0;
     if !leases.is_dir() {
@@ -201,31 +194,12 @@ fn release_uncommitted_leases(dir: &Path, worker: usize) -> std::io::Result<u64>
         if owner.trim() != wid {
             continue;
         }
-        // Lease filenames are sanitized key names; recover the key by
-        // comparing against the committed set's sanitized forms.
-        let fname = entry.file_name();
-        let fname = fname.to_string_lossy();
-        let stem = fname.strip_suffix(".lease").unwrap_or(&fname);
-        let is_committed = committed.iter().any(|k| sanitize(k) == stem);
-        if !is_committed {
+        if !committed.contains(&*entry.file_name().to_string_lossy()) {
             std::fs::remove_file(entry.path())?;
             released += 1;
         }
     }
     Ok(released)
-}
-
-/// Mirror of the lease-filename sanitizer in `campaign.rs`.
-fn sanitize(key: &str) -> String {
-    key.chars()
-        .map(|c| {
-            if c.is_ascii_alphanumeric() || c == '-' {
-                c
-            } else {
-                '_'
-            }
-        })
-        .collect()
 }
 
 /// Merge all shard journals in `dir` (and any pre-existing merged
@@ -257,22 +231,12 @@ pub fn merge_shards(dir: &Path) -> std::io::Result<ShardReport> {
     let mut report = ShardReport::default();
     for src in &sources {
         let text = std::fs::read_to_string(src)?;
-        for line in text.lines() {
-            let Ok(v) = serde_json::from_str::<serde_json::Value>(line) else {
-                continue; // torn tail of a killed worker's journal
-            };
-            let Some(m) = v.as_map() else { continue };
-            let (Some(key), Some(full)) = (
-                serde::map_get(m, "key").and_then(|k| k.as_str()),
-                serde::map_get(m, "full").and_then(|k| k.as_str()),
-            ) else {
-                continue;
-            };
-            match lines.get(key) {
+        for (l, line) in journal_lines(&text) {
+            match lines.get(&l.key) {
                 None => {
-                    lines.insert(key.to_string(), (full.to_string(), line.to_string()));
+                    lines.insert(l.key, (l.full, line.to_string()));
                 }
-                Some((first_full, _)) if first_full == full => report.duplicates += 1,
+                Some((first_full, _)) if *first_full == l.full => report.duplicates += 1,
                 Some(_) => report.conflicts += 1,
             }
         }
@@ -587,14 +551,14 @@ mod tests {
     fn uncommitted_leases_are_released_committed_ones_kept() {
         let dir = scratch("release");
         let spec = ShardSpec { worker: 0, of: 1 };
-        let c = Campaign::open(CampaignCfg::new(&dir).shard(spec).no_dirsync(true)).unwrap();
+        let c = Campaign::open(CampaignCfg::new(&dir).shard(spec)).unwrap();
         // Committed: computed through the normal path (lease + journal).
         let committed = TaskKey::hashed("test", "committed");
         let _: u32 = c.run_leaf(&committed, || 1, || 0);
         drop(c);
         // Uncommitted: lease exists, journal entry does not (died between).
-        let orphan = sanitize("test:0000000000000000");
-        std::fs::write(dir.join("leases").join(format!("{orphan}.lease")), "0").unwrap();
+        let orphan = lease_name("test:0000000000000000");
+        std::fs::write(dir.join("leases").join(orphan), "0").unwrap();
         let released = release_uncommitted_leases(&dir, 0).unwrap();
         assert_eq!(released, 1, "only the orphaned lease is released");
         let remaining = std::fs::read_dir(dir.join("leases")).unwrap().count();
@@ -614,25 +578,22 @@ mod tests {
             .map(|i| TaskKey::hashed("test", format!("t{i}")))
             .collect();
 
-        let c = Campaign::open(CampaignCfg::new(&single).no_dirsync(true)).unwrap();
+        let c = Campaign::open(CampaignCfg::new(&single)).unwrap();
         for (i, k) in keys.iter().enumerate() {
             let _: usize = c.run_structural(k, || i * i);
         }
         let m_single = c.finish("run").unwrap();
 
         for w in 0..3 {
-            let cw = Campaign::open(
-                CampaignCfg::new(&sharded)
-                    .shard(ShardSpec { worker: w, of: 3 })
-                    .no_dirsync(true),
-            )
-            .unwrap();
+            let cw =
+                Campaign::open(CampaignCfg::new(&sharded).shard(ShardSpec { worker: w, of: 3 }))
+                    .unwrap();
             for (i, k) in keys.iter().enumerate() {
                 let _: usize = cw.run_leaf(k, || i * i, || usize::MAX);
             }
         }
         merge_shards(&sharded).unwrap();
-        let fin = Campaign::open(CampaignCfg::new(&sharded).resume(true).no_dirsync(true)).unwrap();
+        let fin = Campaign::open(CampaignCfg::new(&sharded).resume(true)).unwrap();
         for (i, k) in keys.iter().enumerate() {
             let v: usize = fin.run_structural(k, || panic!("must replay"));
             assert_eq!(v, i * i);

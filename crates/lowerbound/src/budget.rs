@@ -3,12 +3,11 @@
 //! Long-running campaigns cannot afford one adversarial instance wedging
 //! a worker: the MCMF substrate under the LP relaxation is polynomial
 //! but its constants grow with the time horizon, and a fuzzer (or a
-//! user) will eventually feed it something slow. A [`SolveBudget`]
-//! carries an optional wall-clock deadline and an optional shared cancel
-//! flag; the solver polls it at phase boundaries and every few thousand
-//! heap operations, so a budgeted solve returns `None` within
-//! milliseconds of the deadline instead of being killed mid-write or
-//! running forever.
+//! user) will eventually feed it something slow. A [`SolveBudget`] is
+//! an optional wall-clock deadline; the solver polls it at phase
+//! boundaries and every few thousand heap operations, so a budgeted
+//! solve returns `None` within milliseconds of the deadline instead of
+//! being killed mid-write or running forever.
 //!
 //! Budgets are *cooperative*: exceeding one abandons the solve cleanly
 //! (no partial result is ever reported as a bound — a partial flow's
@@ -16,25 +15,19 @@
 //! fall back to the closed-form bounds, recording the degradation — see
 //! `tf-harness`'s campaign layer.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// A wall-clock deadline and/or external cancel flag for one solve.
+/// An optional wall-clock deadline for one solve.
 ///
-/// Cheap to clone (an `Instant` and an `Arc`); [`SolveBudget::unlimited`]
-/// never trips and compiles down to two branch-predicted loads per poll.
+/// Cheap to clone (an `Option<Instant>`); [`SolveBudget::unlimited`]
+/// never trips and costs one branch-predicted load per poll.
 #[derive(Clone, Debug, Default)]
 pub struct SolveBudget {
     deadline: Option<Instant>,
-    cancel: Option<Arc<AtomicBool>>,
 }
 
 /// The never-tripping budget behind `LbRequest::new`.
-pub(crate) static UNLIMITED: SolveBudget = SolveBudget {
-    deadline: None,
-    cancel: None,
-};
+pub(crate) static UNLIMITED: SolveBudget = SolveBudget { deadline: None };
 
 impl SolveBudget {
     /// A budget that never trips: the solve runs to completion.
@@ -46,7 +39,6 @@ impl SolveBudget {
     pub fn with_timeout(timeout: Duration) -> Self {
         SolveBudget {
             deadline: Some(Instant::now() + timeout),
-            cancel: None,
         }
     }
 
@@ -61,37 +53,15 @@ impl SolveBudget {
         }
     }
 
-    /// Also trip when `flag` becomes `true` (e.g. a supervising thread
-    /// or signal handler requesting cancellation).
-    pub fn cancelled_by(mut self, flag: Arc<AtomicBool>) -> Self {
-        self.cancel = Some(flag);
-        self
-    }
-
     /// Whether this budget can never trip.
     pub fn is_unlimited(&self) -> bool {
-        self.deadline.is_none() && self.cancel.is_none()
+        self.deadline.is_none()
     }
 
-    /// Poll the budget: `true` once the deadline has passed or the
-    /// cancel flag is set. Monotone — once `true`, always `true`.
+    /// Poll the budget: `true` once the deadline has passed. Monotone —
+    /// once `true`, always `true`.
     pub fn exhausted(&self) -> bool {
-        if let Some(flag) = &self.cancel {
-            if flag.load(Ordering::Relaxed) {
-                return true;
-            }
-        }
-        match self.deadline {
-            Some(d) => Instant::now() >= d,
-            None => false,
-        }
-    }
-
-    /// Time left until the deadline (`None` if no deadline is set;
-    /// zero once exhausted).
-    pub fn remaining(&self) -> Option<Duration> {
-        self.deadline
-            .map(|d| d.saturating_duration_since(Instant::now()))
+        self.deadline.is_some_and(|d| Instant::now() >= d)
     }
 }
 
@@ -104,7 +74,6 @@ mod tests {
         let b = SolveBudget::unlimited();
         assert!(b.is_unlimited());
         assert!(!b.exhausted());
-        assert_eq!(b.remaining(), None);
     }
 
     #[test]
@@ -112,7 +81,6 @@ mod tests {
         let b = SolveBudget::with_timeout(Duration::ZERO);
         assert!(!b.is_unlimited());
         assert!(b.exhausted());
-        assert_eq!(b.remaining(), Some(Duration::ZERO));
     }
 
     #[test]
@@ -125,15 +93,5 @@ mod tests {
     fn generous_deadline_does_not_trip() {
         let b = SolveBudget::with_timeout(Duration::from_secs(3600));
         assert!(!b.exhausted());
-        assert!(b.remaining().unwrap() > Duration::from_secs(3000));
-    }
-
-    #[test]
-    fn cancel_flag_trips_independently_of_deadline() {
-        let flag = Arc::new(AtomicBool::new(false));
-        let b = SolveBudget::with_timeout(Duration::from_secs(3600)).cancelled_by(flag.clone());
-        assert!(!b.exhausted());
-        flag.store(true, Ordering::Relaxed);
-        assert!(b.exhausted());
     }
 }

@@ -132,7 +132,7 @@ pub struct LbRequest<'a> {
     pub weighted: bool,
     /// How the LP component is solved.
     pub method: Method,
-    /// Cooperative deadline / cancel flag for the LP component.
+    /// Cooperative deadline for the LP component.
     pub budget: &'a SolveBudget,
 }
 
@@ -428,18 +428,5 @@ mod tests {
                 assert!(o.bound.value > 0.0);
             }
         }
-    }
-
-    #[test]
-    fn cancel_flag_aborts_budgeted_solve() {
-        let t = Trace::from_pairs([(0.0, 2.0), (1.0, 1.0), (2.0, 3.0)]).unwrap();
-        let flag = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(true));
-        let budget =
-            SolveBudget::with_timeout(std::time::Duration::from_secs(3600)).cancelled_by(flag);
-        let req = LbRequest {
-            budget: &budget,
-            ..LbRequest::new(1, 2)
-        };
-        assert!(lower_bound(&t, &req).degraded);
     }
 }

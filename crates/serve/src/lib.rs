@@ -31,6 +31,11 @@
 //! | `k` | norm exponent | ≥ 1 | `2` |
 //! | `eps` | Theorem 1 epsilon | finite, > 0 | `0.05` |
 //!
+//! A request line holds at most [`MAX_REQUEST_BYTES`] bytes before its
+//! newline. A longer line gets an `ok: false` reply and the connection is
+//! closed, so a client that never sends a newline cannot grow the
+//! server's buffer without limit.
+//!
 //! Responses are `{"id": …, "ok": true, "result": …}` or
 //! `{"id": …, "ok": false, "error": "…"}`. A field outside its valid
 //! range gets an `ok: false` reply, and so does a request whose handler
@@ -44,7 +49,7 @@
 //! worked client example.
 
 use std::collections::VecDeque;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -55,6 +60,10 @@ use tf_harness::campaign::CampaignScope;
 use tf_harness::ratio::{default_baselines, empirical_ratio_scoped};
 use tf_policies::Policy;
 use tf_simcore::Trace;
+
+/// The longest request line the server buffers, newline excluded: 16 MiB,
+/// several thousand times the largest request the benchmark clients send.
+pub const MAX_REQUEST_BYTES: usize = 16 << 20;
 
 /// Server configuration.
 #[derive(Debug, Clone)]
@@ -362,9 +371,20 @@ fn handle_connection(conn: TcpStream, shared: &Shared, task_timeout: Option<Dura
     let mut raw: Vec<u8> = Vec::new();
     loop {
         // A timed-out read leaves any partial line in `raw`; the next
-        // iteration keeps appending to it.
-        match reader.read_until(b'\n', &mut raw) {
+        // iteration keeps appending to it, up to one byte past the cap.
+        let room = (MAX_REQUEST_BYTES + 1 - raw.len()) as u64;
+        match (&mut reader).take(room).read_until(b'\n', &mut raw) {
             Ok(0) => break,
+            Ok(_) if raw.len() > MAX_REQUEST_BYTES && raw.last() != Some(&b'\n') => {
+                let reply = response_line(
+                    0,
+                    Err(format!(
+                        "bad request: line exceeds {MAX_REQUEST_BYTES} bytes"
+                    )),
+                );
+                let _ = writeln!(writer, "{reply}").and_then(|()| writer.flush());
+                break;
+            }
             Ok(_) => {}
             Err(e)
                 if matches!(

@@ -1,14 +1,16 @@
 //! End-to-end tests of the real `tf-serve` binary: bind an ephemeral
 //! port, hit it with 8 concurrent client connections, check every
 //! response pairs with its request id, feed a one-worker server
-//! out-of-range requests, then shut the server down over the protocol
-//! itself. Every read has a timeout, so a server that stops answering
-//! fails a test instead of hanging it.
+//! out-of-range requests and a request line past the length cap, then
+//! shut the server down over the protocol itself. Every read has a
+//! timeout, so a server that stops answering fails a test instead of
+//! hanging it.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::process::{Child, Command, Stdio};
 use std::time::Duration;
+use tf_serve::MAX_REQUEST_BYTES;
 
 /// How long a client waits for any one reply line.
 const READ_TIMEOUT: Duration = Duration::from_secs(60);
@@ -194,6 +196,30 @@ fn out_of_range_fields_get_errors_and_the_worker_survives() {
     let reply = roundtrip(
         &server.addr,
         &format!(r#"{{"id": 99, "kind": "certify", {trace}, "k": 2}}"#),
+    );
+    assert!(reply.contains("\"ok\":true"), "{reply}");
+    server.shutdown();
+}
+
+/// A request line that never ends is refused once it passes the cap: the
+/// one worker answers `ok: false` and closes the connection rather than
+/// buffering without limit, then serves the next connection.
+#[test]
+fn overlong_request_line_is_refused_and_the_worker_survives() {
+    let mut server = Server::spawn(1);
+    let mut conn = server.connect();
+    conn.write_all(&vec![b'x'; MAX_REQUEST_BYTES + 1])
+        .expect("send");
+    let mut reply = String::new();
+    BufReader::new(conn)
+        .read_line(&mut reply)
+        .expect("reply to an overlong line");
+    assert!(reply.contains("\"ok\":false"), "{reply}");
+    assert!(reply.contains("exceeds"), "{reply}");
+
+    let reply = roundtrip(
+        &server.addr,
+        r#"{"id": 7, "kind": "certify", "trace": [[0.0, 2.0], [0.0, 1.0]], "k": 2}"#,
     );
     assert!(reply.contains("\"ok\":true"), "{reply}");
     server.shutdown();

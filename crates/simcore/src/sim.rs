@@ -122,12 +122,6 @@ impl<'t, 'p> Simulation<'t, 'p> {
         self
     }
 
-    /// Replace the whole [`SimOptions`] at once.
-    pub fn options(mut self, opts: SimOptions) -> Self {
-        self.opts = opts;
-        self
-    }
-
     /// Install `sink` as the process-wide tf-obs sink when the simulation
     /// runs, so this run's spans and counters are collected. The sink
     /// stays installed afterwards; call [`tf_obs::flush`] to write the

@@ -82,33 +82,28 @@ impl ArrivalProcess {
 
     /// Generate `n` arrival times (non-decreasing, starting at 0).
     pub fn generate<R: Rng + ?Sized>(&self, n: usize, rng: &mut R) -> Vec<f64> {
-        let mut out = Vec::with_capacity(n);
+        let mut prev = 0.0;
+        (0..n as u64)
+            .map(|i| {
+                prev = self.next_arrival(i, prev, rng);
+                prev
+            })
+            .collect()
+    }
+
+    /// Arrival `i` (0-based) given arrival `i − 1` (`prev`; 0 before the
+    /// first). Closed traces ([`ArrivalProcess::generate`]) and open
+    /// streams ([`crate::OpenJobStream`]) both step this one function, so
+    /// they differ only in the RNG they pass.
+    pub(crate) fn next_arrival<R: Rng + ?Sized>(&self, i: u64, prev: f64, rng: &mut R) -> f64 {
         match *self {
-            ArrivalProcess::Poisson { rate } => {
-                let mut t = 0.0;
-                for _ in 0..n {
-                    let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-                    t += -u.ln() / rate;
-                    out.push(t);
-                }
-            }
-            ArrivalProcess::Periodic { interval } => {
-                for i in 0..n {
-                    out.push(i as f64 * interval);
-                }
-            }
+            ArrivalProcess::Poisson { rate } => prev + exp_gap(rng, rate),
+            ArrivalProcess::Periodic { interval } => i as f64 * interval,
             ArrivalProcess::Batched {
                 interval,
                 per_batch,
-            } => {
-                let per_batch = per_batch.max(1);
-                for i in 0..n {
-                    out.push((i / per_batch) as f64 * interval);
-                }
-            }
-            ArrivalProcess::AllAtOnce => {
-                out.resize(n, 0.0);
-            }
+            } => (i / per_batch.max(1) as u64) as f64 * interval,
+            ArrivalProcess::AllAtOnce => 0.0,
             ArrivalProcess::Diurnal {
                 base,
                 amplitude,
@@ -118,19 +113,17 @@ impl ArrivalProcess {
                 // λ_max = base·(1+amplitude), accept each point with
                 // probability λ(t)/λ_max.
                 let lmax = base * (1.0 + amplitude);
-                let mut t = 0.0;
-                while out.len() < n {
-                    let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-                    t += -u.ln() / lmax;
+                let mut t = prev;
+                loop {
+                    t += exp_gap(rng, lmax);
                     let rate =
                         base * (1.0 + amplitude * (std::f64::consts::TAU * t / period).sin());
                     if rng.gen::<f64>() * lmax <= rate {
-                        out.push(t);
+                        return t;
                     }
                 }
             }
         }
-        out
     }
 
     /// Long-run arrival rate (jobs per unit time); infinite for
@@ -153,6 +146,13 @@ impl ArrivalProcess {
             ArrivalProcess::Diurnal { base, .. } => base,
         }
     }
+}
+
+/// An `Exp(rate)` gap by inversion, with `u ∈ [f64::MIN_POSITIVE, 1)` so
+/// `ln u` stays finite.
+fn exp_gap<R: Rng + ?Sized>(rng: &mut R, rate: f64) -> f64 {
+    let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
+    -u.ln() / rate
 }
 
 #[cfg(test)]

@@ -30,17 +30,8 @@ pub enum WorkloadError {
         /// The rejected value.
         value: f64,
     },
-    /// An empirical histogram was malformed (message says how).
-    BadHistogram(String),
-    /// A Markov-modulated process needs at least one state with a
-    /// positive rate; all rates finite and non-negative.
-    BadMmpp(String),
-    /// A stream bound must be finite and positive.
+    /// A stream's job count must be positive.
     BadBound(f64),
-    /// The requested open stream never terminates: a duration bound over
-    /// an arrival process that emits unbounded jobs in finite time
-    /// (`AllAtOnce`).
-    UnboundedStream,
     /// A flow set was malformed (message says which flow and how).
     BadFlow(String),
 }
@@ -66,17 +57,7 @@ impl fmt::Display for WorkloadError {
                     "size distribution {dist}: parameter {param} = {value} is invalid"
                 )
             }
-            WorkloadError::BadHistogram(msg) => write!(f, "bad histogram: {msg}"),
-            WorkloadError::BadMmpp(msg) => write!(f, "bad MMPP: {msg}"),
-            WorkloadError::BadBound(b) => {
-                write!(f, "stream bound {b} must be finite and positive")
-            }
-            WorkloadError::UnboundedStream => {
-                write!(
-                    f,
-                    "duration-bounded stream over an all-at-once arrival process never terminates"
-                )
-            }
+            WorkloadError::BadBound(b) => write!(f, "stream job count {b} must be positive"),
             WorkloadError::BadFlow(msg) => write!(f, "bad flow set: {msg}"),
         }
     }
@@ -103,7 +84,7 @@ mod tests {
 
     #[test]
     fn error_trait_object_works() {
-        let e: Box<dyn std::error::Error> = Box::new(WorkloadError::UnboundedStream);
+        let e: Box<dyn std::error::Error> = Box::new(WorkloadError::BadBound(0.0));
         assert!(!e.to_string().is_empty());
     }
 }

@@ -427,14 +427,6 @@ mod tests {
     }
 
     #[test]
-    fn duration_bound_applies_to_every_flow() {
-        let set = two_flows(3);
-        let (trace, _) = set.build(StreamBound::Duration(40.0)).unwrap();
-        assert!(!trace.is_empty());
-        assert!(trace.jobs().iter().all(|j| j.arrival < 40.0));
-    }
-
-    #[test]
     fn validation_rejects_bad_sets() {
         let empty = FlowSet::new(vec![], 0);
         assert!(matches!(
@@ -467,7 +459,7 @@ mod tests {
 
         // Bad bound surfaces through build/stream.
         assert!(two_flows(0).build(StreamBound::Count(0)).is_err());
-        assert!(two_flows(0).stream(StreamBound::Duration(-1.0)).is_err());
+        assert!(two_flows(0).stream(StreamBound::Count(0)).is_err());
     }
 
     #[test]

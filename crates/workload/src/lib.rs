@@ -17,10 +17,12 @@
 //!   sharing), the long-job-plus-short-stream *PS killer*, the geometric
 //!   cascade driving RR's low-speed blow-up (experiment E3), and the
 //!   SRPT-starvation instance motivating temporal fairness (experiment E7);
+//! * [`ArrivalProcess`] — Poisson, periodic, batched, all-at-once and
+//!   diurnal arrivals, generated by one step function that closed traces
+//!   and open streams share;
 //! * [`OpenWorkload`] — *open* (streaming) workloads for the
-//!   bounded-memory engine: jobs generated on the fly from Poisson, MMPP,
-//!   heavy-tailed renewal, or empirical-histogram arrival processes, with
-//!   per-stream seeded RNGs and count/duration bounds;
+//!   bounded-memory engine: a fixed count of jobs generated on the fly
+//!   from any [`ArrivalProcess`], with per-stream seeded RNGs;
 //! * [`FlowSet`] — multi-flow (fair-queueing-style) workloads: named,
 //!   weighted traffic classes merged into one trace or one job stream,
 //!   with a job→flow map kept beside the trace (experiment E22);
@@ -45,7 +47,7 @@ pub use error::WorkloadError;
 pub use flows::{FlowJobStream, FlowLog, FlowMap, FlowSet, FlowSpec};
 pub use sizes::SizeDist;
 pub use spec::{PoissonWorkload, WorkloadSpec};
-pub use stream::{Histogram, OpenJobStream, OpenWorkload, StreamArrivals, StreamBound};
+pub use stream::{OpenJobStream, OpenWorkload, StreamArrivals, StreamBound};
 
 /// The splitmix64 finalizer, the workspace's one seed-derivation step:
 /// maps a seed (or seed ⊕ index) to a decorrelated 64-bit value, so a
