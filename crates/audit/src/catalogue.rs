@@ -124,21 +124,18 @@ impl AuditReport {
 /// structural oracle (RR, WRR, SETF, LAPS, FCFS).
 ///
 /// The schedule must carry a [`Profile`] (simulate with
-/// `SimOptions::with_profile()` or `Simulation::record_profile()`);
-/// without one the S-checks report the missing profile as a violation.
+/// `SimOptions::with_profile()`); without one the S-checks report the
+/// missing profile as a violation.
 ///
 /// ```
 /// use tf_audit::{audit_schedule, AuditConfig};
 /// use tf_policies::Policy;
-/// use tf_simcore::{Simulation, Trace};
+/// use tf_simcore::{simulate, MachineConfig, SimOptions, Trace};
 ///
 /// let trace = Trace::from_pairs([(0.0, 2.0), (1.0, 1.0)]).unwrap();
 /// let mut rr = Policy::Rr.make();
-/// let sched = Simulation::of(&trace)
-///     .policy(rr.as_mut())
-///     .record_profile()
-///     .run()
-///     .unwrap();
+/// let cfg = MachineConfig::new(1);
+/// let sched = simulate(&trace, rr.as_mut(), cfg, SimOptions::with_profile()).unwrap();
 /// let report = audit_schedule(&trace, &sched, Some(Policy::Rr), &AuditConfig::default());
 /// assert!(report.ok(), "{:?}", report.violations);
 /// ```

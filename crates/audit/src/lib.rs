@@ -34,15 +34,13 @@
 //! ```
 //! use tf_audit::{audit_schedule, AuditConfig};
 //! use tf_policies::Policy;
-//! use tf_simcore::{Simulation, Trace};
+//! use tf_simcore::{simulate, MachineConfig, SimOptions, Trace};
 //!
 //! let trace = Trace::from_pairs([(0.0, 2.0), (1.0, 1.0)])?;
 //! let mut rr = Policy::Rr.make();
-//! let sched = Simulation::of(&trace)
-//!     .policy(rr.as_mut())
-//!     .machines(2)
-//!     .record_profile() // the S-checks need the exact rate trajectory
-//!     .run()?;
+//! // The S-checks need the exact rate trajectory, so record the profile.
+//! let opts = SimOptions::with_profile();
+//! let sched = simulate(&trace, rr.as_mut(), MachineConfig::new(2), opts)?;
 //! let report = audit_schedule(&trace, &sched, Some(Policy::Rr), &AuditConfig::default());
 //! assert!(report.ok());
 //! # Ok::<(), tf_simcore::SimError>(())

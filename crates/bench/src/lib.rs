@@ -4,13 +4,19 @@
 //!
 //! The actual benchmarks live in `benches/`:
 //!
-//! * `experiments` — one Criterion target per experiment table (E1–E20),
+//! * `experiments` — one Criterion target per experiment table (E1–E22),
 //!   regenerating each table at `Effort::Quick`;
 //! * `engine` — simulator throughput across policies and instance sizes;
 //! * `solvers` — min-cost-flow / LP lower-bound scaling;
 //! * `ablations` — design-choice ablations called out in DESIGN.md
 //!   (adaptive-step fidelity, LAPS β sweep, profile-recording overhead,
-//!   McNaughton realization cost).
+//!   McNaughton realization cost);
+//! * `settings` — throughput of immediate dispatch, speed-up curves and
+//!   broadcast;
+//! * `perf` — the gating engine and lower-bound benches, written to
+//!   `BENCH_3.json`;
+//! * `solver_scale` — certified lower bounds out to n = 5000, written to
+//!   `BENCH_5.json`.
 //!
 //! This library only hosts shared fixture helpers.
 

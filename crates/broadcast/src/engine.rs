@@ -29,22 +29,6 @@ pub struct BroadcastSchedule {
     pub events: u64,
 }
 
-impl BroadcastSchedule {
-    /// `Σ_r F_r^k`.
-    pub fn flow_power_sum(&self, k: f64) -> f64 {
-        self.flow.iter().map(|&f| f.powf(k)).sum()
-    }
-
-    /// ℓk norm of the request flow vector (`k = ∞` for max).
-    pub fn flow_norm(&self, k: f64) -> f64 {
-        if k.is_infinite() {
-            self.flow.iter().fold(0.0, |a, &f| a.max(f))
-        } else {
-            self.flow_power_sum(k).powf(1.0 / k)
-        }
-    }
-}
-
 /// One outstanding request's live state.
 struct Outstanding {
     request: usize, // index into instance.requests()

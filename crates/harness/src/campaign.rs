@@ -37,7 +37,7 @@
 //!   and a single-process run of the same campaign produce byte-identical
 //!   manifests. Its presence marks a campaign that ran to completion.
 //! * `stats.json` — per-run counters ([`RunStats`]); informational,
-//!   deliberately outside the manifest because replays/attempts differ
+//!   deliberately outside the manifest because replay/compute counts differ
 //!   between a fresh run, a resume, and a sharded run of the same work.
 //!
 //! ## Degradation
@@ -287,8 +287,6 @@ pub struct RunStats {
     pub replays: u64,
     /// Tasks computed (and journaled) this process.
     pub computed: u64,
-    /// Task computations started.
-    pub attempts: u64,
     /// Lower-bound solves that degraded to closed-form bounds.
     pub degradations: u64,
     /// Replays rejected because the stored full descriptor did not match
@@ -309,7 +307,6 @@ pub struct Campaign {
     journal: Mutex<Journal>,
     replays: AtomicU64,
     computed: AtomicU64,
-    attempts: AtomicU64,
     degradations: AtomicU64,
     collisions: AtomicU64,
     stolen: AtomicU64,
@@ -377,7 +374,6 @@ impl Campaign {
             }),
             replays: AtomicU64::new(0),
             computed: AtomicU64::new(0),
-            attempts: AtomicU64::new(0),
             degradations: AtomicU64::new(0),
             collisions: AtomicU64::new(0),
             stolen: AtomicU64::new(0),
@@ -471,7 +467,6 @@ impl Campaign {
         T: Serialize,
         F: FnOnce() -> T,
     {
-        self.attempts.fetch_add(1, Ordering::Relaxed);
         tf_obs::instant!("campaign", "attempt");
         let v = compute();
         self.record(key, &v, persist(&v));
@@ -613,7 +608,6 @@ impl Campaign {
         RunStats {
             replays: self.replays.load(Ordering::Relaxed),
             computed: self.computed.load(Ordering::Relaxed),
-            attempts: self.attempts.load(Ordering::Relaxed),
             degradations: self.degradations.load(Ordering::Relaxed),
             collisions: self.collisions.load(Ordering::Relaxed),
             stolen: self.stolen.load(Ordering::Relaxed),
@@ -656,7 +650,6 @@ impl Campaign {
         tf_obs::ObsRegistry::from_counters([
             ("campaign.replays", s.replays as f64),
             ("campaign.computed", s.computed as f64),
-            ("campaign.attempts", s.attempts as f64),
             ("campaign.degradations", s.degradations as f64),
             ("campaign.collisions", s.collisions as f64),
             ("campaign.stolen", s.stolen as f64),
@@ -1014,7 +1007,8 @@ mod tests {
         // Counters live in stats.json, not the manifest.
         let s = read_stats(&dir1).unwrap();
         assert_eq!(s.computed, 2);
-        // A stats.json from before the retry counter was dropped loads.
+        // A stats.json from before the retry and attempt counters were
+        // dropped loads.
         std::fs::write(
             dir2.join("stats.json"),
             r#"{"replays":1,"computed":2,"attempts":2,"retries":0,"degradations":0,
@@ -1022,7 +1016,7 @@ mod tests {
         )
         .unwrap();
         let old = read_stats(&dir2).unwrap();
-        assert_eq!((old.replays, old.computed, old.attempts), (1, 2, 2));
+        assert_eq!((old.replays, old.computed), (1, 2));
         std::fs::remove_dir_all(&dir1).ok();
         std::fs::remove_dir_all(&dir2).ok();
     }

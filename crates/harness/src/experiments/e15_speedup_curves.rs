@@ -22,6 +22,7 @@
 use super::{Effort, RunCtx};
 use crate::table::{fnum, Table};
 use rayon::prelude::*;
+use tf_metrics::lk_norm;
 use tf_speedup::families::seq_swarm_overlapped;
 use tf_speedup::{simulate_speedup, Equi, GreedyPar, LapsCurves};
 
@@ -61,18 +62,18 @@ pub fn e15(ctx: &RunCtx) -> Vec<Table> {
             let rounds = (horizon / period).ceil() as usize;
             let t = seq_swarm_overlapped(swarm, seq_len, par_work, rounds, overlap);
             let baseline = simulate_speedup(&t, &mut GreedyPar, 1.0, 1.0);
-            let b2 = baseline.flow_norm(2.0);
-            let b1 = baseline.flow_norm(1.0);
+            let b2 = lk_norm(&baseline.flow, 2.0);
+            let b1 = lk_norm(&baseline.flow, 1.0);
             let mut l2 = Vec::new();
             for &s in &speeds {
                 let e = simulate_speedup(&t, &mut Equi, 1.0, s);
-                l2.push(e.flow_norm(2.0) / b2);
+                l2.push(lk_norm(&e.flow, 2.0) / b2);
             }
-            let l1_s1 = simulate_speedup(&t, &mut Equi, 1.0, 1.0).flow_norm(1.0) / b1;
-            let l1_s4 = simulate_speedup(&t, &mut Equi, 1.0, 4.0).flow_norm(1.0) / b1;
+            let l1_s1 = lk_norm(&simulate_speedup(&t, &mut Equi, 1.0, 1.0).flow, 1.0) / b1;
+            let l1_s4 = lk_norm(&simulate_speedup(&t, &mut Equi, 1.0, 4.0).flow, 1.0) / b1;
             let laps = simulate_speedup(&t, &mut LapsCurves::new(0.5), 1.0, 1.0);
-            let laps_l2 = laps.flow_norm(2.0) / b2;
-            let laps_l1 = laps.flow_norm(1.0) / b1;
+            let laps_l2 = lk_norm(&laps.flow, 2.0) / b2;
+            let laps_l1 = lk_norm(&laps.flow, 1.0) / b1;
             (d, t.len(), l2, l1_s1, l1_s4, laps_l2, laps_l1)
         })
         .collect();

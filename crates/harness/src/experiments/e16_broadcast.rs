@@ -23,6 +23,7 @@ use rayon::prelude::*;
 use tf_broadcast::{
     simulate_broadcast, BroadcastInstance, BroadcastPolicy, Lwf, Mrf, PerPageRR, PerRequestRR,
 };
+use tf_metrics::lk_norm;
 
 fn run_policy(i: &BroadcastInstance, which: usize, speed: f64) -> tf_broadcast::BroadcastSchedule {
     // A tiny factory keeping trait objects local.
@@ -57,9 +58,9 @@ pub fn e16(ctx: &RunCtx) -> Vec<Table> {
             (
                 names[w],
                 hot_cold.requested_work() / s.transmitted,
-                s.flow_norm(1.0),
-                s.flow_norm(2.0),
-                s.flow_norm(f64::INFINITY),
+                lk_norm(&s.flow, 1.0),
+                lk_norm(&s.flow, 2.0),
+                lk_norm(&s.flow, f64::INFINITY),
             )
         })
         .collect();
@@ -102,8 +103,8 @@ pub fn e16(ctx: &RunCtx) -> Vec<Table> {
             (
                 swarm,
                 i.n_requests(),
-                req.flow_norm(2.0) / lwf.flow_norm(2.0),
-                page.flow_norm(2.0) / lwf.flow_norm(2.0),
+                lk_norm(&req.flow, 2.0) / lk_norm(&lwf.flow, 2.0),
+                lk_norm(&page.flow, 2.0) / lk_norm(&lwf.flow, 2.0),
                 req.flow[0],
                 page.flow[0],
             )

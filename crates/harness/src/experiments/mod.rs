@@ -136,10 +136,11 @@ const REGISTRY: &[(&str, ExperimentFn, ExpGrain)] = &[
 /// `all` runs should opt in by naming them explicitly.
 const FAMILIES: &[(&str, ExperimentFn, ExpGrain)] = &[("stream", stream, ExpGrain::Whole)];
 
-/// Run an experiment by id (`"e1"`..`"e21"`, case-insensitive) under the
-/// given [`RunCtx`]. Returns `None` for unknown ids. The whole experiment
-/// is wrapped in a `harness.<id>` span so per-experiment wall-clock shows
-/// up in traces and the timing table.
+/// Run an experiment by id (`"e1"`..`"e22"` or a family id such as
+/// `"stream"`, case-insensitive) under the given [`RunCtx`]. Returns
+/// `None` for unknown ids. The whole experiment is wrapped in a
+/// `harness.<id>` span so per-experiment wall-clock shows up in traces
+/// and the timing table.
 ///
 /// Under an active campaign ([`crate::campaign`]) the finished table set
 /// is journaled per experiment, so a resumed run replays completed

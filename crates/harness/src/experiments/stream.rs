@@ -1,7 +1,7 @@
 //! The `stream` experiment family: RR vs SRPT on *open* workloads driven
 //! through the bounded-memory streaming engine.
 //!
-//! Unlike E1–E20, which materialise a [`tf_workload`] trace and call
+//! Unlike E1–E22, which materialise a [`tf_workload`] trace and call
 //! [`tf_simcore::simulate`], this family pulls jobs one at a time from an
 //! [`OpenWorkload`] generator and retires each job the moment it
 //! completes, so a 10⁷-job run holds only the alive set (≈ ρ/(1−ρ) jobs

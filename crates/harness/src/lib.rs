@@ -1,6 +1,6 @@
 #![warn(missing_docs)]
 
-//! # tf-harness — the experiment suite (E1–E20)
+//! # tf-harness — the experiment suite (E1–E22)
 //!
 //! The paper is pure theory; its "evaluation" is the set of quantitative
 //! claims it proves or cites. DESIGN.md maps each claim to an experiment
@@ -28,6 +28,11 @@
 //! | E18 | simulator vs closed-form M/G/1 queueing theory |
 //! | E19 | adversary-mined worst instances (certified true ratios) |
 //! | E20 | the k = ∞ endpoint: max flow, true ratios to FCFS |
+//! | E21 | starvation-mitigated SRPT and multi-list dispatch vs RR's ℓ2/ℓ3 bracket |
+//! | E22 | per-flow weighted fairness: named flows through RR / WRR / HDF / SRPT |
+//!
+//! The `stream` family (not in `all`) runs 10⁷-job open workloads in
+//! bounded memory.
 //!
 //! Every experiment returns [`table::Table`]s; the `experiments` binary
 //! renders them as text/markdown/CSV. All randomness is seeded — rerunning

@@ -1,8 +1,7 @@
-//! Seeded replication: run a measurement across independent seeds and
-//! summarize it — mean, sample standard deviation, and extremes — so
-//! tables can carry uncertainty instead of single draws.
+//! Replicate summaries: mean, sample standard deviation, and extremes of
+//! a measurement taken across independent seeds, so tables can carry
+//! uncertainty instead of single draws.
 
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// Summary of replicated measurements.
@@ -56,29 +55,6 @@ impl Replicates {
             crate::table::fnum(self.std_dev)
         )
     }
-
-    /// Half-width of a ~95% normal confidence interval on the mean
-    /// (`1.96·std/√n`; rough — replicates are few).
-    pub fn ci95(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            1.96 * self.std_dev / (self.n as f64).sqrt()
-        }
-    }
-}
-
-/// Run `measure(seed)` for `seeds` consecutive seeds starting at `base`,
-/// in parallel, and summarize.
-pub fn replicate<F>(base: u64, seeds: u64, measure: F) -> Replicates
-where
-    F: Fn(u64) -> f64 + Sync,
-{
-    let values: Vec<f64> = (0..seeds)
-        .into_par_iter()
-        .map(|i| measure(base + i))
-        .collect();
-    Replicates::from_values(&values)
 }
 
 #[cfg(test)]
@@ -93,7 +69,6 @@ mod tests {
         assert!((r.std_dev - 1.0).abs() < 1e-12);
         assert_eq!(r.min, 1.0);
         assert_eq!(r.max, 3.0);
-        assert!(r.ci95() > 0.0);
     }
 
     #[test]
@@ -104,54 +79,6 @@ mod tests {
         let single = Replicates::from_values(&[5.0]);
         assert_eq!(single.std_dev, 0.0);
         assert_eq!(single.mean, 5.0);
-    }
-
-    #[test]
-    fn replicate_is_deterministic_and_seed_sensitive() {
-        let f = |seed: u64| (seed % 7) as f64;
-        let a = replicate(10, 5, f);
-        let b = replicate(10, 5, f);
-        assert_eq!(a, b);
-        let c = replicate(11, 5, f);
-        assert_ne!(a.mean, c.mean);
-    }
-
-    #[test]
-    fn replicated_simulation_reduces_spread() {
-        // Real use: mean RR flow over Poisson workloads; more seeds give a
-        // tighter CI.
-        use tf_policies::Policy;
-        use tf_simcore::{simulate, MachineConfig, SimOptions};
-        use tf_workload::{ArrivalProcess, SizeDist, WorkloadSpec};
-        let measure = |seed: u64| {
-            let t = WorkloadSpec {
-                n: 300,
-                arrivals: ArrivalProcess::Poisson { rate: 0.8 },
-                sizes: SizeDist::Exponential { mean: 1.0 },
-                seed,
-            }
-            .generate();
-            let mut rr = Policy::Rr.make();
-            simulate(
-                &t,
-                rr.as_mut(),
-                MachineConfig::new(1),
-                SimOptions::default(),
-            )
-            .unwrap()
-            .total_flow()
-                / 300.0
-        };
-        let few = replicate(1, 3, measure);
-        let many = replicate(1, 12, measure);
-        // Same data prefix → same ballpark mean.
-        assert!((few.mean - many.mean).abs() < 3.0 * many.std_dev + 1.0);
-        // CI shrinks with n only in expectation — the sample std is itself
-        // random — so compare the half-widths at a common std, which leaves
-        // exactly the deterministic 1/√n factor.
-        let at_common_std = |r: &Replicates| 1.96 * many.std_dev / (r.n as f64).sqrt();
-        assert!(at_common_std(&many) < at_common_std(&few));
-        assert!(many.ci95().is_finite() && many.ci95() > 0.0);
     }
 
     #[test]

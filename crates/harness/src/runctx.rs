@@ -175,8 +175,8 @@ impl RunCtx {
             Ok(_) => {
                 let s = c.stats();
                 eprintln!(
-                    "campaign: {} replayed, {} computed, {} attempts, {} degradations",
-                    s.replays, s.computed, s.attempts, s.degradations
+                    "campaign: {} replayed, {} computed, {} degradations",
+                    s.replays, s.computed, s.degradations
                 );
             }
             Err(e) => eprintln!("campaign: manifest write failed: {e}"),

@@ -1,7 +1,7 @@
 //! Declarative grid sweeps: every (instance × policy × speed × k × m)
 //! combination, evaluated with the ratio bracket, as one CSV-able table.
 //!
-//! The E1–E19 experiments answer the paper's questions; `sweep` is the
+//! The E1–E22 experiments answer the paper's questions; `sweep` is the
 //! open-ended tool an adopter points at their *own* question. A
 //! [`SweepConfig`] is plain serde JSON, so grids live in version control
 //! next to the results they produced.
@@ -88,15 +88,10 @@ fn materialize(inst: &SweepInstance, m: usize) -> Result<(String, Trace), String
     }
 }
 
-/// Run the sweep, producing one row per grid point. Runs outside any
-/// campaign scope; see [`run_sweep_scoped`].
-pub fn run_sweep(cfg: &SweepConfig) -> Result<Table, String> {
-    run_sweep_scoped(&CampaignScope::none(), cfg)
-}
-
-/// [`run_sweep`] under a [`CampaignScope`]: the grid points run through
-/// [`empirical_ratios_scoped`], so each journals under its
-/// content-addressed ratio key and replays on resume.
+/// Run the sweep, producing one row per grid point. The grid points run
+/// through [`empirical_ratios_scoped`] under `scope`, so inside a
+/// campaign each journals under its content-addressed ratio key and
+/// replays on resume; [`CampaignScope::none`] runs outside any campaign.
 pub fn run_sweep_scoped(scope: &CampaignScope, cfg: &SweepConfig) -> Result<Table, String> {
     let mut obs_span = tf_obs::span!("harness", "sweep");
     let policies = cfg.parsed_policies()?;
@@ -177,7 +172,7 @@ mod tests {
     #[test]
     fn sweep_produces_full_grid() {
         let cfg = tiny_cfg();
-        let t = run_sweep(&cfg).unwrap();
+        let t = run_sweep_scoped(&CampaignScope::none(), &cfg).unwrap();
         assert_eq!(t.rows.len(), cfg.points());
         for row in &t.rows {
             let lo: f64 = row[8].parse().unwrap();
@@ -196,14 +191,17 @@ mod tests {
         };
         let plain: SweepConfig = serde_json::from_str(&json("")).unwrap();
         let legacy: SweepConfig = serde_json::from_str(&json(r#","warm_lb":true"#)).unwrap();
-        assert_eq!(run_sweep(&plain).unwrap(), run_sweep(&legacy).unwrap());
+        assert_eq!(
+            run_sweep_scoped(&CampaignScope::none(), &plain).unwrap(),
+            run_sweep_scoped(&CampaignScope::none(), &legacy).unwrap()
+        );
     }
 
     #[test]
     fn bad_policy_name_fails_fast() {
         let mut cfg = tiny_cfg();
         cfg.policies.push("frobnicate".into());
-        assert!(run_sweep(&cfg).is_err());
+        assert!(run_sweep_scoped(&CampaignScope::none(), &cfg).is_err());
     }
 
     #[test]
@@ -228,7 +226,7 @@ mod tests {
             ks: vec![2],
             ms: vec![1],
         };
-        let t = run_sweep(&cfg).unwrap();
+        let t = run_sweep_scoped(&CampaignScope::none(), &cfg).unwrap();
         assert_eq!(t.rows.len(), 1);
         std::fs::remove_file(path).ok();
     }

@@ -3,14 +3,20 @@
 //! [`tf_obs::ObsRegistry`] with disjoint namespaces.
 
 use tf_policies::RoundRobin;
-use tf_simcore::{Simulation, Trace};
+use tf_simcore::{simulate, MachineConfig, SimOptions, Trace};
 
 #[test]
 fn registries_merge_across_layers() {
     let trace = Trace::from_pairs([(0.0, 2.0), (1.0, 1.0), (1.0, 3.0), (4.0, 2.0)]).unwrap();
 
     let mut rr = RoundRobin::new();
-    let sched = Simulation::of(&trace).policy(&mut rr).run().unwrap();
+    let sched = simulate(
+        &trace,
+        &mut rr,
+        MachineConfig::new(1),
+        SimOptions::default(),
+    )
+    .unwrap();
     let mut reg = sched.stats.registry();
 
     // The shared solver is thread-local: the stats read below must happen

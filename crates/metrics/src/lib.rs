@@ -5,7 +5,9 @@
 //! The quantities the paper reasons about, computable from schedules:
 //!
 //! * [`lk_norm`] / [`flow_power_sum`] — the ℓk-norm of flow time
-//!   `(Σ_j F_j^k)^{1/k}` (k = ∞ gives max flow), the paper's objective;
+//!   `(Σ_j F_j^k)^{1/k}` (k = ∞ gives max flow), the paper's objective.
+//!   The [`norms`] module is defined in tf-simcore, where
+//!   `Schedule::flow_norm` calls it, and re-exported here;
 //! * [`flow_stats`] — mean / variance / percentiles / max of flow times,
 //!   quantifying the Silberschatz–Galvin–Gagne "predictable response time"
 //!   criterion quoted in the introduction;
@@ -23,7 +25,6 @@
 //!   bounded-memory streaming engine.
 
 pub mod fairness;
-pub mod norms;
 pub mod occupancy;
 pub mod perflow;
 pub mod queueing;
@@ -43,4 +44,5 @@ pub use queueing::{mg1_fcfs_mean_flow, mg1_ps_mean_flow, mg1_ps_mean_flow_of_siz
 pub use stats::{flow_stats, percentile, FlowStats};
 pub use streaming::{StreamingFlowStats, StreamingMoments, StreamingNorm, TDigest};
 pub use stretch::{stretch_stats, StretchStats};
+pub use tf_simcore::norms;
 pub use weighted::{weighted_flow_power_sum, weighted_lk_norm, weighted_mean_flow};

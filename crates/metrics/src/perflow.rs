@@ -128,11 +128,6 @@ impl PerFlowStreamingStats {
         self.stats.iter().map(StreamingFlowStats::n).sum()
     }
 
-    /// Samples recorded for flow `f`.
-    pub fn flow_n(&self, f: usize) -> u64 {
-        self.stats[f].n()
-    }
-
     /// The ℓk norm of flow `f` so far (at the `k` chosen at
     /// construction).
     pub fn norm(&self, f: usize) -> f64 {
@@ -238,7 +233,7 @@ mod tests {
             assert!((a.norm(fl) - closed_norms[fl]).abs() < 1e-9, "flow {fl}");
             assert!((ws[fl].mean - closed_means[fl]).abs() < 1e-9, "flow {fl}");
             assert!((ms[fl].mean - closed_means[fl]).abs() < 1e-9, "flow {fl}");
-            assert_eq!(ws[fl].n as u64, whole.flow_n(fl));
+            assert_eq!(ws[fl].n, f.iter().filter(|&&x| x as usize == fl).count());
         }
     }
 

@@ -96,10 +96,7 @@ fn state() -> MutexGuard<'static, State> {
 /// collection entirely (probe sites return to their cheap path).
 pub fn install(spec: SinkSpec) {
     let mut st = state();
-    RUNTIME_ON.store(
-        cfg!(feature = "enabled") && !spec.is_off(),
-        Ordering::Relaxed,
-    );
+    RUNTIME_ON.store(!spec.is_off(), Ordering::Relaxed);
     st.spec = spec;
     st.events.clear();
     st.track_seq.clear();

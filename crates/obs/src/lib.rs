@@ -1,6 +1,6 @@
 #![warn(missing_docs)]
 
-//! # tf-obs — zero-cost-when-off tracing and metrics
+//! # tf-obs — near-zero-cost-when-off tracing and metrics
 //!
 //! The workspace's observability substrate: structured **spans** (named,
 //! categorized durations), **counters**, and **instant events**, collected
@@ -10,12 +10,9 @@
 //!
 //! ## Cost model
 //!
-//! * **Feature-gated off** (`default-features = false`): [`enabled`]
-//!   returns a compile-time `false`, every probe site folds to nothing,
-//!   and the instrumentation is physically absent from the binary.
-//! * **Runtime off** (the default build, no sink installed): each probe
-//!   site costs one relaxed atomic load and a predictable branch.
-//! * **Runtime on**: spans take two clock reads plus one short mutex-held
+//! * **Off** (no sink installed): each probe site costs one relaxed
+//!   atomic load in [`enabled`] and a predictable branch.
+//! * **On**: spans take two clock reads plus one short mutex-held
 //!   buffer push. Tracing is a diagnostic mode; the hot paths it wraps
 //!   (an LP solve, a simulation run, a Dijkstra phase) dwarf this cost,
 //!   and the perf benches gate the *off* configurations, which are the
@@ -64,12 +61,11 @@ pub use collector::{
 pub use registry::ObsRegistry;
 pub use sink::{render_chrome, render_jsonl, SinkSpec};
 
-/// True iff tracing is compiled in **and** a sink is currently installed.
-/// Probe sites branch on this; with the `enabled` feature off it is a
-/// compile-time `false` and the probe folds away entirely.
+/// True iff a sink is currently installed. Probe sites branch on this
+/// (one relaxed atomic load).
 #[inline(always)]
 pub fn enabled() -> bool {
-    cfg!(feature = "enabled") && collector::runtime_on()
+    collector::runtime_on()
 }
 
 /// Drain the collected events through the installed sink, writing the

@@ -2,13 +2,13 @@
 //!
 //! ```
 //! use tf_policies::Policy;
-//! use tf_simcore::{Simulation, Trace};
+//! use tf_simcore::{simulate, MachineConfig, SimOptions, Trace};
 //!
 //! // Rates vary continuously with age, so the engine integrates on an
 //! // adaptive grid; a lone job still runs at full speed throughout.
 //! let trace = Trace::from_pairs([(0.0, 3.0)]).unwrap();
 //! let mut aged = "agedrr".parse::<Policy>().unwrap().make();
-//! let s = Simulation::of(&trace).policy(aged.as_mut()).machines(1).run().unwrap();
+//! let s = simulate(&trace, aged.as_mut(), MachineConfig::new(1), SimOptions::default()).unwrap();
 //! assert!((s.completion[0] - 3.0).abs() < 1e-6);
 //! ```
 

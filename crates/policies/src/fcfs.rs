@@ -2,12 +2,12 @@
 //!
 //! ```
 //! use tf_policies::Policy;
-//! use tf_simcore::{Simulation, Trace};
+//! use tf_simcore::{simulate, MachineConfig, SimOptions, Trace};
 //!
 //! // Head-of-line blocking: the late short job waits for the long one.
 //! let trace = Trace::from_pairs([(0.0, 3.0), (1.0, 1.0)]).unwrap();
 //! let mut fcfs = "fcfs".parse::<Policy>().unwrap().make();
-//! let s = Simulation::of(&trace).policy(fcfs.as_mut()).machines(1).run().unwrap();
+//! let s = simulate(&trace, fcfs.as_mut(), MachineConfig::new(1), SimOptions::default()).unwrap();
 //! assert!((s.completion[0] - 3.0).abs() < 1e-9);
 //! assert!((s.completion[1] - 4.0).abs() < 1e-9);
 //! ```

@@ -2,12 +2,12 @@
 //!
 //! ```
 //! use tf_policies::Policy;
-//! use tf_simcore::{Simulation, Trace};
+//! use tf_simcore::{simulate, MachineConfig, SimOptions, Trace};
 //!
 //! // Unit weights make density 1/p_j, so HDF degenerates to SJF.
 //! let trace = Trace::from_pairs([(0.0, 4.0), (1.0, 1.0)]).unwrap();
 //! let mut hdf = "hdf".parse::<Policy>().unwrap().make();
-//! let s = Simulation::of(&trace).policy(hdf.as_mut()).machines(1).run().unwrap();
+//! let s = simulate(&trace, hdf.as_mut(), MachineConfig::new(1), SimOptions::default()).unwrap();
 //! assert!((s.completion[1] - 2.0).abs() < 1e-9);
 //! assert!((s.completion[0] - 5.0).abs() < 1e-9);
 //! ```

@@ -10,12 +10,12 @@
 //!
 //! ```
 //! use tf_policies::Policy;
-//! use tf_simcore::{Simulation, Trace};
+//! use tf_simcore::{simulate, MachineConfig, SimOptions, Trace};
 //!
 //! // A long job ahead of a stream of short ones: plain SRPT starves it.
 //! let trace = Trace::from_pairs([(0.0, 6.0), (1.0, 1.0), (2.0, 1.0), (3.0, 1.0)]).unwrap();
 //! let mut hybrid = "hyb:4".parse::<Policy>().unwrap().make();
-//! let s = Simulation::of(&trace).policy(hybrid.as_mut()).machines(1).run().unwrap();
+//! let s = simulate(&trace, hybrid.as_mut(), MachineConfig::new(1), SimOptions::default()).unwrap();
 //! // Once the long job's age hits θ=4 it runs to completion ahead of the
 //! // young short jobs, bounding its flow time.
 //! assert!(s.flow[0] < 9.0 + 1e-9);

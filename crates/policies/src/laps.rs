@@ -2,12 +2,12 @@
 //!
 //! ```
 //! use tf_policies::Policy;
-//! use tf_simcore::{Simulation, Trace};
+//! use tf_simcore::{simulate, MachineConfig, SimOptions, Trace};
 //!
 //! // β=0.5 with two alive jobs serves only the latest arrival.
 //! let trace = Trace::from_pairs([(0.0, 3.0), (1.0, 1.0)]).unwrap();
 //! let mut laps = "laps:0.5".parse::<Policy>().unwrap().make();
-//! let s = Simulation::of(&trace).policy(laps.as_mut()).machines(1).run().unwrap();
+//! let s = simulate(&trace, laps.as_mut(), MachineConfig::new(1), SimOptions::default()).unwrap();
 //! assert!((s.completion[1] - 2.0).abs() < 1e-9); // runs alone on arrival
 //! assert!((s.completion[0] - 4.0).abs() < 1e-9); // paused while job 1 lives
 //! ```

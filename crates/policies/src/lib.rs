@@ -29,7 +29,7 @@
 //!
 //! ```
 //! use tf_policies::Policy;
-//! use tf_simcore::{Simulation, Trace};
+//! use tf_simcore::{simulate, MachineConfig, SimOptions, Trace};
 //!
 //! // SRPT starves the long job behind this stream of shorts; the
 //! // starvation-mitigated hybrid promotes it once its age hits θ.
@@ -38,7 +38,7 @@
 //! let trace = Trace::from_pairs(pairs).unwrap();
 //! let run = |p: Policy| {
 //!     let mut alloc = p.make();
-//!     Simulation::of(&trace).policy(alloc.as_mut()).machines(1).run().unwrap()
+//!     simulate(&trace, alloc.as_mut(), MachineConfig::new(1), SimOptions::default()).unwrap()
 //! };
 //! let (srpt, hyb) = (run(Policy::Srpt), run(Policy::Hybrid(4.0)));
 //! assert!(hyb.flow[0] < srpt.flow[0] - 1.0); // tail flow is capped…

@@ -16,13 +16,13 @@
 //!
 //! ```
 //! use tf_policies::Policy;
-//! use tf_simcore::{Simulation, Trace};
+//! use tf_simcore::{simulate, MachineConfig, SimOptions, Trace};
 //!
 //! // The long job is demoted as it accumulates service, so the short one
 //! // finishes first even though both arrive together.
 //! let trace = Trace::from_pairs([(0.0, 8.0), (0.0, 1.0)]).unwrap();
 //! let mut mlfq = "mlfq".parse::<Policy>().unwrap().make();
-//! let s = Simulation::of(&trace).policy(mlfq.as_mut()).machines(1).run().unwrap();
+//! let s = simulate(&trace, mlfq.as_mut(), MachineConfig::new(1), SimOptions::default()).unwrap();
 //! assert!(s.completion[1] < s.completion[0]);
 //! ```
 

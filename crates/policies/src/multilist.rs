@@ -17,11 +17,11 @@
 //!
 //! ```
 //! use tf_policies::Policy;
-//! use tf_simcore::{Simulation, Trace};
+//! use tf_simcore::{simulate, MachineConfig, SimOptions, Trace};
 //!
 //! let trace = Trace::from_pairs([(0.0, 4.0), (0.0, 1.0), (0.0, 1.0)]).unwrap();
 //! let mut ml = "ml".parse::<Policy>().unwrap().make();
-//! let s = Simulation::of(&trace).policy(ml.as_mut()).machines(2).run().unwrap();
+//! let s = simulate(&trace, ml.as_mut(), MachineConfig::new(2), SimOptions::default()).unwrap();
 //! // Largest-first: the size-4 job claims list 0, both unit jobs share
 //! // list 1 back-to-back.
 //! assert!((s.completion[0] - 4.0).abs() < 1e-9);

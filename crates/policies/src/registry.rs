@@ -3,7 +3,7 @@
 //!
 //! ```
 //! use tf_policies::Policy;
-//! use tf_simcore::{Simulation, Trace};
+//! use tf_simcore::{simulate, MachineConfig, SimOptions, Trace};
 //!
 //! let p: Policy = "srpt".parse().unwrap();
 //! assert!(p.clairvoyant());
@@ -13,7 +13,8 @@
 //! let trace = Trace::from_pairs([(0.0, 2.0), (0.5, 1.0)]).unwrap();
 //! for p in Policy::all() {
 //!     let mut alloc = p.make();
-//!     let s = Simulation::of(&trace).policy(alloc.as_mut()).machines(1).run().unwrap();
+//!     let cfg = MachineConfig::new(1);
+//!     let s = simulate(&trace, alloc.as_mut(), cfg, SimOptions::default()).unwrap();
 //!     assert!(s.completion.iter().all(|c| c.is_finite()), "{p}");
 //! }
 //! ```
@@ -95,18 +96,6 @@ impl Policy {
             Policy::Hybrid(_) => "HYB",
             Policy::MultiList => "ML",
         }
-    }
-
-    /// The non-clairvoyant subset (fair comparisons against RR).
-    pub fn non_clairvoyant() -> Vec<Policy> {
-        vec![
-            Policy::Rr,
-            Policy::AgedRr,
-            Policy::Setf,
-            Policy::Mlfq,
-            Policy::Fcfs,
-            Policy::Laps(0.5),
-        ]
     }
 
     /// Construct a fresh allocator for this policy.
@@ -318,10 +307,15 @@ mod tests {
         assert!(Policy::Sjf.clairvoyant());
         assert!(Policy::Hybrid(1.0).clairvoyant());
         assert!(Policy::MultiList.clairvoyant());
-        assert!(!Policy::Rr.clairvoyant());
-        assert!(!Policy::Setf.clairvoyant());
-        for p in Policy::non_clairvoyant() {
-            assert!(!p.clairvoyant());
+        for p in [
+            Policy::Rr,
+            Policy::AgedRr,
+            Policy::Setf,
+            Policy::Mlfq,
+            Policy::Fcfs,
+            Policy::Laps(0.5),
+        ] {
+            assert!(!p.clairvoyant(), "{p}");
         }
     }
 

@@ -3,13 +3,13 @@
 //!
 //! ```
 //! use tf_policies::Policy;
-//! use tf_simcore::{Simulation, Trace};
+//! use tf_simcore::{simulate, MachineConfig, SimOptions, Trace};
 //!
 //! // Two equal jobs share the machine and finish together — temporal
 //! // fairness in its purest form.
 //! let trace = Trace::from_pairs([(0.0, 2.0), (0.0, 2.0)]).unwrap();
 //! let mut rr = "rr".parse::<Policy>().unwrap().make();
-//! let s = Simulation::of(&trace).policy(rr.as_mut()).machines(1).run().unwrap();
+//! let s = simulate(&trace, rr.as_mut(), MachineConfig::new(1), SimOptions::default()).unwrap();
 //! assert!((s.completion[0] - 4.0).abs() < 1e-9);
 //! assert!((s.completion[1] - 4.0).abs() < 1e-9);
 //! ```

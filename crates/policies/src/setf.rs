@@ -2,13 +2,13 @@
 //!
 //! ```
 //! use tf_policies::Policy;
-//! use tf_simcore::{Simulation, Trace};
+//! use tf_simcore::{simulate, MachineConfig, SimOptions, Trace};
 //!
 //! // The late arrival has zero attained service, so it runs alone until it
 //! // completes (it never catches up to the head start of job 0).
 //! let trace = Trace::from_pairs([(0.0, 5.0), (2.0, 1.0)]).unwrap();
 //! let mut setf = "setf".parse::<Policy>().unwrap().make();
-//! let s = Simulation::of(&trace).policy(setf.as_mut()).machines(1).run().unwrap();
+//! let s = simulate(&trace, setf.as_mut(), MachineConfig::new(1), SimOptions::default()).unwrap();
 //! assert!((s.completion[1] - 3.0).abs() < 1e-6);
 //! assert!((s.completion[0] - 6.0).abs() < 1e-6);
 //! ```

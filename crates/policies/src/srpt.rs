@@ -2,12 +2,12 @@
 //!
 //! ```
 //! use tf_policies::Policy;
-//! use tf_simcore::{Simulation, Trace};
+//! use tf_simcore::{simulate, MachineConfig, SimOptions, Trace};
 //!
 //! // The classic preemption example: (0,4) then (1,1).
 //! let trace = Trace::from_pairs([(0.0, 4.0), (1.0, 1.0)]).unwrap();
 //! let mut srpt = "srpt".parse::<Policy>().unwrap().make();
-//! let s = Simulation::of(&trace).policy(srpt.as_mut()).machines(1).run().unwrap();
+//! let s = simulate(&trace, srpt.as_mut(), MachineConfig::new(1), SimOptions::default()).unwrap();
 //! assert!((s.completion[1] - 2.0).abs() < 1e-9); // short job preempts
 //! assert!((s.completion[0] - 5.0).abs() < 1e-9);
 //! assert!((s.total_flow() - 6.0).abs() < 1e-9); // ℓ1-optimal on one machine

@@ -31,7 +31,7 @@ pub enum SimError {
     /// Speed must be finite and positive.
     BadSpeed(f64),
     /// A discrete-RR time quantum must be finite and positive. Reported
-    /// by the quantum/DRR simulators; an earlier revision reused
+    /// by the quantum RR simulator; an earlier revision reused
     /// [`SimError::BadSpeed`] here, which printed a misleading "speed
     /// ... must be finite and positive" diagnostic for a quantum error.
     BadQuantum(f64),

@@ -29,6 +29,10 @@
 //! to evaluate the paper's dual-fitting construction in closed form and to
 //! compute exact `ℓk` objectives.
 //!
+//! The [`norms`] module holds the one ℓk-norm evaluation:
+//! [`Schedule::flow_norm`] calls it, and tf-metrics re-exports it for
+//! every other flow vector.
+//!
 //! A separate [`quantum`] module provides a *discrete* Round Robin with a
 //! finite time quantum and context-switch overhead, used to measure how far
 //! practical RR deviates from the idealized processor-sharing RR that the
@@ -40,10 +44,10 @@ pub mod error;
 pub mod gantt;
 pub mod job;
 pub mod mcnaughton;
+pub mod norms;
 pub mod profile;
 pub mod quantum;
 pub mod schedule;
-pub mod sim;
 pub mod stats;
 pub mod stream;
 pub mod trace;
@@ -55,7 +59,6 @@ pub use error::SimError;
 pub use job::{Job, JobId};
 pub use profile::{Profile, Segment, SegmentRef};
 pub use schedule::Schedule;
-pub use sim::Simulation;
 pub use stats::SimStats;
 pub use stream::{
     simulate_stream, CompletedJob, JobSource, SourcedJob, StreamOptions, StreamReport, TraceSource,

@@ -275,11 +275,6 @@ impl Profile {
             .filter(|s| s.t0 <= t && t < s.t1)
     }
 
-    /// Number of alive jobs at time `t` (0 during idle gaps).
-    pub fn n_alive_at(&self, t: f64) -> usize {
-        self.segment_at(t).map_or(0, |s| s.n_alive())
-    }
-
     /// End of the last segment (makespan), or 0 for an empty profile.
     pub fn end(&self) -> f64 {
         self.spans.last().map_or(0.0, |s| s.t1)
@@ -323,23 +318,6 @@ impl Profile {
         }
         self.spans = spans;
         self.arena = arena;
-    }
-
-    /// Per-job alive interval `[r_j, C_j]` inferred from the profile:
-    /// first and last segment in which the job appears. Returns `None` if
-    /// the job never appears.
-    pub fn alive_interval(&self, job: JobId) -> Option<(f64, f64)> {
-        let mut first = None;
-        let mut last = None;
-        for s in self.segments() {
-            if s.rate_of(job).is_some() {
-                if first.is_none() {
-                    first = Some(s.t0);
-                }
-                last = Some(s.t1);
-            }
-        }
-        Some((first?, last?))
     }
 }
 
@@ -437,10 +415,10 @@ mod tests {
     #[test]
     fn segment_lookup_handles_gaps() {
         let p = profile(vec![seg(0.0, 1.0, &[(0, 1.0)]), seg(5.0, 6.0, &[(1, 1.0)])]);
-        assert_eq!(p.n_alive_at(0.5), 1);
-        assert_eq!(p.n_alive_at(3.0), 0); // idle gap
-        assert_eq!(p.n_alive_at(5.0), 1);
-        assert_eq!(p.n_alive_at(6.0), 0); // half-open at the end
+        assert_eq!(p.segment_at(0.5).map(|s| s.n_alive()), Some(1));
+        assert!(p.segment_at(3.0).is_none()); // idle gap
+        assert_eq!(p.segment_at(5.0).map(|s| s.n_alive()), Some(1));
+        assert!(p.segment_at(6.0).is_none()); // half-open at the end
         assert!(p.segment_at(0.999999).is_some());
         assert!(p.segment_at(1.0).is_none());
     }
@@ -493,17 +471,6 @@ mod tests {
         lone.coalesce(1e-12);
         assert_eq!(lone.len(), 1);
         assert_eq!(lone.segment(0).duration(), 0.0);
-    }
-
-    #[test]
-    fn alive_interval_spans_zero_rate_segments() {
-        let p = profile(vec![
-            seg(0.0, 1.0, &[(0, 1.0), (1, 0.0)]),
-            seg(1.0, 2.0, &[(1, 1.0)]),
-        ]);
-        assert_eq!(p.alive_interval(1), Some((0.0, 2.0)));
-        assert_eq!(p.alive_interval(0), Some((0.0, 1.0)));
-        assert_eq!(p.alive_interval(7), None);
     }
 
     #[test]

@@ -181,88 +181,6 @@ pub fn simulate_quantum_rr(
     })
 }
 
-/// Deficit Round Robin (Shreedhar–Varghese \[25\], cited by the paper as
-/// a deployed RR-for-fairness system): a single server cycles over the
-/// active jobs; each visit adds `quantum · weight_j` to job `j`'s *deficit
-/// counter* and serves the job for up to its accumulated deficit, carrying
-/// any unused deficit to the next round. With equal weights and a small
-/// quantum this converges to processor sharing; unequal weights give
-/// weighted fair shares with O(1) work per scheduling decision — the
-/// property the original paper is famous for.
-///
-/// This implementation serves jobs to completion-or-deficit on one
-/// machine of speed `cfg.speed` (DRR is a single-link discipline; `m` is
-/// required to be 1).
-pub fn simulate_drr(trace: &Trace, cfg: MachineConfig, quantum: f64) -> Result<Schedule, SimError> {
-    cfg.validate()?;
-    if cfg.m != 1 {
-        return Err(SimError::NoMachines); // DRR is a single-server discipline
-    }
-    if !quantum.is_finite() || quantum <= 0.0 {
-        return Err(SimError::BadQuantum(quantum));
-    }
-
-    let n = trace.len();
-    let jobs = trace.jobs();
-    let mut remaining: Vec<f64> = jobs.iter().map(|j| j.size).collect();
-    let mut deficit: Vec<f64> = vec![0.0; n];
-    let mut completion = vec![f64::NAN; n];
-    let mut flow = vec![f64::NAN; n];
-
-    let mut active: VecDeque<u32> = VecDeque::new();
-    let mut next_arrival = 0usize;
-    let mut time = 0.0f64;
-    let mut events = 0u64;
-    let mut done = 0usize;
-
-    while done < n {
-        // Admit everything that has arrived.
-        while next_arrival < n && jobs[next_arrival].arrival <= time {
-            active.push_back(next_arrival as u32);
-            deficit[next_arrival] = 0.0;
-            next_arrival += 1;
-        }
-        let Some(job) = active.pop_front() else {
-            // Idle until the next arrival.
-            time = jobs[next_arrival].arrival;
-            continue;
-        };
-        events += 1;
-        let j = job as usize;
-        deficit[j] += quantum * jobs[j].weight;
-        let serve_work = deficit[j].min(remaining[j]);
-        let dt = serve_work / cfg.speed;
-
-        // Serve, admitting arrivals that land mid-service behind us.
-        time += dt;
-        remaining[j] -= serve_work;
-        deficit[j] -= serve_work;
-        while next_arrival < n && jobs[next_arrival].arrival <= time {
-            active.push_back(next_arrival as u32);
-            deficit[next_arrival] = 0.0;
-            next_arrival += 1;
-        }
-        if remaining[j] <= jobs[j].size * crate::REL_EPS {
-            completion[j] = time;
-            flow[j] = time - jobs[j].arrival;
-            deficit[j] = 0.0;
-            done += 1;
-        } else {
-            active.push_back(job);
-        }
-    }
-
-    Ok(Schedule {
-        policy: "DRR".to_string(),
-        cfg,
-        completion,
-        flow,
-        profile: None,
-        events,
-        stats: SimStats::default(),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -397,71 +315,5 @@ mod tests {
         let t = Trace::from_pairs(std::iter::empty()).unwrap();
         let s = simulate_quantum_rr(&t, MachineConfig::new(2), QuantumOptions::new(1.0)).unwrap();
         assert!(s.is_empty());
-    }
-
-    // ---- Deficit Round Robin ----------------------------------------------
-
-    #[test]
-    fn drr_equal_weights_matches_quantum_rr_shape() {
-        // Two unit jobs, quantum 0.5, equal weights: A [0,.5), B [.5,1),
-        // A [1,1.5) done, B done at 2 — same as quantum RR.
-        let t = trace(&[(0.0, 1.0), (0.0, 1.0)]);
-        let s = simulate_drr(&t, MachineConfig::new(1), 0.5).unwrap();
-        assert!((s.completion[0] - 1.5).abs() < 1e-12);
-        assert!((s.completion[1] - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn drr_weights_bias_service() {
-        // Job 0 weight 3, job 1 weight 1, both size 3, quantum 1.
-        // Per round job0 serves 3, job1 serves 1 → job0 finishes after
-        // round 1 (t=4? sequence: j0 serves 3 [0,3), j1 serves 1 [3,4);
-        // j1 then alone: serves 1 per visit: done at 6.
-        let mut b = crate::trace::TraceBuilder::new();
-        b.push_weighted(0.0, 3.0, 3.0);
-        b.push_weighted(0.0, 3.0, 1.0);
-        let t = b.build().unwrap();
-        let s = simulate_drr(&t, MachineConfig::new(1), 1.0).unwrap();
-        assert!((s.completion[0] - 3.0).abs() < 1e-12, "{}", s.completion[0]);
-        assert!((s.completion[1] - 6.0).abs() < 1e-12, "{}", s.completion[1]);
-    }
-
-    #[test]
-    fn drr_deficit_carries_over() {
-        // Size 1.5, quantum 1: first visit serves 1 (deficit 0 left),
-        // second visit deficit 1 → serves remaining 0.5.
-        let t = trace(&[(0.0, 1.5), (0.0, 1.5)]);
-        let s = simulate_drr(&t, MachineConfig::new(1), 1.0).unwrap();
-        // Visits: j0 serves 1 [0,1), j1 serves 1 [1,2), j0 serves .5 done
-        // at 2.5, j1 done at 3.
-        assert!((s.completion[0] - 2.5).abs() < 1e-12);
-        assert!((s.completion[1] - 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn drr_converges_to_processor_sharing() {
-        let t = trace(&[(0.0, 1.0), (0.0, 2.0)]);
-        let s = simulate_drr(&t, MachineConfig::new(1), 1e-3).unwrap();
-        assert!((s.completion[0] - 2.0).abs() < 5e-3);
-        assert!((s.completion[1] - 3.0).abs() < 5e-3);
-    }
-
-    #[test]
-    fn drr_respects_speed_and_rejects_bad_config() {
-        let t = trace(&[(0.0, 2.0)]);
-        let s = simulate_drr(&t, MachineConfig::with_speed(1, 2.0), 1.0).unwrap();
-        assert!((s.completion[0] - 1.0).abs() < 1e-12);
-        assert!(simulate_drr(&t, MachineConfig::new(2), 1.0).is_err());
-        assert!(matches!(
-            simulate_drr(&t, MachineConfig::new(1), 0.0),
-            Err(SimError::BadQuantum(q)) if q == 0.0
-        ));
-    }
-
-    #[test]
-    fn drr_idles_until_arrivals() {
-        let t = trace(&[(5.0, 1.0)]);
-        let s = simulate_drr(&t, MachineConfig::new(1), 0.25).unwrap();
-        assert!((s.completion[0] - 6.0).abs() < 1e-12);
     }
 }

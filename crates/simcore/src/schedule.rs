@@ -55,13 +55,11 @@ impl Schedule {
     }
 
     /// The ℓk norm of the flow-time vector, `(Σ_j F_j^k)^{1/k}`.
-    /// `k = f64::INFINITY` yields the max flow.
+    /// `k = f64::INFINITY` yields the max flow. Evaluated by
+    /// [`crate::norms::lk_norm`], so it stays finite whenever the largest
+    /// flow is.
     pub fn flow_norm(&self, k: f64) -> f64 {
-        if k.is_infinite() {
-            self.max_flow()
-        } else {
-            self.flow_power_sum(k).powf(1.0 / k)
-        }
+        crate::norms::lk_norm(&self.flow, k)
     }
 
     /// Latest completion time (makespan); 0 for an empty instance.
@@ -94,6 +92,16 @@ mod tests {
         assert!((s.flow_norm(2.0) - 5.0).abs() < 1e-12);
         assert_eq!(s.flow_norm(f64::INFINITY), 4.0);
         assert!((s.flow_power_sum(3.0) - (27.0 + 64.0)).abs() < 1e-12);
+    }
+
+    /// Regression: the k-th root of `flow_power_sum` overflowed to `inf`
+    /// here although the norm of a single flow is that flow.
+    #[test]
+    fn flow_norm_of_a_huge_flow_is_finite() {
+        let s = sched(&[1e60]);
+        let got = s.flow_norm(6.0);
+        assert!(got.is_finite(), "flow_norm(6) = {got}");
+        assert!((got - 1e60).abs() / 1e60 < 1e-12);
     }
 
     #[test]

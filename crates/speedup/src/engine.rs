@@ -27,22 +27,6 @@ pub struct SpeedupSchedule {
     pub events: u64,
 }
 
-impl SpeedupSchedule {
-    /// `Σ_j F_j^k`.
-    pub fn flow_power_sum(&self, k: f64) -> f64 {
-        self.flow.iter().map(|&f| f.powf(k)).sum()
-    }
-
-    /// ℓk norm of the flow vector (`k = ∞` for max).
-    pub fn flow_norm(&self, k: f64) -> f64 {
-        if k.is_infinite() {
-            self.flow.iter().fold(0.0, |a, &f| a.max(f))
-        } else {
-            self.flow_power_sum(k).powf(1.0 / k)
-        }
-    }
-}
-
 struct AliveState {
     job: usize,
     phase: usize,
@@ -294,6 +278,5 @@ mod tests {
         let t = SpeedupTrace::new(std::iter::empty::<(f64, Vec<Phase>)>());
         let s = simulate_speedup(&t, &mut Equi, 1.0, 1.0);
         assert!(s.flow.is_empty());
-        assert_eq!(s.flow_norm(2.0), 0.0);
     }
 }

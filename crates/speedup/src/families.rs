@@ -31,12 +31,8 @@ use crate::job::{Phase, SpeedupTrace};
 /// speed `s ≤ overlap` roughly `overlap/s · swarm` sequential jobs are
 /// alive at all times and the dilution of the parallel job never drops
 /// below `≈ swarm` — extra speed divides the dilution but the instance
-/// designer simply raises `overlap`.
-pub fn seq_swarm(swarm: usize, seq_len: f64, par_work: f64, rounds: usize) -> SpeedupTrace {
-    seq_swarm_overlapped(swarm, seq_len, par_work, rounds, 1)
-}
-
-/// [`seq_swarm`] with explicit batch overlap (see there).
+/// designer simply raises `overlap`. `overlap = 1` is the plain swarm
+/// described above.
 pub fn seq_swarm_overlapped(
     swarm: usize,
     seq_len: f64,
@@ -57,19 +53,6 @@ pub fn seq_swarm_overlapped(
     SpeedupTrace::new(jobs)
 }
 
-/// A balanced mixed workload: `n` jobs alternating `Par(w) → Seq(w) →
-/// Par(w)` arriving every `gap` — a sanity family where EQUI, LAPS and
-/// GreedyPar should all be within small constants (no adversarial
-/// structure).
-pub fn mixed_phases(n: usize, w: f64, gap: f64) -> SpeedupTrace {
-    SpeedupTrace::new((0..n).map(|i| {
-        (
-            i as f64 * gap,
-            vec![Phase::par(w), Phase::seq(w), Phase::par(w)],
-        )
-    }))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -78,7 +61,7 @@ mod tests {
 
     #[test]
     fn swarm_shape() {
-        let t = seq_swarm(4, 2.0, 8.0, 3);
+        let t = seq_swarm_overlapped(4, 2.0, 8.0, 3, 1);
         assert_eq!(t.len(), 1 + 4 * 3);
         // First job is the parallel one.
         assert_eq!(t.jobs()[0].seq_work(), 0.0);
@@ -92,7 +75,7 @@ mod tests {
         // flow = par_work.
         let swarm = 7;
         let par_work = 4.0;
-        let t = seq_swarm(swarm, 1.0, par_work, 64);
+        let t = seq_swarm_overlapped(swarm, 1.0, par_work, 64, 1);
         let e = simulate_speedup(&t, &mut Equi, 1.0, 1.0);
         let g = simulate_speedup(&t, &mut GreedyPar, 1.0, 1.0);
         let dilution = e.flow[0] / g.flow[0];
@@ -121,14 +104,5 @@ mod tests {
         // clairvoyant baseline.
         let ratio = e2.flow[0] / g1.flow[0];
         assert!(ratio > 6.0, "{ratio}");
-    }
-
-    #[test]
-    fn mixed_family_is_benign() {
-        let t = mixed_phases(10, 1.0, 3.0);
-        let e = simulate_speedup(&t, &mut Equi, 2.0, 1.0);
-        let g = simulate_speedup(&t, &mut GreedyPar, 2.0, 1.0);
-        let ratio = e.flow_norm(2.0) / g.flow_norm(2.0);
-        assert!(ratio < 2.5, "{ratio}");
     }
 }

@@ -20,11 +20,12 @@
 //!   is the clairvoyant baseline that concentrates all processors on the
 //!   parallel-phase job with least remaining work (sequential phases run
 //!   free);
-//! * [`families::seq_swarm`] is the instance family behind the negative
-//!   result: a swarm of short sequential jobs keeps `n_t` large *at zero
-//!   opportunity cost to the optimum* (sequential work needs no
-//!   processors), so EQUI starves the parallel job by the full factor
-//!   `n_t` — and extra speed only divides, never cancels, that factor.
+//! * [`families::seq_swarm_overlapped`] is the instance family behind
+//!   the negative result: a swarm of short sequential jobs keeps `n_t`
+//!   large *at zero opportunity cost to the optimum* (sequential work
+//!   needs no processors), so EQUI starves the parallel job by the full
+//!   factor `n_t` — and extra speed only divides, never cancels, that
+//!   factor.
 //!   Experiment E15 measures exactly this: ℓ2 ratio growing linearly with
 //!   the swarm size at *every* constant speed, while ℓ1 stays flat.
 

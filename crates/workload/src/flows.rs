@@ -13,19 +13,19 @@
 //! * [`FlowSet`] — a set of flows plus one seed; per-flow generator seeds
 //!   are derived by splitmix64 so adding a flow never perturbs the
 //!   others' jobs;
-//! * [`FlowSet::build`] — the *closed* path: drain every flow, merge by
-//!   arrival, and return a plain [`Trace`] (jobs carry their flow's
-//!   weight; the [`Job`](tf_simcore::Job) type is untouched) plus a
-//!   [`FlowMap`] recording each job's flow membership on the side;
+//! * [`FlowSet::build`] — the *closed* path: drain the open path below
+//!   into a plain [`Trace`] (jobs carry their flow's weight; the
+//!   [`Job`](tf_simcore::Job) type is untouched) plus a [`FlowMap`]
+//!   recording each job's flow membership on the side;
 //! * [`FlowSet::stream`] — the *open* path: a [`FlowJobStream`] k-way
 //!   merge over per-flow [`OpenJobStream`]s implementing
 //!   [`tf_simcore::JobSource`], with a shared [`FlowLog`] the completion
 //!   sink reads job→flow membership from (the engine holds the source
 //!   mutably, so the tags travel through a shared handle).
 //!
-//! The two paths generate the *same* jobs: `build` is the drained,
-//! materialised form of `stream` (pinned by a test below), so streaming
-//! results at 10⁶ jobs are directly comparable to closed runs at 10⁴.
+//! The two paths generate the *same* jobs: `build` drains `stream` into
+//! a trace (pinned by a test below), so streaming results at 10⁶ jobs
+//! are directly comparable to closed runs at 10⁴.
 
 use crate::error::WorkloadError;
 use crate::sizes::SizeDist;
@@ -138,39 +138,30 @@ impl FlowSet {
         }
     }
 
-    /// **Closed path**: drain every flow under `bound` (applied per flow:
-    /// `Count(n)` means `n` jobs *per flow*), merge by arrival (ties
-    /// resolved by flow index, then per-flow generation order), and build
-    /// a [`Trace`] whose jobs carry their flow's weight. The returned
-    /// [`FlowMap`] maps every job id back to its flow.
+    /// **Closed path**: drain [`FlowSet::stream`] under `bound` (applied
+    /// per flow: `Count(n)` means `n` jobs *per flow*) into a [`Trace`]
+    /// whose jobs carry their flow's weight. The stream's merge order is
+    /// the trace's job order (ties resolved by flow index, then per-flow
+    /// generation order), so the returned [`FlowMap`] is the stream's
+    /// [`FlowLog`].
     ///
     /// # Errors
     /// Validation errors of any flow or the bound.
     pub fn build(&self, bound: StreamBound) -> Result<(Trace, FlowMap), WorkloadError> {
-        self.validate()?;
-        let mut tagged: Vec<(f64, f64, u32)> = Vec::new();
-        for i in 0..self.flows.len() {
-            let mut s = self.flow_workload(i, bound).stream()?;
-            while let Some(j) = s.next_job() {
-                tagged.push((j.arrival, j.size, i as u32));
-            }
-        }
-        // Stable sort: equal arrivals keep flow order (flow 0 first),
-        // matching FlowJobStream's lowest-flow-index tie-break. The
-        // TraceBuilder re-sorts stably by arrival, which is then a no-op,
-        // so job id k is exactly tagged[k] and flow_of aligns by index.
-        tagged.sort_by(|a, b| a.0.total_cmp(&b.0));
+        let mut stream = self.stream(bound)?;
         let mut b = TraceBuilder::new();
-        for &(arrival, size, flow) in &tagged {
-            b.push_weighted(arrival, size, self.flows[flow as usize].weight);
+        while let Some(j) = stream.next_job() {
+            b.push_weighted(j.arrival, j.size, j.weight);
         }
+        // The merge emits in nondecreasing arrival order, so the builder's
+        // stable sort keeps it and job id k is the k-th emitted job.
         let trace = b
             .build()
             .map_err(|e| WorkloadError::BadFlow(e.to_string()))?;
         let map = FlowMap {
             names: self.flows.iter().map(|f| f.name.clone()).collect(),
             weights: self.weights(),
-            flow_of: tagged.iter().map(|t| t.2).collect(),
+            flow_of: stream.log.0.take(),
         };
         Ok((trace, map))
     }

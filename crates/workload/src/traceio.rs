@@ -1,10 +1,9 @@
-//! Trace and workload-spec (de)serialization.
+//! Trace (de)serialization.
 //!
 //! JSON is the interchange format: traces are small (≤ a few thousand
 //! jobs), and human-inspectable fixtures beat opaque binaries for a
 //! research artifact.
 
-use crate::spec::WorkloadSpec;
 use std::fs;
 use std::io;
 use std::path::Path;
@@ -22,23 +21,9 @@ pub fn load_trace<P: AsRef<Path>>(path: P) -> io::Result<Trace> {
     serde_json::from_str(&json).map_err(io::Error::other)
 }
 
-/// Write a workload spec as pretty-printed JSON.
-pub fn save_spec<P: AsRef<Path>>(spec: &WorkloadSpec, path: P) -> io::Result<()> {
-    let json = serde_json::to_string_pretty(spec).map_err(io::Error::other)?;
-    fs::write(path, json)
-}
-
-/// Read a workload spec back from JSON.
-pub fn load_spec<P: AsRef<Path>>(path: P) -> io::Result<WorkloadSpec> {
-    let json = fs::read_to_string(path)?;
-    serde_json::from_str(&json).map_err(io::Error::other)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::arrivals::ArrivalProcess;
-    use crate::sizes::SizeDist;
 
     fn tmp(name: &str) -> std::path::PathBuf {
         let mut p = std::env::temp_dir();
@@ -53,25 +38,6 @@ mod tests {
         save_trace(&t, &path).unwrap();
         let back = load_trace(&path).unwrap();
         assert_eq!(t, back);
-        std::fs::remove_file(path).ok();
-    }
-
-    #[test]
-    fn spec_roundtrip() {
-        let s = WorkloadSpec {
-            n: 10,
-            arrivals: ArrivalProcess::Poisson { rate: 1.5 },
-            sizes: SizeDist::Pareto {
-                alpha: 2.0,
-                min: 1.0,
-            },
-            seed: 123,
-        };
-        let path = tmp("spec.json");
-        save_spec(&s, &path).unwrap();
-        let back = load_spec(&path).unwrap();
-        assert_eq!(s, back);
-        assert_eq!(s.generate(), back.generate());
         std::fs::remove_file(path).ok();
     }
 

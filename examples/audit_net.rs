@@ -58,11 +58,13 @@ fn main() {
     //    S-checks pass; P-RR-SHARE fails because the rates are not the
     //    equal share s·min(1, m/n).
     let broken = |t: &Trace| {
-        Simulation::of(t)
-            .policy(&mut OffByOneRr)
-            .record_profile()
-            .run()
-            .expect("simulates fine — that is the point")
+        simulate(
+            t,
+            &mut OffByOneRr,
+            MachineConfig::new(1),
+            SimOptions::with_profile(),
+        )
+        .expect("simulates fine — that is the point")
     };
     let sched = broken(&trace);
     let caught = audit_schedule(&trace, &sched, Some(Policy::Rr), &cfg);

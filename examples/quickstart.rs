@@ -19,30 +19,15 @@ fn main() {
     );
     println!();
 
-    // One machine, unit speed: RR vs SRPT vs FCFS. `Simulation` is the
-    // builder front door; defaults are one unit-speed machine.
+    // One machine, unit speed: RR vs SRPT vs FCFS.
+    let run = |policy: &mut dyn RateAllocator, speed: f64| {
+        let cfg = MachineConfig::with_speed(1, speed);
+        simulate(&trace, policy, cfg, SimOptions::default()).unwrap()
+    };
     for (name, sched) in [
-        (
-            "RR",
-            Simulation::of(&trace)
-                .policy(&mut RoundRobin::new())
-                .run()
-                .unwrap(),
-        ),
-        (
-            "SRPT",
-            Simulation::of(&trace)
-                .policy(&mut Srpt::new())
-                .run()
-                .unwrap(),
-        ),
-        (
-            "FCFS",
-            Simulation::of(&trace)
-                .policy(&mut Fcfs::new())
-                .run()
-                .unwrap(),
-        ),
+        ("RR", run(&mut RoundRobin::new(), 1.0)),
+        ("SRPT", run(&mut Srpt::new(), 1.0)),
+        ("FCFS", run(&mut Fcfs::new(), 1.0)),
     ] {
         println!("{name:>5}:");
         for j in trace.jobs() {
@@ -62,19 +47,11 @@ fn main() {
 
     // The paper's speed augmentation: RR with a (4+eps)-speed machine is
     // O(1)-competitive for the l2 norm (Theorem 1, k=2).
-    let rr_fast = Simulation::of(&trace)
-        .policy(&mut RoundRobin::new())
-        .speed(4.4)
-        .run()
-        .unwrap();
+    let rr_fast = run(&mut RoundRobin::new(), 4.4);
     println!(
         "RR at speed 4.4: l2 = {:.3} (speed-1 SRPT l2 = {:.3})",
         rr_fast.flow_norm(2.0),
-        Simulation::of(&trace)
-            .policy(&mut Srpt::new())
-            .run()
-            .unwrap()
-            .flow_norm(2.0),
+        run(&mut Srpt::new(), 1.0).flow_norm(2.0),
     );
 
     // And a certified lower bound on what ANY schedule could do:

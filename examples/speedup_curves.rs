@@ -7,6 +7,7 @@
 //! cargo run --release --example speedup_curves
 //! ```
 
+use temporal_fairness_rr::metrics::lk_norm;
 use temporal_fairness_rr::speedup::families::seq_swarm_overlapped;
 use temporal_fairness_rr::speedup::{simulate_speedup, Equi, GreedyPar, LapsCurves};
 
@@ -35,10 +36,10 @@ fn main() {
             "{:>10} {:>8} {:>12.2} {:>12.2} {:>12.2} {:>10.2}",
             d,
             t.len(),
-            equi.flow_norm(2.0),
-            laps.flow_norm(2.0),
-            greedy.flow_norm(2.0),
-            equi.flow_norm(2.0) / greedy.flow_norm(2.0),
+            lk_norm(&equi.flow, 2.0),
+            lk_norm(&laps.flow, 2.0),
+            lk_norm(&greedy.flow, 2.0),
+            lk_norm(&equi.flow, 2.0) / lk_norm(&greedy.flow, 2.0),
         );
     }
 

@@ -24,11 +24,11 @@
 //! * [`broadcast`] — pull-based broadcast scheduling, the other Section
 //!   1.2 setting (one transmission serves every outstanding request);
 //! * [`obs`] — structured tracing and counters (spans, chrome-trace /
-//!   JSONL sinks), zero-cost when off;
+//!   JSONL sinks), one atomic load per probe when off;
 //! * [`audit`] — differential & metamorphic correctness net: invariant
 //!   catalogue, policy oracles, fuzzing and counterexample shrinking
 //!   (see `docs/VALIDATION.md`);
-//! * [`harness`] — the E1–E17 experiment suite.
+//! * [`harness`] — the E1–E22 experiment suite.
 //!
 //! ## Quickstart
 //!
@@ -38,7 +38,7 @@
 //! // Two jobs on one machine under Round Robin.
 //! let trace = Trace::from_pairs([(0.0, 1.0), (0.0, 2.0)]).unwrap();
 //! let mut rr = RoundRobin::new();
-//! let sched = Simulation::of(&trace).policy(&mut rr).run().unwrap();
+//! let sched = simulate(&trace, &mut rr, MachineConfig::new(1), SimOptions::default()).unwrap();
 //! assert!((sched.completion[0] - 2.0).abs() < 1e-9);
 //! assert!((sched.completion[1] - 3.0).abs() < 1e-9);
 //! // The l2-norm of flow time the paper studies:
@@ -46,21 +46,20 @@
 //! assert!((l2 - (4.0f64 + 9.0).sqrt()).abs() < 1e-9);
 //! ```
 //!
-//! [`Simulation`](prelude::Simulation) is the builder front door; the
-//! plain [`simulate`](prelude::simulate) function remains for callers
-//! that want every knob positional. To trace a run, pick a sink:
+//! [`simulate`](prelude::simulate) takes the trace, the policy, the
+//! machine environment (count `m` and speed `s`) and the run options. To
+//! trace a run, install a sink before it:
 //!
 //! ```
 //! use temporal_fairness_rr::prelude::*;
 //!
 //! let trace = Trace::from_pairs([(0.0, 1.0), (0.0, 2.0)]).unwrap();
 //! let mut rr = RoundRobin::new();
-//! let sched = Simulation::of(&trace)
-//!     .policy(&mut rr)
-//!     .trace(SinkSpec::Collect) // or SinkSpec::Chrome("run.trace.json".into())
-//!     .run()
-//!     .unwrap();
+//! // Or SinkSpec::Chrome("run.trace.json".into()), written by obs::flush().
+//! temporal_fairness_rr::obs::install(SinkSpec::Collect);
+//! let sched = simulate(&trace, &mut rr, MachineConfig::new(1), SimOptions::default()).unwrap();
 //! assert!(sched.stats.registry().get("sim.jobs_admitted").unwrap() >= 2.0);
+//! assert!(!temporal_fairness_rr::obs::take_events().is_empty());
 //! ```
 
 pub use tf_audit as audit;
@@ -85,7 +84,7 @@ pub mod prelude {
     pub use tf_obs::{ObsRegistry, SinkSpec};
     pub use tf_policies::{Fcfs, Laps, Policy, RoundRobin, Setf, Sjf, Srpt, WeightedRoundRobin};
     pub use tf_simcore::{
-        simulate, Job, JobId, MachineConfig, RateAllocator, Schedule, SimOptions, Simulation, Trace,
+        simulate, Job, JobId, MachineConfig, RateAllocator, Schedule, SimOptions, Trace,
     };
     pub use tf_workload::{PoissonWorkload, SizeDist};
 }

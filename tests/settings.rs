@@ -29,7 +29,7 @@ fn section_1_2_contrast_end_to_end() {
         let t = seq_swarm_overlapped(swarm, seq_len, par_work, rounds, 4);
         let e = simulate_speedup(&t, &mut Equi, 1.0, 1.0);
         let g = simulate_speedup(&t, &mut GreedyPar, 1.0, 1.0);
-        e.flow_norm(2.0) / g.flow_norm(2.0)
+        lk_norm(&e.flow, 2.0) / lk_norm(&g.flow, 2.0)
     };
     let (r4, r64) = (ratio_at(4.0), ratio_at(64.0));
     assert!(r64 > 2.0 * r4, "no dilution growth: {r4} -> {r64}");
@@ -75,7 +75,7 @@ fn broadcast_aggregation_beats_unicast_semantics() {
     .unwrap();
     // Unicast RR needs 64 units of work; broadcast flow is 16x smaller.
     assert!((u.makespan() - 64.0).abs() < 1e-9);
-    assert!(b.flow_norm(f64::INFINITY) * 8.0 < u.flow_norm(f64::INFINITY));
+    assert!(lk_norm(&b.flow, f64::INFINITY) * 8.0 < u.flow_norm(f64::INFINITY));
 
     // Per-request RR agrees with per-page RR on a single page.
     let b2 = simulate_broadcast(&i, &mut PerRequestRR, 1.0);
