@@ -12,7 +12,7 @@
 use super::{Effort, RunCtx};
 use crate::corpus::random_corpus;
 use crate::ratio::{default_baselines, empirical_ratios_scoped, RatioTask};
-use crate::table::{fnum, stats_cells, Table};
+use crate::table::{fnum, mean_std, stats_cells, Table};
 use tf_policies::Policy;
 use tf_simcore::SimStats;
 
@@ -87,11 +87,10 @@ pub fn e2(ctx: &RunCtx) -> Vec<Table> {
             }
             means.push(lo_sum / count as f64);
         }
-        let rep = crate::replicate::Replicates::from_values(&means);
         let mut row = vec![
             m.to_string(),
             fnum(rho),
-            rep.display(),
+            mean_std(&means),
             fnum(lo_max),
             fnum(hi_max),
         ];

@@ -45,7 +45,6 @@ pub mod experiments;
 pub mod hunt;
 pub mod lbcache;
 pub mod ratio;
-pub mod replicate;
 pub mod runctx;
 pub mod shard;
 pub mod sweep;

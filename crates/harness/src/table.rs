@@ -166,6 +166,20 @@ pub fn fnum(x: f64) -> String {
     format!("{x:.decimals$}")
 }
 
+/// Render replicated measurements as `mean ± std` (sample standard
+/// deviation, n − 1 denominator; both 0 for no values, the std 0 for one),
+/// each with [`fnum`]'s 4 significant digits.
+pub fn mean_std(values: &[f64]) -> String {
+    let n = values.len();
+    let mean = values.iter().sum::<f64>() / n.max(1) as f64;
+    let var = if n > 1 {
+        values.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / (n - 1) as f64
+    } else {
+        0.0
+    };
+    format!("{} ± {}", fnum(mean), fnum(var.sqrt()))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -244,5 +258,13 @@ mod tests {
         assert_eq!(fnum(12345.6), "12346");
         assert_eq!(fnum(0.000123456), "0.000123");
         assert_eq!(fnum(f64::INFINITY), "inf");
+    }
+
+    #[test]
+    fn mean_std_summarizes_replicates() {
+        assert_eq!(mean_std(&[1.0, 2.0, 3.0]), "2.000 ± 1.000");
+        assert_eq!(mean_std(&[2.0, 2.0]), "2.000 ± 0");
+        assert_eq!(mean_std(&[5.0]), "5.000 ± 0");
+        assert_eq!(mean_std(&[]), "0 ± 0");
     }
 }

@@ -7,8 +7,9 @@
 //!
 //! Binds the address (default `127.0.0.1:7878`; port `0` picks a free
 //! port), prints `listening on HOST:PORT` to stderr, and serves until a
-//! `shutdown` request arrives. `--threads` sizes the connection worker
-//! pool (default 8). With `TF_TRACE` set, every request is traced as a
+//! loopback peer sends `shutdown`. `--threads` sizes the connection
+//! worker pool (default 8); twice that many connections may be open at
+//! once. With `TF_TRACE` set, every request is traced as a
 //! `serve/request` span and the trace file is written on shutdown.
 //! Protocol: see the `tf_serve` crate docs and docs/DISTRIBUTED.md.
 

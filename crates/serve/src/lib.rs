@@ -23,8 +23,8 @@
 //! | field | meaning | valid | default |
 //! |---|---|---|---|
 //! | `id` | echoed back, pairs responses to requests | any `u64` | required |
-//! | `kind` | `ratio` \| `certify` \| `audit` \| `shutdown` | one of those | required |
-//! | `trace` | `[arrival, size]` pairs | finite, arrivals ≥ 0, sizes > 0 | required except `shutdown` |
+//! | `kind` | `ratio` \| `certify` \| `audit` \| `stats` \| `shutdown` | one of those | required |
+//! | `trace` | `[arrival, size]` pairs | finite, arrivals ≥ 0, sizes > 0 | required except `stats` and `shutdown` |
 //! | `policy` | policy name for `ratio` (`rr`, `srpt`, `laps:0.25`, …) | a registered id | `rr` |
 //! | `m` | machine count | ≥ 1 | `1` |
 //! | `speed` | policy speed | finite, > 0 | `2k(1+10ε)` for ratio/certify, `1` for audit |
@@ -40,21 +40,37 @@
 //! `{"id": …, "ok": false, "error": "…"}`. A field outside its valid
 //! range gets an `ok: false` reply, and so does a request whose handler
 //! panics (a `k` so large that an LP cost overflows, say): the panic is
-//! caught, so the worker thread lives on. A `shutdown` request is
-//! answered, then the server drains and [`serve`] returns. Each request
-//! runs under a `serve/request` tracing span on its worker's track, so a
-//! `TF_TRACE=jsonl` run yields one timed span per request.
+//! caught, so the worker thread lives on. Every reply line goes out in a
+//! single write on a `TCP_NODELAY` socket, so no reply waits for the
+//! client's delayed ACK. Each request runs under a `serve/request`
+//! tracing span on its worker's track, so a `TF_TRACE=jsonl` run yields
+//! one timed span per request.
+//!
+//! A `shutdown` request from a loopback peer is answered, then the server
+//! drains and [`serve`] returns; from any other peer it gets `ok: false`
+//! and the server keeps serving. A `stats` request returns the server's
+//! counts since start (`requests`, `errors`, `in_flight`, `queued`,
+//! `open`, `busy_refused`, `yields`, `accept_errors`) and `handle_ms`
+//! quantiles (`p50`, `p99`, `max`) over the last 4 096 handled
+//! requests. Neither `stats` nor `shutdown` counts as a request.
+//!
+//! At most twice `threads` connections are open at once, queued or held
+//! by a worker. A connection past that gets one
+//! `{"id":0,"ok":false,"error":"busy: …"}` line and is closed. Workers
+//! share the open connections round robin: when a worker's connection
+//! sends nothing for one read poll (200 ms) while another waits, the
+//! worker moves it, partial line and all, to the back of the queue and
+//! takes the next, so idle clients cannot pin the pool.
 //!
 //! See docs/DISTRIBUTED.md for the full protocol description and a
 //! worked client example.
 
 use std::collections::VecDeque;
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::io::{self, BufRead, BufReader, Read, Write};
+use std::net::{IpAddr, SocketAddr, TcpListener, TcpStream};
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::Duration;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::time::{Duration, Instant};
 
 use tf_harness::campaign::CampaignScope;
 use tf_harness::ratio::{default_baselines, empirical_ratio_scoped};
@@ -65,10 +81,24 @@ use tf_simcore::Trace;
 /// several thousand times the largest request the benchmark clients send.
 pub const MAX_REQUEST_BYTES: usize = 16 << 20;
 
+/// How many of the latest handled requests `stats` takes its `handle_ms`
+/// quantiles over.
+const HANDLE_WINDOW: usize = 4096;
+
+/// How long a worker's read waits before it looks for a shutdown or for
+/// a queued connection to hand its turn to.
+const READ_POLL: Duration = Duration::from_millis(200);
+
+/// How long the acceptor pauses after a failed `accept`. Running out of
+/// file descriptors leaves the connection in the backlog, so an immediate
+/// retry would spin until a worker closes one.
+const ACCEPT_RETRY: Duration = Duration::from_millis(10);
+
 /// Server configuration.
 #[derive(Debug, Clone)]
 pub struct ServeCfg {
-    /// Worker threads (= concurrently served connections).
+    /// Worker threads (= concurrently served connections). Twice this
+    /// many connections may be open at once.
     pub threads: usize,
     /// Per-request lower-bound solve budget (`ratio` requests degrade
     /// to the closed-form bound when it expires).
@@ -89,7 +119,7 @@ impl Default for ServeCfg {
 pub struct Request {
     /// Client-chosen correlation id, echoed in the response.
     pub id: u64,
-    /// `ratio` | `certify` | `audit` | `shutdown`.
+    /// `ratio` | `certify` | `audit` | `stats` | `shutdown`.
     pub kind: String,
     /// `[arrival, size]` pairs.
     pub trace: Vec<(f64, f64)>,
@@ -145,9 +175,9 @@ impl serde::Deserialize for Request {
     }
 }
 
-/// Evaluate one non-`shutdown` request. Public so the handlers are
-/// testable without sockets. Fields outside their documented range are
-/// errors; the serve loop additionally catches any panic left.
+/// Evaluate one `ratio`, `certify` or `audit` request. Public so the
+/// handlers are testable without sockets. Fields outside their documented
+/// range are errors; the serve loop additionally catches any panic left.
 pub fn handle_request(
     req: &Request,
     task_timeout: Option<Duration>,
@@ -243,7 +273,7 @@ pub fn handle_request(
             ]))
         }
         other => Err(format!(
-            "unknown kind {other:?} (want ratio, certify, audit, or shutdown)"
+            "unknown kind {other:?} (want ratio, certify, audit, stats, or shutdown)"
         )),
     }
 }
@@ -276,25 +306,170 @@ pub fn response_line(id: u64, outcome: Result<serde::Value, String>) -> String {
     serde_json::to_string(&body).expect("response serializes")
 }
 
-struct Shared {
-    queue: Mutex<VecDeque<TcpStream>>,
-    ready: Condvar,
-    stop: AtomicBool,
+/// Send one reply line and its newline in a single write. Written in two,
+/// Nagle's algorithm holds the lone newline until the peer's delayed ACK,
+/// which puts a ≈ 40 ms floor under every round trip.
+fn send_line(mut stream: &TcpStream, mut line: String) -> io::Result<()> {
+    line.push('\n');
+    stream.write_all(line.as_bytes())
 }
 
-/// Serve connections from `listener` until a `shutdown` request
-/// arrives; returns after the worker pool drains. Connections are
-/// handled whole-connection-per-worker: `cfg.threads` workers bound the
-/// number of concurrently served clients, excess connections queue.
-pub fn serve(listener: TcpListener, cfg: &ServeCfg) -> std::io::Result<()> {
+/// Whether a peer at `ip` may shut the server down: only one on this
+/// host, an IPv4-mapped loopback address (`::ffff:127.0.0.1`) included.
+fn may_shut_down(ip: IpAddr) -> bool {
+    ip.to_canonical().is_loopback()
+}
+
+/// One admitted connection. It keeps its reader, with any buffered bytes
+/// and partial line, when a worker hands it back to the queue.
+struct Conn {
+    reader: BufReader<TcpStream>,
+    partial: Vec<u8>,
+    loopback: bool,
+}
+
+/// The last [`HANDLE_WINDOW`] handle times in ms, the oldest overwritten
+/// first; sorted only when `stats` asks.
+#[derive(Default)]
+struct Window {
+    ms: Vec<f64>,
+    next: usize,
+}
+
+impl Window {
+    fn push(&mut self, ms: f64) {
+        if self.ms.len() < HANDLE_WINDOW {
+            self.ms.push(ms);
+        } else {
+            self.ms[self.next] = ms;
+        }
+        self.next = (self.next + 1) % HANDLE_WINDOW;
+    }
+
+    /// `{p50, p99, max}` by nearest rank, `null` before the first request.
+    fn quantiles(&self) -> serde::Value {
+        let mut ms = self.ms.clone();
+        ms.sort_by(f64::total_cmp);
+        let rank = |p: f64| match ms.len() {
+            0 => serde::Value::Null,
+            n => serde::Value::Float(ms[((p * n as f64).ceil() as usize).clamp(1, n) - 1]),
+        };
+        serde::Value::Map(vec![
+            ("p50".into(), rank(0.5)),
+            ("p99".into(), rank(0.99)),
+            ("max".into(), rank(1.0)),
+        ])
+    }
+}
+
+/// What the acceptor and the workers share, all under one lock.
+#[derive(Default)]
+struct State {
+    /// Admitted connections waiting for a worker.
+    queue: VecDeque<Conn>,
+    /// Admitted connections not yet closed, queued or held by a worker.
+    open: usize,
+    /// Set by an accepted `shutdown`: no connection is handed out after.
+    stopping: bool,
+    requests: u64,
+    errors: u64,
+    in_flight: u64,
+    busy_refused: u64,
+    yields: u64,
+    accept_errors: u64,
+    handle_ms: Window,
+}
+
+struct Shared {
+    state: Mutex<State>,
+    ready: Condvar,
+}
+
+impl Shared {
+    fn state(&self) -> MutexGuard<'_, State> {
+        self.state
+            .lock()
+            .expect("no thread panics while holding the state lock")
+    }
+
+    /// The next connection to serve, or `None` once the server stops.
+    fn next(&self) -> Option<Conn> {
+        let mut state = self.state();
+        loop {
+            if state.stopping {
+                return None;
+            }
+            if let Some(conn) = state.queue.pop_front() {
+                return Some(conn);
+            }
+            state = self
+                .ready
+                .wait(state)
+                .expect("no thread panics while holding the state lock");
+        }
+    }
+
+    fn requeue(&self, conn: Conn) {
+        let mut state = self.state();
+        state.queue.push_back(conn);
+        state.yields += 1;
+        self.ready.notify_one();
+    }
+
+    fn close(&self, conn: Conn) {
+        drop(conn);
+        self.state().open -= 1;
+    }
+
+    /// Hand out no more connections, and wake every idle worker.
+    fn shut_down(&self) {
+        self.state().stopping = true;
+        self.ready.notify_all();
+    }
+
+    /// Count one answered request, with its handle time.
+    fn record(&self, ok: bool, started: Instant) {
+        let ms = started.elapsed().as_secs_f64() * 1e3;
+        let mut state = self.state();
+        state.requests += 1;
+        state.errors += u64::from(!ok);
+        state.handle_ms.push(ms);
+    }
+
+    /// The `stats` reply.
+    fn stats(&self) -> serde::Value {
+        let state = self.state();
+        let count = |n: u64| serde::Value::UInt(n);
+        serde::Value::Map(vec![
+            ("requests".into(), count(state.requests)),
+            ("errors".into(), count(state.errors)),
+            ("in_flight".into(), count(state.in_flight)),
+            ("queued".into(), count(state.queue.len() as u64)),
+            ("open".into(), count(state.open as u64)),
+            ("busy_refused".into(), count(state.busy_refused)),
+            ("yields".into(), count(state.yields)),
+            ("accept_errors".into(), count(state.accept_errors)),
+            ("handle_ms".into(), state.handle_ms.quantiles()),
+        ])
+    }
+}
+
+/// Serve connections from `listener` until a loopback peer sends
+/// `shutdown`; returns after the worker pool drains. `cfg.threads`
+/// workers share the open connections round robin, and at most twice
+/// that many connections are open at once: a connection past the cap
+/// gets one `busy` reply and is closed. A failed `accept` (out of file
+/// descriptors, say) is counted and retried after a short pause.
+pub fn serve(listener: TcpListener, cfg: &ServeCfg) -> io::Result<()> {
     let local = listener.local_addr()?;
+    let threads = cfg.threads.max(1);
+    let cap = 2 * threads;
     let shared = Arc::new(Shared {
-        queue: Mutex::new(VecDeque::new()),
+        state: Mutex::new(State::default()),
         ready: Condvar::new(),
-        stop: AtomicBool::new(false),
     });
 
-    let workers: Vec<_> = (0..cfg.threads.max(1))
+    let workers: Vec<_> = (0..threads)
         .map(|i| {
             let shared = Arc::clone(&shared);
             let timeout = cfg.task_timeout;
@@ -303,140 +478,179 @@ pub fn serve(listener: TcpListener, cfg: &ServeCfg) -> std::io::Result<()> {
         .collect();
 
     loop {
-        let (conn, _) = listener.accept()?;
-        if shared.stop.load(Ordering::SeqCst) {
+        let accepted = listener.accept();
+        let mut state = shared.state();
+        if state.stopping {
             // The unblocking self-connection (or a straggler): drop it.
             break;
         }
-        let mut q = shared.queue.lock().unwrap();
-        q.push_back(conn);
-        drop(q);
+        let Ok((stream, peer)) = accepted else {
+            state.accept_errors += 1;
+            drop(state);
+            std::thread::sleep(ACCEPT_RETRY);
+            continue;
+        };
+        let _ = stream.set_nodelay(true);
+        if state.open >= cap {
+            state.busy_refused += 1;
+            drop(state);
+            let reply = response_line(
+                0,
+                Err(format!(
+                    "busy: {cap} connections open; retry after one closes"
+                )),
+            );
+            let _ = send_line(&stream, reply);
+            continue;
+        }
+        let _ = stream.set_read_timeout(Some(READ_POLL));
+        state.open += 1;
+        state.queue.push_back(Conn {
+            reader: BufReader::new(stream),
+            partial: Vec::new(),
+            loopback: may_shut_down(peer.ip()),
+        });
+        drop(state);
         shared.ready.notify_one();
     }
 
-    shared.ready.notify_all();
     for w in workers {
         let _ = w.join();
     }
     Ok(())
 }
 
-fn worker_loop(
-    index: usize,
-    shared: &Shared,
-    task_timeout: Option<Duration>,
-    local: std::net::SocketAddr,
-) {
+/// How a worker's turn on a connection ended.
+enum Turn {
+    Closed,
+    Yield,
+    Shutdown,
+}
+
+fn worker_loop(index: usize, shared: &Shared, task_timeout: Option<Duration>, local: SocketAddr) {
     // Give each worker its own trace track so concurrent request spans
     // render side by side instead of nested.
     let _track = tf_obs::set_track(index as u32 + 1);
-    loop {
-        let conn = {
-            let mut q = shared.queue.lock().unwrap();
-            loop {
-                if let Some(c) = q.pop_front() {
-                    break c;
-                }
-                if shared.stop.load(Ordering::SeqCst) {
-                    return;
-                }
-                q = shared.ready.wait(q).unwrap();
+    while let Some(mut conn) = shared.next() {
+        match serve_turn(&mut conn, shared, task_timeout) {
+            Turn::Closed => shared.close(conn),
+            Turn::Yield => shared.requeue(conn),
+            Turn::Shutdown => {
+                shared.close(conn);
+                shared.shut_down();
+                // Unblock the acceptor.
+                let _ = TcpStream::connect(local);
             }
-        };
-        if handle_connection(conn, shared, task_timeout) {
-            // Shutdown seen: wake everyone and unblock the acceptor.
-            shared.stop.store(true, Ordering::SeqCst);
-            shared.ready.notify_all();
-            let _ = TcpStream::connect(local);
-        }
-        if shared.stop.load(Ordering::SeqCst) {
-            return;
         }
     }
 }
 
-/// Serve one connection to completion. Returns true iff a `shutdown`
-/// request was received.
+/// Serve requests on `conn` until it closes, sends an accepted
+/// `shutdown`, or sends nothing for one [`READ_POLL`] while another
+/// connection waits. A connection with bytes to process keeps its worker.
 ///
-/// Reads run under a short timeout so a worker parked on an idle (but
-/// still open) connection notices `stop` and lets [`serve`] drain —
-/// otherwise one lingering client would block shutdown forever.
-fn handle_connection(conn: TcpStream, shared: &Shared, task_timeout: Option<Duration>) -> bool {
-    let mut writer = match conn.try_clone() {
-        Ok(w) => w,
-        Err(_) => return false,
-    };
-    let _ = conn.set_read_timeout(Some(Duration::from_millis(200)));
-    let mut reader = BufReader::new(conn);
-    let mut raw: Vec<u8> = Vec::new();
+/// The read poll also lets a worker parked on an idle (but still open)
+/// connection notice a shutdown and let [`serve`] drain — otherwise one
+/// lingering client would block shutdown forever.
+fn serve_turn(conn: &mut Conn, shared: &Shared, task_timeout: Option<Duration>) -> Turn {
     loop {
-        // A timed-out read leaves any partial line in `raw`; the next
-        // iteration keeps appending to it, up to one byte past the cap.
-        let room = (MAX_REQUEST_BYTES + 1 - raw.len()) as u64;
-        match (&mut reader).take(room).read_until(b'\n', &mut raw) {
-            Ok(0) => break,
-            Ok(_) if raw.len() > MAX_REQUEST_BYTES && raw.last() != Some(&b'\n') => {
+        // A timed-out read leaves any partial line in `partial`; the next
+        // read keeps appending to it, up to one byte past the cap.
+        let room = (MAX_REQUEST_BYTES + 1 - conn.partial.len()) as u64;
+        match (&mut conn.reader)
+            .take(room)
+            .read_until(b'\n', &mut conn.partial)
+        {
+            Ok(0) => return Turn::Closed,
+            Ok(_)
+                if conn.partial.len() > MAX_REQUEST_BYTES
+                    && conn.partial.last() != Some(&b'\n') =>
+            {
+                let started = Instant::now();
                 let reply = response_line(
                     0,
                     Err(format!(
                         "bad request: line exceeds {MAX_REQUEST_BYTES} bytes"
                     )),
                 );
-                let _ = writeln!(writer, "{reply}").and_then(|()| writer.flush());
-                break;
+                shared.record(false, started);
+                let _ = send_line(conn.reader.get_ref(), reply);
+                return Turn::Closed;
             }
             Ok(_) => {}
             Err(e)
                 if matches!(
                     e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
                 ) =>
             {
-                if shared.stop.load(Ordering::SeqCst) {
-                    break;
+                let state = shared.state();
+                if state.stopping {
+                    return Turn::Closed;
+                }
+                if !state.queue.is_empty() {
+                    return Turn::Yield;
                 }
                 continue;
             }
-            Err(_) => break,
+            Err(_) => return Turn::Closed,
         }
-        let line = String::from_utf8_lossy(&raw).into_owned();
-        raw.clear();
+        let line = String::from_utf8_lossy(&conn.partial).into_owned();
+        conn.partial.clear();
         if line.trim().is_empty() {
             continue;
         }
-        let parsed: Result<Request, _> = serde_json::from_str(&line);
-        let (id, outcome, shutdown) = match parsed {
-            Err(e) => (0, Err(format!("bad request: {e}")), false),
-            Ok(req) if req.kind == "shutdown" => {
-                (req.id, Ok(serde::Value::Str("shutting down".into())), true)
-            }
-            Ok(req) => {
-                let mut span = tf_obs::span!("serve", "request");
-                span.arg("id", req.id as f64);
-                // A panic must not end this worker: it would stop serving
-                // for good, and the pool would shrink by one thread.
-                let outcome =
-                    panic::catch_unwind(AssertUnwindSafe(|| handle_request(&req, task_timeout)))
-                        .unwrap_or_else(|payload| {
-                            Err(format!("internal error: {}", panic_text(&*payload)))
-                        });
-                (req.id, outcome, false)
-            }
-        };
-        let reply = response_line(id, outcome);
-        if writer
-            .write_all(reply.as_bytes())
-            .and_then(|()| writer.write_all(b"\n"))
-            .and_then(|()| writer.flush())
-            .is_err()
-        {
-            break;
+        let (reply, shutdown) = answer(&line, conn.loopback, shared, task_timeout);
+        if send_line(conn.reader.get_ref(), reply).is_err() {
+            return Turn::Closed;
         }
         if shutdown {
-            return true;
+            return Turn::Shutdown;
         }
     }
-    false
+}
+
+/// The reply to one request line, and whether it is an accepted
+/// `shutdown`. Every request but `stats` and `shutdown` is counted.
+fn answer(
+    line: &str,
+    loopback: bool,
+    shared: &Shared,
+    task_timeout: Option<Duration>,
+) -> (String, bool) {
+    let started = Instant::now();
+    let (id, outcome) = match serde_json::from_str::<Request>(line) {
+        Err(e) => (0, Err(format!("bad request: {e}"))),
+        Ok(req) if req.kind == "shutdown" => {
+            let outcome = if loopback {
+                Ok(serde::Value::Str("shutting down".into()))
+            } else {
+                Err("shutdown is accepted only from a loopback peer".into())
+            };
+            return (response_line(req.id, outcome), loopback);
+        }
+        Ok(req) if req.kind == "stats" => {
+            return (response_line(req.id, Ok(shared.stats())), false)
+        }
+        Ok(req) => {
+            shared.state().in_flight += 1;
+            let mut span = tf_obs::span!("serve", "request");
+            span.arg("id", req.id as f64);
+            // A panic must not end this worker: it would stop serving
+            // for good, and the pool would shrink by one thread.
+            let outcome =
+                panic::catch_unwind(AssertUnwindSafe(|| handle_request(&req, task_timeout)))
+                    .unwrap_or_else(|payload| {
+                        Err(format!("internal error: {}", panic_text(&*payload)))
+                    });
+            shared.state().in_flight -= 1;
+            (req.id, outcome)
+        }
+    };
+    let ok = outcome.is_ok();
+    let reply = response_line(id, outcome);
+    shared.record(ok, started);
+    (reply, false)
 }
 
 #[cfg(test)]
@@ -576,9 +790,11 @@ mod tests {
             k: 2,
             eps: 0.05,
         };
-        assert!(handle_request(&req, None)
-            .unwrap_err()
-            .contains("unknown kind"));
+        let err = handle_request(&req, None).unwrap_err();
+        assert!(
+            err.contains("unknown kind") && err.contains("stats"),
+            "{err}"
+        );
         req.kind = "ratio".into();
         req.policy = "not-a-policy".into();
         assert!(handle_request(&req, None)
@@ -593,5 +809,33 @@ mod tests {
         assert!(ok.contains("true"), "{ok}");
         let err = response_line(9, Err("nope".into()));
         assert!(err.contains("nope"), "{err}");
+    }
+
+    #[test]
+    fn only_loopback_peers_may_shut_down() {
+        for ip in ["127.0.0.1", "::1", "::ffff:127.0.0.1"] {
+            assert!(may_shut_down(ip.parse().unwrap()), "{ip}");
+        }
+        for ip in ["10.0.0.1", "::ffff:10.0.0.1"] {
+            assert!(!may_shut_down(ip.parse().unwrap()), "{ip}");
+        }
+    }
+
+    #[test]
+    fn handle_window_keeps_the_latest_requests() {
+        let mut w = Window::default();
+        assert_eq!(w.quantiles().get("p50"), Some(&serde::Value::Null));
+        for ms in 1..=HANDLE_WINDOW + 100 {
+            w.push(ms as f64);
+        }
+        assert_eq!(w.ms.len(), HANDLE_WINDOW);
+        let q = |p| match w.quantiles().get(p) {
+            Some(serde::Value::Float(x)) => *x,
+            other => panic!("{p}: {other:?}"),
+        };
+        // The oldest 100 were overwritten: the window holds 101..=4196.
+        assert_eq!(q("max"), (HANDLE_WINDOW + 100) as f64);
+        assert_eq!(q("p50"), (100 + HANDLE_WINDOW / 2) as f64);
+        assert_eq!(q("p99"), (100 + 4056) as f64);
     }
 }

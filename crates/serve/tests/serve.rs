@@ -1,19 +1,25 @@
 //! End-to-end tests of the real `tf-serve` binary: bind an ephemeral
 //! port, hit it with 8 concurrent client connections, check every
 //! response pairs with its request id, feed a one-worker server
-//! out-of-range requests and a request line past the length cap, then
-//! shut the server down over the protocol itself. Every read has a
-//! timeout, so a server that stops answering fails a test instead of
-//! hanging it.
+//! out-of-range requests and a request line past the length cap, time
+//! sequential round trips against the delayed-ACK floor, burst past the
+//! admission cap and the process's file limit, park an idle client on the
+//! only worker, read the server's own `stats`, then shut the server down
+//! over the protocol itself. Every read has a timeout, so a server that
+//! stops answering fails a test instead of hanging it.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::process::{Child, Command, Stdio};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use tf_serve::MAX_REQUEST_BYTES;
 
 /// How long a client waits for any one reply line.
 const READ_TIMEOUT: Duration = Duration::from_secs(60);
+
+const BIN: &str = env!("CARGO_BIN_EXE_tf-serve");
+
+const TRACE3: &str = r#""trace": [[0.0, 2.0], [0.0, 1.0], [1.0, 1.0]]"#;
 
 struct Server {
     child: Child,
@@ -22,7 +28,22 @@ struct Server {
 
 impl Server {
     fn spawn(threads: usize) -> Server {
-        let mut child = Command::new(env!("CARGO_BIN_EXE_tf-serve"))
+        Server::start(Command::new(BIN), threads)
+    }
+
+    /// A server whose process may hold at most `nofile` open files.
+    fn spawn_with_fd_limit(threads: usize, nofile: u32) -> Server {
+        let mut sh = Command::new("sh");
+        sh.args([
+            "-c",
+            &format!(r#"ulimit -n {nofile} && exec "$0" "$@""#),
+            BIN,
+        ]);
+        Server::start(sh, threads)
+    }
+
+    fn start(mut cmd: Command, threads: usize) -> Server {
+        let mut child = cmd
             .args(["--addr", "127.0.0.1:0", "--threads", &threads.to_string()])
             .stdout(Stdio::null())
             .stderr(Stdio::piped())
@@ -54,18 +75,15 @@ impl Server {
     }
 
     fn shutdown(&mut self) {
-        let mut conn = self.connect();
-        conn.write_all(b"{\"id\": 999, \"kind\": \"shutdown\"}\n")
-            .expect("send shutdown");
-        let mut reply = String::new();
-        BufReader::new(conn).read_line(&mut reply).expect("ack");
+        let reply = roundtrip_admitted(&self.addr, r#"{"id": 999, "kind": "shutdown"}"#);
         assert!(
             reply.contains("\"ok\":true") || reply.contains("shutting down"),
             "{reply}"
         );
         // The server must actually exit, not just acknowledge.
         for _ in 0..200 {
-            if self.child.try_wait().expect("poll server").is_some() {
+            if let Some(status) = self.child.try_wait().expect("poll server") {
+                assert!(status.success(), "server exited with {status}");
                 return;
             }
             std::thread::sleep(Duration::from_millis(25));
@@ -82,15 +100,44 @@ impl Drop for Server {
     }
 }
 
+/// Send `request` and its newline in one write, read one reply line.
+fn send(conn: &mut TcpStream, reader: &mut impl BufRead, request: &str) -> String {
+    conn.write_all(format!("{request}\n").as_bytes())
+        .expect("send");
+    let mut reply = String::new();
+    reader.read_line(&mut reply).expect("receive");
+    reply
+}
+
 fn roundtrip(server_addr: &str, request: &str) -> String {
     let mut conn = TcpStream::connect(server_addr).expect("connect");
     conn.set_read_timeout(Some(READ_TIMEOUT))
         .expect("read timeout");
-    conn.write_all(request.as_bytes()).expect("send");
-    conn.write_all(b"\n").expect("send newline");
-    let mut reply = String::new();
-    BufReader::new(conn).read_line(&mut reply).expect("receive");
-    reply
+    let mut reader = BufReader::new(conn.try_clone().expect("clone"));
+    send(&mut conn, &mut reader, request)
+}
+
+/// [`roundtrip`] on a fresh connection, again while the server answers
+/// `busy`: connections a test has just closed count against the
+/// admission cap until a worker reads their end of stream.
+fn roundtrip_admitted(server_addr: &str, request: &str) -> String {
+    for _ in 0..250 {
+        let reply = roundtrip(server_addr, request);
+        if !reply.contains("busy") {
+            return reply;
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    panic!("still busy after 5 s: {request}");
+}
+
+/// One counter of a `stats` reply.
+fn stat(reply: &str, name: &str) -> u64 {
+    let v: serde::Value = serde_json::from_str(reply).unwrap_or_else(|e| panic!("{e}: {reply}"));
+    v.get("result")
+        .and_then(|r| r.get(name))
+        .and_then(|n| serde::Deserialize::from_value(n).ok())
+        .unwrap_or_else(|| panic!("no count {name} in {reply}"))
 }
 
 /// Eight concurrent connections, mixed request kinds; every response
@@ -222,5 +269,144 @@ fn overlong_request_line_is_refused_and_the_worker_survives() {
         r#"{"id": 7, "kind": "certify", "trace": [[0.0, 2.0], [0.0, 1.0]], "k": 2}"#,
     );
     assert!(reply.contains("\"ok\":true"), "{reply}");
+    server.shutdown();
+}
+
+/// Sequential round trips on one connection take the handler's time, not
+/// the client's delayed ACK: a reply written as the line and then its
+/// newline sat ≈ 40 ms behind Nagle's algorithm (median 44 ms).
+#[test]
+fn sequential_round_trips_are_not_held_for_a_delayed_ack() {
+    let mut server = Server::spawn(1);
+    let mut conn = server.connect();
+    conn.set_nodelay(true).expect("nodelay");
+    let mut reader = BufReader::new(conn.try_clone().expect("clone"));
+    let mut ms: Vec<f64> = (0..20)
+        .map(|i| {
+            let t = Instant::now();
+            let reply = send(
+                &mut conn,
+                &mut reader,
+                &format!(r#"{{"id": {i}, "kind": "audit", {TRACE3}}}"#),
+            );
+            let elapsed = t.elapsed().as_secs_f64() * 1e3;
+            assert!(reply.contains("\"ok\":true"), "{reply}");
+            elapsed
+        })
+        .collect();
+    ms.sort_by(f64::total_cmp);
+    let median = (ms[9] + ms[10]) / 2.0;
+    assert!(median < 10.0, "median round trip {median:.2} ms: {ms:?}");
+    drop((reader, conn));
+    server.shutdown();
+}
+
+/// A connection past the cap (twice `--threads`) gets one `busy` line
+/// and is closed, while the admitted connections stay open.
+#[test]
+fn the_connection_past_the_cap_reads_busy() {
+    let mut server = Server::spawn(1);
+    let held = [server.connect(), server.connect()];
+    let mut reader = BufReader::new(server.connect());
+    let mut reply = String::new();
+    reader.read_line(&mut reply).expect("busy reply");
+    assert!(
+        reply.starts_with(r#"{"id":0,"ok":false,"error":"busy: "#),
+        "{reply}"
+    );
+    reply.clear();
+    assert_eq!(reader.read_line(&mut reply).expect("end of stream"), 0);
+    drop((held, reader));
+    server.shutdown();
+}
+
+/// A burst of held connections past the process's file limit neither
+/// ends the server nor wedges it. One worker refuses the burst past its
+/// cap; eight workers admit up to 16 and run out of descriptors first,
+/// and the acceptor retries until the clients let go. Either way the
+/// same server then certifies a trace and shuts down cleanly.
+#[test]
+fn a_burst_past_the_file_limit_leaves_the_server_serving() {
+    for (threads, counter, least) in [(1, "busy_refused", 22), (8, "accept_errors", 1)] {
+        let mut server = Server::spawn_with_fd_limit(threads, 16);
+        let mut burst: Vec<TcpStream> = (0..24).map(|_| server.connect()).collect();
+        // The first connection is admitted; ask it until the server has
+        // met the whole burst.
+        let mut first = burst.remove(0);
+        let mut reader = BufReader::new(first.try_clone().expect("clone"));
+        let deadline = Instant::now() + Duration::from_secs(10);
+        loop {
+            let reply = send(&mut first, &mut reader, r#"{"id": 1, "kind": "stats"}"#);
+            if stat(&reply, counter) >= least {
+                break;
+            }
+            assert!(Instant::now() < deadline, "threads {threads}: {reply}");
+            std::thread::sleep(Duration::from_millis(20));
+        }
+        drop((burst, reader, first));
+
+        let reply = roundtrip_admitted(
+            &server.addr,
+            &format!(r#"{{"id": 2, "kind": "certify", {TRACE3}, "k": 2}}"#),
+        );
+        assert!(reply.contains("\"ok\":true"), "threads {threads}: {reply}");
+        server.shutdown();
+    }
+}
+
+/// Workers are shared round robin: an idle client on the only worker
+/// hands it to a waiting one after one read poll, and is requeued, not
+/// closed, so its own later request is answered too.
+#[test]
+fn an_idle_client_does_not_pin_the_only_worker() {
+    let mut server = Server::spawn(1);
+    let mut idle = server.connect();
+    let mut busy = server.connect();
+    busy.set_read_timeout(Some(Duration::from_secs(2)))
+        .expect("read timeout");
+    let mut reader = BufReader::new(busy.try_clone().expect("clone"));
+    let reply = send(
+        &mut busy,
+        &mut reader,
+        &format!(r#"{{"id": 1, "kind": "certify", {TRACE3}, "k": 2}}"#),
+    );
+    assert!(reply.contains("\"ok\":true"), "{reply}");
+
+    let mut reader = BufReader::new(idle.try_clone().expect("clone"));
+    let reply = send(
+        &mut idle,
+        &mut reader,
+        &format!(r#"{{"id": 2, "kind": "audit", {TRACE3}}}"#),
+    );
+    assert!(reply.contains("\"ok\":true"), "{reply}");
+    drop((idle, busy, reader));
+    server.shutdown();
+}
+
+/// `stats` counts every request but itself and `shutdown`, failures
+/// included, and reads no request in flight once all are answered.
+#[test]
+fn stats_counts_requests_and_errors() {
+    let mut server = Server::spawn(2);
+    let mut conn = server.connect();
+    let mut reader = BufReader::new(conn.try_clone().expect("clone"));
+    let requests = [
+        format!(r#"{{"id": 1, "kind": "audit", {TRACE3}}}"#),
+        "this is not json".to_string(),
+        format!(r#"{{"id": 2, "kind": "certify", {TRACE3}}}"#),
+        format!(r#"{{"id": 3, "kind": "ratio", "k": 0, {TRACE3}}}"#),
+        format!(r#"{{"id": 4, "kind": "audit", {TRACE3}}}"#),
+    ];
+    for r in &requests {
+        send(&mut conn, &mut reader, r);
+    }
+    let reply = send(&mut conn, &mut reader, r#"{"id": 5, "kind": "stats"}"#);
+    assert!(reply.contains(r#""id":5,"ok":true"#), "{reply}");
+    assert_eq!(stat(&reply, "requests"), 5, "{reply}");
+    assert_eq!(stat(&reply, "errors"), 2, "{reply}");
+    assert_eq!(stat(&reply, "in_flight"), 0, "{reply}");
+    assert_eq!(stat(&reply, "open"), 1, "{reply}");
+    assert!(reply.contains(r#""handle_ms":{"p50":"#), "{reply}");
+    drop((reader, conn));
     server.shutdown();
 }
