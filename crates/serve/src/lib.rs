@@ -56,7 +56,10 @@
 //!
 //! At most twice `threads` connections are open at once, queued or held
 //! by a worker. A connection past that gets one
-//! `{"id":0,"ok":false,"error":"busy: …"}` line and is closed. Workers
+//! `{"id":0,"ok":false,"error":"busy: …"}` line and is closed, unless it
+//! comes from a loopback peer and its first line, sent within one read
+//! poll (200 ms), is `shutdown`: that is answered and the server stops,
+//! so idle clients holding every connection cannot keep it up. Workers
 //! share the open connections round robin: when a worker's connection
 //! sends nothing for one read poll (200 ms) while another waits, the
 //! worker moves it, partial line and all, to the back of the queue and
@@ -458,8 +461,9 @@ impl Shared {
 /// `shutdown`; returns after the worker pool drains. `cfg.threads`
 /// workers share the open connections round robin, and at most twice
 /// that many connections are open at once: a connection past the cap
-/// gets one `busy` reply and is closed. A failed `accept` (out of file
-/// descriptors, say) is counted and retried after a short pause.
+/// gets one `busy` reply and is closed, unless it is a loopback peer's
+/// `shutdown`. A failed `accept` (out of file descriptors, say) is
+/// counted and retried after a short pause.
 pub fn serve(listener: TcpListener, cfg: &ServeCfg) -> io::Result<()> {
     let local = listener.local_addr()?;
     let threads = cfg.threads.max(1);
@@ -492,8 +496,20 @@ pub fn serve(listener: TcpListener, cfg: &ServeCfg) -> io::Result<()> {
         };
         let _ = stream.set_nodelay(true);
         if state.open >= cap {
-            state.busy_refused += 1;
             drop(state);
+            // A loopback operator can still stop a full server.
+            if let Some(id) = may_shut_down(peer.ip())
+                .then(|| shutdown_id(&stream))
+                .flatten()
+            {
+                let _ = send_line(
+                    &stream,
+                    response_line(id, Ok(serde::Value::Str("shutting down".into()))),
+                );
+                shared.shut_down();
+                break;
+            }
+            shared.state().busy_refused += 1;
             let reply = response_line(
                 0,
                 Err(format!(
@@ -518,6 +534,31 @@ pub fn serve(listener: TcpListener, cfg: &ServeCfg) -> io::Result<()> {
         let _ = w.join();
     }
     Ok(())
+}
+
+/// The id of a `shutdown` request, if that is the first line `stream`
+/// sends within one [`READ_POLL`]. Anything else, or nothing by then,
+/// reads `None`.
+fn shutdown_id(mut stream: &TcpStream) -> Option<u64> {
+    let deadline = Instant::now() + READ_POLL;
+    let (mut line, mut buf) = (Vec::new(), [0; 512]);
+    loop {
+        let left = deadline
+            .checked_duration_since(Instant::now())
+            .filter(|t| !t.is_zero())?;
+        stream.set_read_timeout(Some(left)).ok()?;
+        let n = stream.read(&mut buf).ok().filter(|&n| n > 0)?;
+        if let Some(end) = buf[..n].iter().position(|&b| b == b'\n') {
+            line.extend_from_slice(&buf[..end]);
+            break;
+        }
+        if line.len() + n > MAX_REQUEST_BYTES {
+            return None;
+        }
+        line.extend_from_slice(&buf[..n]);
+    }
+    let req: Request = serde_json::from_str(std::str::from_utf8(&line).ok()?).ok()?;
+    (req.kind == "shutdown").then_some(req.id)
 }
 
 /// How a worker's turn on a connection ended.

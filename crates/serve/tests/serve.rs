@@ -3,10 +3,11 @@
 //! response pairs with its request id, feed a one-worker server
 //! out-of-range requests and a request line past the length cap, time
 //! sequential round trips against the delayed-ACK floor, burst past the
-//! admission cap and the process's file limit, park an idle client on the
-//! only worker, read the server's own `stats`, then shut the server down
-//! over the protocol itself. Every read has a timeout, so a server that
-//! stops answering fails a test instead of hanging it.
+//! admission cap and the process's file limit, stop a full server with a
+//! `shutdown` past the cap, park an idle client on the only worker, read
+//! the server's own `stats`, then shut the server down over the protocol
+//! itself. Every read has a timeout, so a server that stops answering
+//! fails a test instead of hanging it.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -80,7 +81,12 @@ impl Server {
             reply.contains("\"ok\":true") || reply.contains("shutting down"),
             "{reply}"
         );
-        // The server must actually exit, not just acknowledge.
+        self.exits();
+    }
+
+    /// The server must actually exit after a `shutdown`, not just
+    /// acknowledge it.
+    fn exits(&mut self) {
         for _ in 0..200 {
             if let Some(status) = self.child.try_wait().expect("poll server") {
                 assert!(status.success(), "server exited with {status}");
@@ -302,22 +308,44 @@ fn sequential_round_trips_are_not_held_for_a_delayed_ack() {
 }
 
 /// A connection past the cap (twice `--threads`) gets one `busy` line
-/// and is closed, while the admitted connections stay open.
+/// and is closed, while the admitted connections stay open. That holds
+/// for one that sends nothing and for one that sends a request.
 #[test]
 fn the_connection_past_the_cap_reads_busy() {
     let mut server = Server::spawn(1);
     let held = [server.connect(), server.connect()];
-    let mut reader = BufReader::new(server.connect());
-    let mut reply = String::new();
-    reader.read_line(&mut reply).expect("busy reply");
-    assert!(
-        reply.starts_with(r#"{"id":0,"ok":false,"error":"busy: "#),
-        "{reply}"
-    );
-    reply.clear();
-    assert_eq!(reader.read_line(&mut reply).expect("end of stream"), 0);
-    drop((held, reader));
+    for request in [None, Some(r#"{"id": 1, "kind": "stats"}"#)] {
+        let mut conn = server.connect();
+        if let Some(request) = request {
+            conn.write_all(format!("{request}\n").as_bytes())
+                .expect("send");
+        }
+        let mut reader = BufReader::new(conn);
+        let mut reply = String::new();
+        reader.read_line(&mut reply).expect("busy reply");
+        assert!(
+            reply.starts_with(r#"{"id":0,"ok":false,"error":"busy: "#),
+            "{request:?}: {reply}"
+        );
+        reply.clear();
+        assert_eq!(reader.read_line(&mut reply).expect("end of stream"), 0);
+    }
+    drop(held);
     server.shutdown();
+}
+
+/// A loopback `shutdown` past the cap is answered and stops the server,
+/// although idle clients hold every admitted connection.
+#[test]
+fn a_shutdown_past_the_cap_stops_the_server() {
+    let mut server = Server::spawn(1);
+    let held = [server.connect(), server.connect()];
+    let mut conn = server.connect();
+    let mut reader = BufReader::new(conn.try_clone().expect("clone"));
+    let reply = send(&mut conn, &mut reader, r#"{"id":9,"kind":"shutdown"}"#);
+    assert!(reply.starts_with(r#"{"id":9,"ok":true"#), "{reply}");
+    server.exits();
+    drop(held);
 }
 
 /// A burst of held connections past the process's file limit neither
