@@ -414,6 +414,72 @@ fn rr_virtual_time_loop_matches_the_general_loop_bit_for_bit() {
     assert_eq!(traces, 4 + 240);
 }
 
+/// Bursts 40 time units apart, each done long before the next, so the
+/// alive set empties and refills 80 times and the virtual-time loop
+/// reuses its slab slots. Even bursts are exact ties across slots: at
+/// time 0 jobs of size 0.5 and 3 arrive, the first retires at time 1
+/// and frees its slot, and a job of size 2 arriving at time 1.5 takes
+/// that slot and reaches the same finish point, 3, as the size-3 job in
+/// the later slot. Odd bursts are batches of equal sizes, tied in
+/// arrival order, and a second wave that lands in slots freed mid-burst.
+fn slot_reuse_trace() -> Trace {
+    let mut jobs = Vec::new();
+    for b in 0..80 {
+        let t0 = 40.0 * b as f64;
+        if b % 2 == 0 {
+            jobs.extend([(t0, 0.5), (t0, 3.0), (t0 + 1.5, 2.0)]);
+        } else {
+            let n = 1 + b % 9;
+            jobs.extend((0..n).map(|i| (t0, 1.0 + (i % 2) as f64)));
+            jobs.extend((0..n / 2).map(|_| (t0 + 0.25 * n as f64, 1.0)));
+        }
+    }
+    Trace::from_pairs(jobs).unwrap()
+}
+
+/// The virtual-time loop's slab and 16-byte heap keys against the
+/// general loop: on [`slot_reuse_trace`], streamed RR retires the same
+/// jobs, in the same order, at the same bits, as RR behind a wrapper
+/// that does not declare `equal_share`.
+#[test]
+fn reused_slots_and_tied_finishes_retire_as_in_the_general_loop() {
+    let trace = slot_reuse_trace();
+    let cfg = MachineConfig::new(1);
+    let stream = |alloc: &mut dyn RateAllocator| {
+        let mut retired = Vec::new();
+        let report = simulate_stream(
+            &mut TraceSource::new(&trace),
+            alloc,
+            cfg,
+            StreamOptions::default(),
+            &mut |c| retired.push((c.id, c.completion.to_bits())),
+        )
+        .unwrap_or_else(|e| panic!("{}: {e}", alloc.name()));
+        (retired, report.events, step_counts(&report.stats))
+    };
+    let mut declared = CountingRr::default();
+    let fast = stream(&mut declared);
+    assert_eq!(declared.calls, 0, "the declared RR was allocated");
+    let general = stream(&mut Forwarding(RoundRobin));
+    assert_eq!(fast.0.len(), trace.len());
+    assert_eq!(general.0.len(), trace.len());
+    let first = fast.0.iter().zip(&general.0).position(|(a, b)| a != b);
+    assert_eq!(
+        first, None,
+        "the retirements differ from the general loop's"
+    );
+    assert_eq!(fast.1, general.1, "events");
+    assert_eq!(fast.2, general.2, "step counts");
+
+    // The slot-crossing tie: the size-3 job (id 1) and the size-2 job
+    // that took the retired size-0.5 job's slot (id 2) finish together
+    // at time 5.5, and retire in arrival order.
+    assert_eq!(
+        &fast.0[1..3],
+        &[(1, 5.5f64.to_bits()), (2, 5.5f64.to_bits())]
+    );
+}
+
 #[test]
 fn an_undeclared_allocator_named_rr_keeps_its_own_schedule() {
     for (label, trace, cfg) in golden_instances() {

@@ -286,7 +286,8 @@ impl TDigest {
         self.count
     }
 
-    /// Absorb one sample (NaN ignored); amortized O(log c) per push.
+    /// Absorb one sample (NaN ignored). Every `4c` pushes cost one sort
+    /// of the `4c` buffered values and one merge pass over the centroids.
     pub fn push(&mut self, v: f64) {
         if v.is_nan() {
             return;
@@ -298,46 +299,64 @@ impl TDigest {
         }
     }
 
-    /// Fold another sketch into this one.
+    /// Fold another sketch into this one: its centroids join this one's,
+    /// its buffer joins this one's, and the two fold together.
     pub fn merge(&mut self, other: &TDigest) {
         self.count += other.count;
+        self.centroids.extend_from_slice(&other.centroids);
         self.buffer.extend_from_slice(&other.buffer);
-        // Re-absorb the other's centroids as weighted points.
-        let mut merged: Vec<(f64, f64)> =
-            Vec::with_capacity(self.centroids.len() + other.centroids.len() + self.buffer.len());
-        merged.append(&mut self.centroids);
-        merged.extend(other.centroids.iter().copied());
-        merged.extend(self.buffer.drain(..).map(|v| (v, 1.0)));
-        self.fold(merged);
+        self.compress();
     }
 
-    /// Flush the buffer into the centroid set.
+    /// Rebuild the centroid list from the centroids and the buffered
+    /// values, visited in one stable `total_cmp` order of
+    /// `centroids ++ buffer`, greedily merging neighbours while staying
+    /// under the per-centroid weight cap.
+    ///
+    /// Only the buffer needs a real sort. The centroids are already in
+    /// order (the stable sort checks that in one pass, and keeps the
+    /// rare list that rounding left unordered exact), and the sorted
+    /// buffer is merged into them with a centroid first on a tie, which
+    /// is where the stable sort of the concatenation puts it.
     fn compress(&mut self) {
-        let mut merged: Vec<(f64, f64)> =
-            Vec::with_capacity(self.centroids.len() + self.buffer.len());
-        merged.append(&mut self.centroids);
-        merged.extend(self.buffer.drain(..).map(|v| (v, 1.0)));
-        self.fold(merged);
-    }
+        // Order-preserving keys (a negative's bits all flipped, only the
+        // sign bit of the rest): equal keys are equal bits, so the
+        // unstable integer sort gives the `total_cmp` order exactly. Both
+        // collects reuse the buffer's allocation.
+        let mut keys: Vec<u64> = std::mem::take(&mut self.buffer)
+            .into_iter()
+            .map(|v| {
+                let b = v.to_bits();
+                b ^ ((b as i64 >> 63) as u64 | 1 << 63)
+            })
+            .collect();
+        keys.sort_unstable();
+        self.buffer = keys
+            .into_iter()
+            .map(|k| f64::from_bits(k ^ ((!k as i64 >> 63) as u64 | 1 << 63)))
+            .collect();
+        self.centroids.sort_by(|a, b| a.0.total_cmp(&b.0));
 
-    /// Rebuild the centroid list from weighted points: sort by mean, then
-    /// greedily merge neighbours while staying under the per-centroid
-    /// weight cap.
-    fn fold(&mut self, mut points: Vec<(f64, f64)>) {
-        points.sort_by(|a, b| a.0.total_cmp(&b.0));
-        let total: f64 = points.iter().map(|&(_, w)| w).sum();
+        // Integral weights, so the sum is exact in any order.
+        let total = self.centroids.iter().map(|&(_, w)| w).sum::<f64>() + self.buffer.len() as f64;
         let cap = (total / self.compression as f64).ceil().max(1.0);
         let mut out: Vec<(f64, f64)> = Vec::with_capacity(self.compression + 1);
-        for (m, w) in points {
-            match out.last_mut() {
-                Some((lm, lw)) if *lw + w <= cap => {
-                    let nw = *lw + w;
-                    *lm += (m - *lm) * w / nw;
-                    *lw = nw;
-                }
-                _ => out.push((m, w)),
+        let mut fold = |(m, w): (f64, f64)| match out.last_mut() {
+            Some((lm, lw)) if *lw + w <= cap => {
+                let nw = *lw + w;
+                *lm += (m - *lm) * w / nw;
+                *lw = nw;
             }
+            _ => out.push((m, w)),
+        };
+        let mut values = self.buffer.drain(..).peekable();
+        for &c in &self.centroids {
+            while let Some(v) = values.next_if(|v| v.total_cmp(&c.0).is_lt()) {
+                fold((v, 1.0));
+            }
+            fold(c);
         }
+        values.for_each(|v| fold((v, 1.0)));
         self.centroids = out;
     }
 
@@ -718,6 +737,123 @@ mod props {
 
     fn arb_values() -> impl Strategy<Value = Vec<f64>> {
         prop::collection::vec((-6.0f64..60.0).prop_map(|e| 10f64.powf(e)), 1..200)
+    }
+
+    /// The fold as it was before `compress` sorted only its buffer: every
+    /// point, centroids and buffer alike, stable-sorted by mean, then the
+    /// greedy merge. The oracle the merge-based `compress` must match.
+    fn oracle_fold(d: &mut TDigest, mut points: Vec<(f64, f64)>) {
+        points.sort_by(|a, b| a.0.total_cmp(&b.0));
+        let total: f64 = points.iter().map(|&(_, w)| w).sum();
+        let cap = (total / d.compression as f64).ceil().max(1.0);
+        let mut out: Vec<(f64, f64)> = Vec::new();
+        for (m, w) in points {
+            match out.last_mut() {
+                Some((lm, lw)) if *lw + w <= cap => {
+                    let nw = *lw + w;
+                    *lm += (m - *lm) * w / nw;
+                    *lw = nw;
+                }
+                _ => out.push((m, w)),
+            }
+        }
+        d.centroids = out;
+    }
+
+    fn oracle_compress(d: &mut TDigest) {
+        let mut points = std::mem::take(&mut d.centroids);
+        points.extend(d.buffer.drain(..).map(|v| (v, 1.0)));
+        oracle_fold(d, points);
+    }
+
+    fn oracle_push(d: &mut TDigest, v: f64) {
+        if v.is_nan() {
+            return;
+        }
+        d.count += 1;
+        d.buffer.push(v);
+        if d.buffer.len() >= 4 * d.compression {
+            oracle_compress(d);
+        }
+    }
+
+    fn oracle_merge(d: &mut TDigest, other: &TDigest) {
+        d.count += other.count;
+        d.buffer.extend_from_slice(&other.buffer);
+        let mut points = std::mem::take(&mut d.centroids);
+        points.extend(other.centroids.iter().copied());
+        points.extend(d.buffer.drain(..).map(|v| (v, 1.0)));
+        oracle_fold(d, points);
+    }
+
+    /// Every bit of a digest's state.
+    fn state_bits(d: &TDigest) -> (u64, Vec<[u64; 2]>, Vec<u64>) {
+        let centroids = d.centroids.iter().map(|&(m, w)| [m.to_bits(), w.to_bits()]);
+        let buffer = d.buffer.iter().map(|v| v.to_bits());
+        (d.count, centroids.collect(), buffer.collect())
+    }
+
+    /// Samples that stress the sort order: exact duplicates, ±0.0,
+    /// subnormals, ±1e300 and the largest magnitudes (whose means can
+    /// overflow to ±∞ and then NaN), ±∞ and NaN.
+    fn arb_edge_value() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            0.0f64..10.0,
+            prop_oneof![Just(1.0), Just(2.5), Just(0.0), Just(-0.0)],
+            (1u64..1 << 52, any::<bool>()).prop_map(|(b, neg)| {
+                let v = f64::from_bits(b);
+                if neg {
+                    -v
+                } else {
+                    v
+                }
+            }),
+            (-1.0f64..1.0).prop_map(|x| x * 1e300),
+            prop_oneof![Just(f64::MAX), Just(-f64::MAX), Just(f64::INFINITY)],
+            prop_oneof![Just(f64::NEG_INFINITY), Just(f64::NAN), Just(-3.0)],
+        ]
+    }
+
+    /// Digests of unequal compression and fill: some still all buffer,
+    /// some past several compressions.
+    fn arb_digests() -> impl Strategy<Value = Vec<(usize, Vec<f64>)>> {
+        prop::collection::vec(
+            (8usize..24, prop::collection::vec(arb_edge_value(), 0..300)),
+            1..5,
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Push, merge and quantile leave every bit of the digest as the
+        /// sort-everything fold does.
+        #[test]
+        fn compress_matches_the_sort_everything_fold(specs in arb_digests()) {
+            let mut built = Vec::new();
+            for (compression, values) in &specs {
+                let (mut new, mut old) = (TDigest::new(*compression), TDigest::new(*compression));
+                for &v in values {
+                    new.push(v);
+                    oracle_push(&mut old, v);
+                }
+                prop_assert_eq!(state_bits(&new), state_bits(&old));
+                built.push((new, old));
+            }
+            let (mut total, mut oracle) = built.remove(0);
+            for (new, old) in &built {
+                total.merge(new);
+                oracle_merge(&mut oracle, old);
+                prop_assert_eq!(state_bits(&total), state_bits(&oracle));
+            }
+            if !oracle.buffer.is_empty() {
+                oracle_compress(&mut oracle);
+            }
+            for q in [0.0, 0.5, 0.9, 0.99, 1.0] {
+                prop_assert_eq!(total.quantile(q).to_bits(), oracle.quantile(q).to_bits());
+            }
+            prop_assert_eq!(state_bits(&total), state_bits(&oracle));
+        }
     }
 
     proptest! {

@@ -59,7 +59,11 @@
 //! `{"id":0,"ok":false,"error":"busy: …"}` line and is closed, unless it
 //! comes from a loopback peer and its first line, sent within one read
 //! poll (200 ms), is `shutdown`: that is answered and the server stops,
-//! so idle clients holding every connection cannot keep it up. Workers
+//! so idle clients holding every connection cannot keep it up. One
+//! refuser thread, off the accept path, answers every connection past
+//! the cap: after `busy` it closes its write half and reads what the
+//! peer sent, until the peer closes or one more read poll passes, so the
+//! peer reads `busy` and then the end of the stream, not a reset. Workers
 //! share the open connections round robin: when a worker's connection
 //! sends nothing for one read poll (200 ms) while another waits, the
 //! worker moves it, partial line and all, to the back of the queue and
@@ -70,9 +74,9 @@
 
 use std::collections::VecDeque;
 use std::io::{self, BufRead, BufReader, Read, Write};
-use std::net::{IpAddr, SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use tf_harness::campaign::CampaignScope;
@@ -91,6 +95,9 @@ const HANDLE_WINDOW: usize = 4096;
 /// How long a worker's read waits before it looks for a shutdown or for
 /// a queued connection to hand its turn to.
 const READ_POLL: Duration = Duration::from_millis(200);
+
+/// How often the refuser reads the connections it holds past the cap.
+const REFUSE_POLL: Duration = Duration::from_millis(5);
 
 /// How long the acceptor pauses after a failed `accept`. Running out of
 /// file descriptors leaves the connection in the backlog, so an immediate
@@ -424,10 +431,12 @@ impl Shared {
         self.state().open -= 1;
     }
 
-    /// Hand out no more connections, and wake every idle worker.
-    fn shut_down(&self) {
+    /// Hand out no more connections, wake every idle worker, and
+    /// unblock the acceptor with a connection to its own address.
+    fn shut_down(&self, local: SocketAddr) {
         self.state().stopping = true;
         self.ready.notify_all();
+        let _ = TcpStream::connect(local);
     }
 
     /// Count one answered request, with its handle time.
@@ -461,9 +470,10 @@ impl Shared {
 /// `shutdown`; returns after the worker pool drains. `cfg.threads`
 /// workers share the open connections round robin, and at most twice
 /// that many connections are open at once: a connection past the cap
-/// gets one `busy` reply and is closed, unless it is a loopback peer's
-/// `shutdown`. A failed `accept` (out of file descriptors, say) is
-/// counted and retried after a short pause.
+/// goes to the refuser thread, which answers `busy` and closes it, or
+/// stops the server on a loopback peer's `shutdown`. A failed `accept`
+/// (out of file descriptors, say) is counted and retried after a short
+/// pause.
 pub fn serve(listener: TcpListener, cfg: &ServeCfg) -> io::Result<()> {
     let local = listener.local_addr()?;
     let threads = cfg.threads.max(1);
@@ -480,6 +490,11 @@ pub fn serve(listener: TcpListener, cfg: &ServeCfg) -> io::Result<()> {
             std::thread::spawn(move || worker_loop(i, &shared, timeout, local))
         })
         .collect();
+    let (refuse, refused) = mpsc::channel();
+    let refuser = {
+        let shared = Arc::clone(&shared);
+        std::thread::spawn(move || refuser_loop(&refused, &shared, cap, local))
+    };
 
     loop {
         let accepted = listener.accept();
@@ -497,26 +512,7 @@ pub fn serve(listener: TcpListener, cfg: &ServeCfg) -> io::Result<()> {
         let _ = stream.set_nodelay(true);
         if state.open >= cap {
             drop(state);
-            // A loopback operator can still stop a full server.
-            if let Some(id) = may_shut_down(peer.ip())
-                .then(|| shutdown_id(&stream))
-                .flatten()
-            {
-                let _ = send_line(
-                    &stream,
-                    response_line(id, Ok(serde::Value::Str("shutting down".into()))),
-                );
-                shared.shut_down();
-                break;
-            }
-            shared.state().busy_refused += 1;
-            let reply = response_line(
-                0,
-                Err(format!(
-                    "busy: {cap} connections open; retry after one closes"
-                )),
-            );
-            let _ = send_line(&stream, reply);
+            let _ = refuse.send((stream, may_shut_down(peer.ip())));
             continue;
         }
         let _ = stream.set_read_timeout(Some(READ_POLL));
@@ -530,35 +526,128 @@ pub fn serve(listener: TcpListener, cfg: &ServeCfg) -> io::Result<()> {
         shared.ready.notify_one();
     }
 
+    drop(refuse);
     for w in workers {
         let _ = w.join();
     }
+    refuser.join().expect("the refuser does not panic");
     Ok(())
 }
 
-/// The id of a `shutdown` request, if that is the first line `stream`
-/// sends within one [`READ_POLL`]. Anything else, or nothing by then,
-/// reads `None`.
-fn shutdown_id(mut stream: &TcpStream) -> Option<u64> {
-    let deadline = Instant::now() + READ_POLL;
-    let (mut line, mut buf) = (Vec::new(), [0; 512]);
-    loop {
-        let left = deadline
-            .checked_duration_since(Instant::now())
-            .filter(|t| !t.is_zero())?;
-        stream.set_read_timeout(Some(left)).ok()?;
-        let n = stream.read(&mut buf).ok().filter(|&n| n > 0)?;
-        if let Some(end) = buf[..n].iter().position(|&b| b == b'\n') {
-            line.extend_from_slice(&buf[..end]);
-            break;
-        }
-        if line.len() + n > MAX_REQUEST_BYTES {
-            return None;
-        }
-        line.extend_from_slice(&buf[..n]);
+/// A connection past the admission cap, held by the refuser until it has
+/// been answered and has closed or gone quiet.
+struct Refused {
+    stream: TcpStream,
+    /// A loopback peer's first line so far, while it may yet be
+    /// `shutdown`; `None` once the peer has its `busy` line.
+    line: Option<Vec<u8>>,
+    /// When the wait for the first line, or then the drain, ends.
+    deadline: Instant,
+}
+
+impl Refused {
+    /// Send `busy`, close the write half, and give the peer one
+    /// [`READ_POLL`] to close its own. Reading what it sent until then
+    /// keeps the close from turning into a reset that can cost the peer
+    /// its `busy` line.
+    fn refuse(&mut self, shared: &Shared, cap: usize) {
+        shared.state().busy_refused += 1;
+        let reply = response_line(
+            0,
+            Err(format!(
+                "busy: {cap} connections open; retry after one closes"
+            )),
+        );
+        let _ = send_line(&self.stream, reply);
+        let _ = self.stream.shutdown(Shutdown::Write);
+        self.line = None;
+        self.deadline = Instant::now() + READ_POLL;
     }
-    let req: Request = serde_json::from_str(std::str::from_utf8(&line).ok()?).ok()?;
+
+    /// Read what the peer has sent without blocking: a loopback peer's
+    /// first line, answered at once if it is `shutdown` (which stops the
+    /// server) and with `busy` otherwise (or when it has sent none by the
+    /// deadline), then anything else until it closes or the deadline
+    /// passes. Returns whether the connection is still held.
+    fn poll(&mut self, shared: &Shared, cap: usize, local: SocketAddr) -> bool {
+        let mut buf = [0; 4096];
+        loop {
+            let read = (&self.stream).read(&mut buf);
+            let early = Instant::now() < self.deadline;
+            let waiting = early && matches!(&read, Err(e) if e.kind() == io::ErrorKind::WouldBlock);
+            let Some(line) = &mut self.line else {
+                match read {
+                    Ok(n) if n > 0 && early => continue,
+                    _ => return waiting,
+                }
+            };
+            match read {
+                Ok(n) if n > 0 => {
+                    let end = buf[..n].iter().position(|&b| b == b'\n');
+                    line.extend_from_slice(&buf[..end.unwrap_or(n)]);
+                    if let Some(id) = end.and_then(|_| shutdown_id(line)) {
+                        let ok = Ok(serde::Value::Str("shutting down".into()));
+                        let _ = send_line(&self.stream, response_line(id, ok));
+                        shared.shut_down(local);
+                        return false;
+                    }
+                    if end.is_none() && line.len() <= MAX_REQUEST_BYTES {
+                        continue;
+                    }
+                }
+                _ if waiting => return true,
+                _ => {}
+            }
+            self.refuse(shared, cap);
+        }
+    }
+}
+
+/// The id of `line` if it is a `shutdown` request.
+fn shutdown_id(line: &[u8]) -> Option<u64> {
+    let req: Request = serde_json::from_str(std::str::from_utf8(line).ok()?).ok()?;
     (req.kind == "shutdown").then_some(req.id)
+}
+
+/// The refuser: one thread that answers every connection past the cap,
+/// so a silent one holds neither the acceptor nor another refusal. Each
+/// connection it is handed (with whether its peer is on loopback) is
+/// polled every [`REFUSE_POLL`] until it is done. The thread ends when
+/// the acceptor does.
+fn refuser_loop(
+    refused: &mpsc::Receiver<(TcpStream, bool)>,
+    shared: &Shared,
+    cap: usize,
+    local: SocketAddr,
+) {
+    let mut held: Vec<Refused> = Vec::new();
+    loop {
+        let next = if held.is_empty() {
+            refused
+                .recv()
+                .map_err(|_| mpsc::RecvTimeoutError::Disconnected)
+        } else {
+            refused.recv_timeout(REFUSE_POLL)
+        };
+        if let Err(mpsc::RecvTimeoutError::Disconnected) = next {
+            return;
+        }
+        for (stream, loopback) in next.into_iter().chain(refused.try_iter()) {
+            if stream.set_nonblocking(true).is_err() {
+                continue;
+            }
+            let mut conn = Refused {
+                stream,
+                line: Some(Vec::new()),
+                deadline: Instant::now() + READ_POLL,
+            };
+            if !loopback {
+                conn.refuse(shared, cap);
+            }
+            held.push(conn);
+        }
+        held.retain_mut(|conn| conn.poll(shared, cap, local));
+    }
 }
 
 /// How a worker's turn on a connection ended.
@@ -578,9 +667,7 @@ fn worker_loop(index: usize, shared: &Shared, task_timeout: Option<Duration>, lo
             Turn::Yield => shared.requeue(conn),
             Turn::Shutdown => {
                 shared.close(conn);
-                shared.shut_down();
-                // Unblock the acceptor.
-                let _ = TcpStream::connect(local);
+                shared.shut_down(local);
             }
         }
     }

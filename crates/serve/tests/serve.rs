@@ -125,11 +125,12 @@ fn roundtrip(server_addr: &str, request: &str) -> String {
 
 /// [`roundtrip`] on a fresh connection, again while the server answers
 /// `busy`: connections a test has just closed count against the
-/// admission cap until a worker reads their end of stream.
+/// admission cap until a worker reads their end of stream. (A `stats`
+/// reply names `busy_refused`, so only the refusal's error text counts.)
 fn roundtrip_admitted(server_addr: &str, request: &str) -> String {
     for _ in 0..250 {
         let reply = roundtrip(server_addr, request);
-        if !reply.contains("busy") {
+        if !reply.contains(r#""error":"busy: "#) {
             return reply;
         }
         std::thread::sleep(Duration::from_millis(20));
@@ -331,6 +332,59 @@ fn the_connection_past_the_cap_reads_busy() {
         assert_eq!(reader.read_line(&mut reply).expect("end of stream"), 0);
     }
     drop(held);
+    server.shutdown();
+}
+
+/// A refused client that sent requests before its refusal reads `busy`
+/// and then the end of the stream, not a reset: the server reads what
+/// the client sent before it closes the connection.
+#[test]
+fn a_refused_client_reads_busy_then_end_of_stream() {
+    let mut server = Server::spawn(1);
+    let held = [server.connect(), server.connect()];
+    let pairs: Vec<String> = (0..400).map(|i| format!("[{i}.0, 1.0]")).collect();
+    let certify = format!(
+        r#"{{"id": 2, "kind": "certify", "trace": [{}]}}"#,
+        pairs.join(", ")
+    );
+    let mut conn = server.connect();
+    conn.write_all(format!("{{\"id\": 1, \"kind\": \"stats\"}}\n{certify}\n").as_bytes())
+        .expect("send");
+    let mut reader = BufReader::new(conn);
+    let mut reply = String::new();
+    reader.read_line(&mut reply).expect("busy reply");
+    assert!(
+        reply.starts_with(r#"{"id":0,"ok":false,"error":"busy: "#),
+        "{reply}"
+    );
+    reply.clear();
+    let end = reader.read_line(&mut reply);
+    assert_eq!(end.expect("end of stream, not an error"), 0, "{reply}");
+    drop(held);
+    server.shutdown();
+}
+
+/// Refusals happen off the accept path: ten silent loopback connections
+/// past a full one-worker server wait for their first line side by side,
+/// not one read poll after another, so a client behind them reads its
+/// `busy` at once. That reply also shows the acceptor has met the whole
+/// burst (it accepts in order), so the slot freed next goes to the next
+/// client, whose request is answered well within a second.
+#[test]
+fn silent_connections_past_the_cap_do_not_hold_the_acceptor() {
+    let mut server = Server::spawn(1);
+    let [first, second] = [server.connect(), server.connect()];
+    let silent: Vec<TcpStream> = (0..10).map(|_| server.connect()).collect();
+    let certify = format!(r#"{{"id": 1, "kind": "certify", {TRACE3}, "k": 2}}"#);
+    let start = Instant::now();
+    let reply = roundtrip(&server.addr, &certify);
+    assert!(reply.contains("busy"), "{reply}");
+    drop(first);
+    let reply = roundtrip_admitted(&server.addr, &certify);
+    let took = start.elapsed();
+    assert!(reply.contains(r#""id":1,"ok":true"#), "{reply}");
+    assert!(took < Duration::from_secs(1), "answered after {took:?}");
+    drop((second, silent));
     server.shutdown();
 }
 

@@ -469,21 +469,25 @@ pub(crate) fn run<S: JobSource + ?Sized>(
     })
 }
 
-/// One entry of [`run_equal_share`]'s heap: a job and its finish point on
-/// the shared service counter. The heap is a max-heap, so the order is
+/// One entry of [`run_equal_share`]'s heap, 16 bytes: a job's finish
+/// point on the shared service counter, its arrival rank, and the slab
+/// slot that holds the job. The heap is a max-heap, so the order is
 /// reversed to pop the earliest finish first; equal finishes pop in
 /// arrival order.
 struct Finish {
     fin: f64,
-    job: AliveJob,
+    seq: u32,
+    slot: u32,
 }
+
+const _: () = assert!(std::mem::size_of::<Finish>() == 16);
 
 impl Ord for Finish {
     fn cmp(&self, other: &Self) -> Ordering {
         other
             .fin
             .total_cmp(&self.fin)
-            .then(other.job.seq.cmp(&self.job.seq))
+            .then(other.seq.cmp(&self.seq))
     }
 }
 
@@ -509,7 +513,8 @@ impl Eq for Finish {}
 /// when the alive set empties; a job admitted at counter `v` finishes when
 /// it reaches `fin = v + size`. The earliest completion is
 /// `(fin_min − v)/r` away, and an event costs a heap operation instead of
-/// a pass over the alive set.
+/// a pass over the alive set. The heap holds 16-byte [`Finish`] keys; the
+/// jobs sit in a slab, and a retired job's slot goes to the next arrival.
 ///
 /// Each step computes what [`run`] computes for that policy — the same
 /// step lengths, step reasons, completion tests (`fin − v` against each
@@ -526,6 +531,9 @@ fn run_equal_share<S: JobSource + ?Sized>(
 ) -> Result<RunEnd, SimError> {
     let mut stats = SimStats::default();
     let mut heap: BinaryHeap<Finish> = BinaryHeap::new();
+    // The alive jobs by slot; `free` lists the slots of retired ones.
+    let mut slab: Vec<AliveJob> = Vec::new();
+    let mut free: Vec<u32> = Vec::new();
     let mut v = 0.0_f64;
     let mut max_size = 0.0_f64;
     let mut next_id: u64 = 0;
@@ -536,17 +544,25 @@ fn run_equal_share<S: JobSource + ?Sized>(
     let mut pending = pull(source, &mut next_id, &mut last_arrival)?;
 
     // Scratch for one step's candidates: finished, and popped but not.
-    let mut done: Vec<AliveJob> = Vec::new();
+    let mut done: Vec<Finish> = Vec::new();
     let mut unfinished: Vec<Finish> = Vec::new();
 
     loop {
         // Admit all jobs that have arrived by `time`.
         while let Some(job) = pending.take_if(|p| p.arrival <= time) {
             max_size = max_size.max(job.size);
-            heap.push(Finish {
-                fin: v + job.size,
-                job,
-            });
+            let (fin, seq) = (v + job.size, job.seq);
+            let slot = match free.pop() {
+                Some(slot) => {
+                    slab[slot as usize] = job;
+                    slot
+                }
+                None => {
+                    slab.push(job);
+                    (slab.len() - 1) as u32
+                }
+            };
+            heap.push(Finish { fin, seq, slot });
             pending = pull(source, &mut next_id, &mut last_arrival)?;
             events += 1;
             stats.jobs_admitted += 1;
@@ -587,18 +603,19 @@ fn run_equal_share<S: JobSource + ?Sized>(
         // (numerically) vanished, in arrival order.
         let reach = max_size * REL_EPS + ABS_EPS;
         while heap.peek().is_some_and(|e| e.fin - v <= reach) {
-            let Finish { fin, job } = heap.pop().expect("peeked");
-            if fin - v <= job.size * REL_EPS + ABS_EPS {
-                done.push(job);
+            let e = heap.pop().expect("peeked");
+            if e.fin - v <= slab[e.slot as usize].size * REL_EPS + ABS_EPS {
+                done.push(e);
             } else {
-                unfinished.push(Finish { fin, job });
+                unfinished.push(e);
             }
         }
         heap.extend(unfinished.drain(..));
         if !done.is_empty() {
-            done.sort_unstable_by_key(|a| a.seq);
-            for a in done.drain(..) {
-                on_complete(&a, time);
+            done.sort_unstable_by_key(|e| e.seq);
+            for e in done.drain(..) {
+                on_complete(&slab[e.slot as usize], time);
+                free.push(e.slot);
             }
             if heap.is_empty() {
                 v = 0.0;
