@@ -10,14 +10,19 @@
 //! within 2 % of the pre-instrumentation record.
 //!
 //! Run with `cargo bench -p tf-bench --bench perf`. Set `BENCH_MEASURE_MS`
-//! / `BENCH_WARMUP_MS` for a quick smoke pass.
+//! / `BENCH_WARMUP_MS` for a quick smoke pass. Do not commit a fresh
+//! `BENCH_3.json`: the `solver_scale` gate divides its `perf/lower_bound`
+//! medians, taken before column generation, by today's column-generation
+//! medians, and a fresh record (this bench's, or the one it wrote earlier
+//! in the same `cargo bench` run) reads about 1× against the 5× gate.
 
 use criterion::{BenchmarkId, Criterion};
+use serde::Serialize;
 use std::hint::black_box;
-use std::io::Write as _;
 use std::time::Duration;
-use tf_bench::{bench_trace, bench_trace_integral};
+use tf_bench::{bench_rows, bench_trace, bench_trace_integral};
 use tf_harness::hunt::{hunt, HuntConfig};
+use tf_harness::record::{self, speedups, BenchRow, Ratios};
 use tf_lowerbound::{lk_lower_bound, lower_bound, LbRequest, Method};
 use tf_policies::Policy;
 use tf_simcore::alloc::check_rates;
@@ -308,188 +313,87 @@ fn bench_hunt(c: &mut Criterion) {
     g.finish();
 }
 
-/// Cross-check that the baseline port is faithful: both engines must
-/// produce identical flow vectors before their timings are comparable.
+/// Cross-check that the baseline port runs the engine's schedule before
+/// its timings are compared: the same events, the same profile segments
+/// over the same jobs, and every flow and segment boundary within the
+/// engine's `REL_EPS`. Not bit for bit: the engine's equal-rate steps set
+/// `remaining = fin − v` from virtual time, which moves last bits.
 fn assert_baseline_matches() {
+    type Sim =
+        fn(&Trace, &mut dyn RateAllocator, MachineConfig, SimOptions) -> Result<Schedule, SimError>;
     let trace = bench_trace(1000, 11);
-    let mut a = Policy::Rr.make();
-    let mut b = Policy::Rr.make();
-    let new = simulate(
-        &trace,
-        a.as_mut(),
-        MachineConfig::new(1),
-        SimOptions::with_profile(),
-    )
-    .unwrap();
-    let old = baseline_simulate(
-        &trace,
-        b.as_mut(),
-        MachineConfig::new(1),
-        SimOptions::with_profile(),
-    )
-    .unwrap();
-    assert_eq!(new.flow, old.flow, "baseline port diverged from engine");
-    assert_eq!(new.profile, old.profile, "baseline profile diverged");
+    let run = |sim: Sim| {
+        let mut alloc = Policy::Rr.make();
+        sim(
+            &trace,
+            alloc.as_mut(),
+            MachineConfig::new(1),
+            SimOptions::with_profile(),
+        )
+        .unwrap()
+    };
+    let (new, old) = (run(simulate), run(baseline_simulate));
+    let close = |a: f64, b: f64| (a - b).abs() <= REL_EPS * a.abs().max(b.abs());
+    assert_eq!(
+        new.events, old.events,
+        "baseline events diverged from engine"
+    );
+    for (j, (a, b)) in new.flow.iter().zip(&old.flow).enumerate() {
+        assert!(close(*a, *b), "job {j}: engine flow {a}, baseline {b}");
+    }
+    let (p, q) = (new.profile.unwrap(), old.profile.unwrap());
+    assert_eq!(p.len(), q.len(), "baseline profile segment count diverged");
+    for (i, (s, t)) in p.segments().zip(q.segments()).enumerate() {
+        let ids = |rates: &[(u32, f64)]| rates.iter().map(|e| e.0).collect::<Vec<_>>();
+        assert!(
+            close(s.t0, t.t0) && close(s.t1, t.t1) && ids(s.rates) == ids(t.rates),
+            "segment {i}: engine {s:?}, baseline {t:?}"
+        );
+    }
 }
 
-fn mean_of(results: &[criterion::BenchResult], group: &str, bench: &str) -> Option<f64> {
-    results
-        .iter()
-        .find(|r| r.group == group && r.bench == bench)
-        .map(|r| r.mean_ns)
+/// `BENCH_3.json`. Every ratio is old/new, so 2.0 reads "twice as fast
+/// as the old side".
+#[derive(Serialize)]
+struct Bench3 {
+    benches: Vec<BenchRow>,
+    engine_speedup_vs_baseline: Ratios,
+    lower_bound_speedup_vs_ssp: Ratios,
+    lower_bound_speedup_vs_bench1: Ratios,
+    speedup_vs_bench2: Ratios,
+    machine_drift_vs_bench2: Ratios,
 }
 
-fn median_of(results: &[criterion::BenchResult], group: &str, bench: &str) -> Option<f64> {
-    results
-        .iter()
-        .find(|r| r.group == group && r.bench == bench)
-        .map(|r| r.median_ns)
-}
-
-/// Pull `median_ns` for (group, bench) out of a committed record.
-/// `BENCH_1.json`/`BENCH_2.json` are written one bench per line by prior
-/// versions of this harness, so a line scan is enough — no JSON
-/// dependency needed.
-fn committed_median(record: &str, group: &str, bench: &str) -> Option<f64> {
-    let group_tag = format!("\"group\": {group:?}");
-    let bench_tag = format!("\"bench\": {bench:?}");
-    for line in record.lines() {
-        if line.contains(&group_tag) && line.contains(&bench_tag) {
-            let rest = line.split("\"median_ns\": ").nth(1)?;
-            let num: String = rest
-                .chars()
-                .take_while(|c| c.is_ascii_digit() || *c == '.')
-                .collect();
-            return num.parse().ok();
-        }
+fn bench3(run: Vec<BenchRow>) -> Bench3 {
+    let median = |r: &BenchRow| r.median_ns;
+    let lb = "perf/lower_bound/";
+    // The pre-optimization engine loop and the unit-SSP oracle are frozen
+    // and hold no tf-obs probe, so their ratio to BENCH_2 is the
+    // machine's drift. BENCH_2 was recorded in another container session,
+    // so a ratio of probed code shows real overhead only where it falls
+    // below that drift.
+    let (frozen, probed): (Vec<_>, Vec<_>) = record::committed_benches(2)
+        .into_iter()
+        .partition(|r| r.group == "perf/engine_baseline" || r.group == "perf/lower_bound_ssp");
+    Bench3 {
+        engine_speedup_vs_baseline: speedups(
+            |r| r.mean_ns,
+            (&run, "perf/engine_baseline/"),
+            (&run, "perf/engine/"),
+        ),
+        // At n = 40/80 the default bound is itself the unit-SSP solver, on
+        // the pruned network (the size crossover), so this ratio prices
+        // the pruning, not the arena.
+        lower_bound_speedup_vs_ssp: speedups(median, (&run, "perf/lower_bound_ssp/"), (&run, lb)),
+        lower_bound_speedup_vs_bench1: speedups(
+            median,
+            (&record::committed_benches(1), lb),
+            (&run, lb),
+        ),
+        speedup_vs_bench2: speedups(median, (&probed, ""), (&run, "")),
+        machine_drift_vs_bench2: speedups(median, (&frozen, ""), (&run, "")),
+        benches: run,
     }
-    None
-}
-
-fn write_bench3(results: &[criterion::BenchResult]) {
-    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
-    let path = format!("{root}/BENCH_3.json");
-    let bench1 = std::fs::read_to_string(format!("{root}/BENCH_1.json")).unwrap_or_default();
-    let bench2 = std::fs::read_to_string(format!("{root}/BENCH_2.json")).unwrap_or_default();
-
-    let mut out = String::from("{\n  \"benches\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"group\": {:?}, \"bench\": {:?}, \"mean_ns\": {:.1}, \"median_ns\": {:.1}, \"min_ns\": {:.1}, \"iters\": {}}}{}\n",
-            r.group,
-            r.bench,
-            r.mean_ns,
-            r.median_ns,
-            r.min_ns,
-            r.iters,
-            if i + 1 < results.len() { "," } else { "" },
-        ));
-    }
-
-    out.push_str("  ],\n  \"engine_speedup_vs_baseline\": {\n");
-    let mut lines = Vec::new();
-    for bench in [
-        "profile_off/100",
-        "profile_off/1000",
-        "profile_on/100",
-        "profile_on/1000",
-    ] {
-        if let (Some(new), Some(old)) = (
-            mean_of(results, "perf/engine", bench),
-            mean_of(results, "perf/engine_baseline", bench),
-        ) {
-            lines.push(format!("    {:?}: {:.3}", bench, old / new));
-        }
-    }
-    out.push_str(&lines.join(",\n"));
-
-    // Same binary, same run: the default bound vs the PR-1 SSP oracle on
-    // the unpruned network. At n = 40/80 the default bound is itself the
-    // unit-SSP solver, on the pruned network (the size crossover), so
-    // this ratio prices the pruning, not the arena.
-    out.push_str("\n  },\n  \"lower_bound_speedup_vs_ssp\": {\n");
-    let mut lines = Vec::new();
-    for bench in ["lk_k2_m2/40", "lk_k2_m2/80"] {
-        if let (Some(new), Some(old)) = (
-            median_of(results, "perf/lower_bound", bench),
-            median_of(results, "perf/lower_bound_ssp", bench),
-        ) {
-            lines.push(format!("    {:?}: {:.3}", bench, old / new));
-        }
-    }
-    out.push_str(&lines.join(",\n"));
-
-    // Cross-PR: this run's medians vs the committed BENCH_1.json record
-    // (both measured on the gating machine).
-    out.push_str("\n  },\n  \"lower_bound_speedup_vs_bench1\": {\n");
-    let mut lines = Vec::new();
-    for bench in ["lk_k2_m2/40", "lk_k2_m2/80"] {
-        if let (Some(new), Some(old)) = (
-            median_of(results, "perf/lower_bound", bench),
-            committed_median(&bench1, "perf/lower_bound", bench),
-        ) {
-            lines.push(format!("    {:?}: {:.3}", bench, old / new));
-        }
-    }
-    out.push_str(&lines.join(",\n"));
-
-    // The tf-obs gate: this run's medians vs the committed BENCH_2.json
-    // record, taken just before the tracing layer landed. Ratios are
-    // old/new, so 1.0 means no change. Read them against
-    // machine_drift_vs_bench2 below: BENCH_2 was recorded in a different
-    // container session, so the instrumented ratios only indicate real
-    // overhead to the extent they fall below the drift of the unchanged
-    // reference code measured the same way.
-    out.push_str("\n  },\n  \"speedup_vs_bench2\": {\n");
-    let mut lines = Vec::new();
-    for (group, bench) in [
-        ("perf/engine", "profile_off/100"),
-        ("perf/engine", "profile_off/1000"),
-        ("perf/engine", "profile_on/100"),
-        ("perf/engine", "profile_on/1000"),
-        ("perf/lower_bound", "lk_k2_m2/40"),
-        ("perf/lower_bound", "lk_k2_m2/80"),
-        ("perf/lower_bound", "lk_k2_m2/160"),
-        ("perf/lower_bound", "lk_k2_m2/320"),
-        ("perf/hunt", "rr_generations/10"),
-    ] {
-        if let (Some(new), Some(old)) = (
-            median_of(results, group, bench),
-            committed_median(&bench2, group, bench),
-        ) {
-            lines.push(format!("    \"{group}/{bench}\": {:.3}", old / new));
-        }
-    }
-    out.push_str(&lines.join(",\n"));
-
-    // Machine-drift control: the same old/new ratio for bench targets whose
-    // code has not changed since BENCH_2 (the frozen pre-optimization engine
-    // loop and the unit-SSP oracle, neither of which contains a tf-obs
-    // probe). Any deviation from 1.0 here is measurement/machine drift, and
-    // bounds how finely speedup_vs_bench2 can be read.
-    out.push_str("\n  },\n  \"machine_drift_vs_bench2\": {\n");
-    let mut lines = Vec::new();
-    for (group, bench) in [
-        ("perf/engine_baseline", "profile_off/100"),
-        ("perf/engine_baseline", "profile_off/1000"),
-        ("perf/engine_baseline", "profile_on/100"),
-        ("perf/engine_baseline", "profile_on/1000"),
-        ("perf/lower_bound_ssp", "lk_k2_m2/40"),
-        ("perf/lower_bound_ssp", "lk_k2_m2/80"),
-    ] {
-        if let (Some(new), Some(old)) = (
-            median_of(results, group, bench),
-            committed_median(&bench2, group, bench),
-        ) {
-            lines.push(format!("    \"{group}/{bench}\": {:.3}", old / new));
-        }
-    }
-    out.push_str(&lines.join(",\n"));
-    out.push_str("\n  }\n}\n");
-
-    let mut f = std::fs::File::create(&path).expect("create BENCH_3.json");
-    f.write_all(out.as_bytes()).expect("write BENCH_3.json");
-    println!("wrote {path}");
 }
 
 fn main() {
@@ -500,6 +404,6 @@ fn main() {
     bench_lower_bound(&mut c);
     bench_lower_bound_ssp(&mut c);
     bench_hunt(&mut c);
-    c.flush_json();
-    write_bench3(c.results());
+    let path = record::write(3, &bench3(bench_rows(c.results()))).expect("write BENCH_3.json");
+    println!("wrote {}", path.display());
 }

@@ -18,9 +18,9 @@
 
 use criterion::{BenchmarkId, Criterion};
 use std::hint::black_box;
-use std::io::Write as _;
 use std::time::Instant;
-use tf_bench::bench_trace_integral;
+use tf_bench::{bench_rows, bench_trace_integral, Bench5, FrontierPoint};
+use tf_harness::record::{self, speedups};
 use tf_lowerbound::{lk_lower_bound, lower_bound, LbRequest, Method};
 
 /// The gate sizes: present in `BENCH_3.json`, so old/new is well-defined.
@@ -36,16 +36,6 @@ fn bench_colgen(c: &mut Criterion) {
         });
     }
     g.finish();
-}
-
-/// One certified frontier point: wall-clock seconds plus the bound and
-/// the raw LP value behind it.
-struct FrontierPoint {
-    n: usize,
-    seconds: f64,
-    value: f64,
-    kind: &'static str,
-    lp_raw: f64,
 }
 
 /// Time the colgen solver once per ladder size (criterion sampling at
@@ -95,93 +85,25 @@ fn equivalence_at_gate() -> f64 {
     rel
 }
 
-fn median_of(results: &[criterion::BenchResult], group: &str, bench: &str) -> Option<f64> {
-    results
-        .iter()
-        .find(|r| r.group == group && r.bench == bench)
-        .map(|r| r.median_ns)
-}
-
-/// Pull `median_ns` for (group, bench) out of the committed
-/// `BENCH_3.json` record (one bench per line, same as `perf.rs` writes).
-fn committed_median(record: &str, group: &str, bench: &str) -> Option<f64> {
-    let group_tag = format!("\"group\": {group:?}");
-    let bench_tag = format!("\"bench\": {bench:?}");
-    for line in record.lines() {
-        if line.contains(&group_tag) && line.contains(&bench_tag) {
-            let rest = line.split("\"median_ns\": ").nth(1)?;
-            let num: String = rest
-                .chars()
-                .take_while(|c| c.is_ascii_digit() || *c == '.')
-                .collect();
-            return num.parse().ok();
-        }
-    }
-    None
-}
-
-fn write_bench5(results: &[criterion::BenchResult], frontier: &[FrontierPoint], equivalence: f64) {
-    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
-    let path = format!("{root}/BENCH_5.json");
-    let bench3 = std::fs::read_to_string(format!("{root}/BENCH_3.json")).unwrap_or_default();
-
-    let mut out = String::from("{\n  \"benches\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"group\": {:?}, \"bench\": {:?}, \"mean_ns\": {:.1}, \"median_ns\": {:.1}, \"min_ns\": {:.1}, \"iters\": {}}}{}\n",
-            r.group,
-            r.bench,
-            r.mean_ns,
-            r.median_ns,
-            r.min_ns,
-            r.iters,
-            if i + 1 < results.len() { "," } else { "" },
-        ));
-    }
-
-    // The headline gate: this run's colgen medians vs the committed PR-3
-    // record of the exact solver on the same trace family. Ratios are
-    // old/new, so 5.0 means five times faster.
-    out.push_str("  ],\n  \"speedup_vs_bench3\": {\n");
-    let mut lines = Vec::new();
-    for n in GATE_SIZES {
-        let bench = format!("lk_k2_m2/{n}");
-        if let (Some(new), Some(old)) = (
-            median_of(results, "scale/lower_bound_colgen", &bench),
-            committed_median(&bench3, "perf/lower_bound", &bench),
-        ) {
-            lines.push(format!("    {bench:?}: {:.3}", old / new));
-        }
-    }
-    out.push_str(&lines.join(",\n"));
-
-    out.push_str("\n  },\n  \"certified_frontier\": [\n");
-    for (i, p) in frontier.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"n\": {}, \"seconds\": {:.3}, \"value\": {:.6}, \"kind\": {:?}, \"lp_raw\": {:.6}}}{}\n",
-            p.n,
-            p.seconds,
-            p.value,
-            p.kind,
-            p.lp_raw,
-            if i + 1 < frontier.len() { "," } else { "" },
-        ));
-    }
-    out.push_str(&format!(
-        "  ],\n  \"equivalence_at_320_rel_diff\": {equivalence:.3e}\n}}\n"
-    ));
-
-    let mut f = std::fs::File::create(&path).expect("create BENCH_5.json");
-    f.write_all(out.as_bytes()).expect("write BENCH_5.json");
-    println!("wrote {path}");
-}
-
 fn main() {
     let smoke = std::env::var_os("BENCH_MEASURE_MS").is_some();
-    let equivalence = equivalence_at_gate();
+    let equivalence_at_320_rel_diff = equivalence_at_gate();
     let mut c = Criterion::default();
     bench_colgen(&mut c);
-    c.flush_json();
-    let frontier = certified_frontier(smoke);
-    write_bench5(c.results(), &frontier, equivalence);
+    let run = bench_rows(c.results());
+    // The headline gate: this run's colgen medians vs the committed PR-3
+    // record of the exact solver on the same trace family.
+    let speedup_vs_bench3 = speedups(
+        |r| r.median_ns,
+        (&record::committed_benches(3), "perf/lower_bound/"),
+        (&run, "scale/lower_bound_colgen/"),
+    );
+    let bench5 = Bench5 {
+        benches: run,
+        speedup_vs_bench3,
+        certified_frontier: certified_frontier(smoke),
+        equivalence_at_320_rel_diff,
+    };
+    let path = record::write(5, &bench5).expect("write BENCH_5.json");
+    println!("wrote {}", path.display());
 }

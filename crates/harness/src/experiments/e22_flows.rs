@@ -22,14 +22,16 @@
 //!
 //! The `Full` run also streams the 4-flow mix at n = 10⁶ through the
 //! bounded-memory engine ([`tf_simcore::simulate_stream`] +
-//! [`tf_metrics::PerFlowStreamingStats`]) and writes `BENCH_6.json` at
-//! the repo root — per-flow mean/ℓ2/max plus throughput and footprint,
-//! the record the CI flows-smoke job asserts against. Scale can be
+//! [`tf_metrics::PerFlowStreamingStats`]). Run by the `experiments`
+//! binary, E22 writes `BENCH_6.json` at the repo root — per-flow
+//! mean/ℓ2/max plus throughput and footprint, the record the CI
+//! flows-smoke job asserts against. Scale can be
 //! overridden without recompiling via `TF_FLOWS_N` (streamed jobs per
 //! flow), which CI uses to keep the smoke run short.
 
-use std::io::Write as _;
 use std::time::Instant;
+
+use serde::Serialize;
 
 use super::stream::vm_hwm_mb;
 use super::RunCtx;
@@ -49,29 +51,26 @@ const E22_POLICIES: &[Policy] = &[Policy::Rr, Policy::Wrr, Policy::Hdf, Policy::
 
 /// Scale knobs for one E22 run.
 #[derive(Debug, Clone)]
-pub struct FlowsParams {
+struct FlowsParams {
     /// Jobs generated per flow for the closed (materialised) mixes.
-    pub closed_n: u64,
+    closed_n: u64,
     /// Jobs generated per flow for the streaming run (the 4-flow mix has
     /// four flows, so total streamed jobs = 4 × this).
-    pub stream_n: u64,
+    stream_n: u64,
     /// Completions per accumulator chunk before folding into the run
     /// total (exercises the per-flow streaming `merge` path).
-    pub chunk: u64,
-    /// Whether to write `BENCH_6.json` (the CLI does; unit tests don't).
-    pub write_bench: bool,
+    chunk: u64,
 }
 
 impl FlowsParams {
     /// Defaults for the given effort, with the `TF_FLOWS_N` environment
     /// override applied to the streamed per-flow count.
-    pub fn for_effort(effort: crate::Effort) -> Self {
+    fn for_effort(effort: crate::Effort) -> Self {
         let mut p = match effort {
             crate::Effort::Quick => FlowsParams {
                 closed_n: 25,
                 stream_n: 1_500,
                 chunk: 256,
-                write_bench: false,
             },
             // 250 000 per flow × 4 flows = the acceptance-scale 10⁶-job
             // streaming run.
@@ -79,7 +78,6 @@ impl FlowsParams {
                 closed_n: 150,
                 stream_n: 250_000,
                 chunk: 65_536,
-                write_bench: false,
             },
         };
         if let Ok(raw) = std::env::var("TF_FLOWS_N") {
@@ -196,16 +194,12 @@ fn mixes() -> Vec<(&'static str, FlowSet, usize)> {
 
 /// Run E22.
 pub fn e22(ctx: &RunCtx) -> Vec<Table> {
-    let mut params = FlowsParams::for_effort(ctx.effort);
-    // Under `cargo test` the dispatcher test runs this entry point at toy
-    // scale; don't let it clobber the committed benchmark record.
-    params.write_bench = !cfg!(test);
-    e22_with(&params)
+    e22_with(&FlowsParams::for_effort(ctx.effort), ctx)
 }
 
-/// Run E22 at explicit parameters and render the tables. Exposed so
-/// tests can run tiny instances without touching `BENCH_6.json`.
-pub fn e22_with(params: &FlowsParams) -> Vec<Table> {
+/// Run E22 at explicit parameters, render the tables, and hand the
+/// `BENCH_6.json` record to `ctx`.
+fn e22_with(params: &FlowsParams, ctx: &RunCtx) -> Vec<Table> {
     let mut norms = Table::new(
         "E22: per-flow flow-time norms (named flows, weighted policies)",
         &[
@@ -274,22 +268,43 @@ pub fn e22_with(params: &FlowsParams) -> Vec<Table> {
     fair.note("wJain = duration-weighted Jain index of rate_i/w_i over contended segments: 1.0 iff shares are weight-proportional");
     fair.note("expected: WRR ~ 1.0 (the fair-queueing ideal); RR ~ 1.0 only at unit skew; priority policies well below");
 
-    let stream_table = stream_bench(params);
+    let stream_table = stream_bench(params, ctx);
 
     vec![norms, fair, stream_table]
 }
 
-/// One policy's streamed run over the 4-flow mix: per-flow accumulators
-/// folded chunk-wise (exercising the mergeable path), throughput, and
-/// engine footprint.
+/// `BENCH_6.json`: one row per streamed policy run with nested per-flow
+/// rows — what the CI flows-smoke job asserts against.
+#[derive(Serialize)]
+struct Bench6 {
+    e22_stream: Vec<FlowStreamRun>,
+}
+
+/// One policy's streamed run over the 4-flow mix, a row of
+/// `BENCH_6.json`: per-flow accumulators folded chunk-wise (exercising the
+/// mergeable path), throughput, and engine footprint.
+#[derive(Serialize)]
 struct FlowStreamRun {
-    policy: Policy,
+    mix: String,
+    policy: String,
     n: u64,
+    n_flows: usize,
     jobs_per_sec: f64,
     peak_alive: usize,
     peak_rss_mb: f64,
-    /// (flow name, weight, n, mean F, l2(F), max F) per flow.
-    flows: Vec<(String, f64, u64, f64, f64, f64)>,
+    flows: Vec<FlowRow>,
+}
+
+/// One flow's streamed flow-time stats: a row of the stream table and of
+/// `BENCH_6.json`.
+#[derive(Serialize)]
+struct FlowRow {
+    flow: String,
+    weight: f64,
+    n: u64,
+    mean_flow: f64,
+    l2_flow: f64,
+    max_flow: f64,
 }
 
 fn stream_one(set: &FlowSet, policy: Policy, params: &FlowsParams) -> FlowStreamRun {
@@ -334,20 +349,20 @@ fn stream_one(set: &FlowSet, policy: Policy, params: &FlowsParams) -> FlowStream
     let flows = per_flow
         .iter()
         .enumerate()
-        .map(|(f, st)| {
-            (
-                set.flows[f].name.clone(),
-                set.flows[f].weight,
-                st.n as u64,
-                st.mean,
-                l2[f],
-                st.max,
-            )
+        .map(|(f, st)| FlowRow {
+            flow: set.flows[f].name.clone(),
+            weight: set.flows[f].weight,
+            n: st.n as u64,
+            mean_flow: st.mean,
+            l2_flow: l2[f],
+            max_flow: st.max,
         })
         .collect();
     FlowStreamRun {
-        policy,
+        mix: set.label(),
+        policy: policy.to_string(),
         n,
+        n_flows,
         jobs_per_sec: report.completed as f64 / secs,
         peak_alive: report.stats.peak_alive,
         peak_rss_mb: vm_hwm_mb(),
@@ -356,8 +371,8 @@ fn stream_one(set: &FlowSet, policy: Policy, params: &FlowsParams) -> FlowStream
 }
 
 /// Stream the 4-flow mix through every E22 policy, render the table, and
-/// (when asked) write `BENCH_6.json`.
-fn stream_bench(params: &FlowsParams) -> Table {
+/// hand the `BENCH_6.json` record to `ctx`.
+fn stream_bench(params: &FlowsParams, ctx: &RunCtx) -> Table {
     let set = mix_four_flows(0xE22_0002);
     let runs: Vec<FlowStreamRun> = E22_POLICIES
         .iter()
@@ -379,15 +394,15 @@ fn stream_bench(params: &FlowsParams) -> Table {
         ],
     );
     for r in &runs {
-        for (name, w, n, mean, l2, max) in &r.flows {
+        for f in &r.flows {
             t.push_row(vec![
-                r.policy.to_string(),
-                name.clone(),
-                fnum(*w),
-                n.to_string(),
-                fnum(*mean),
-                fnum(*l2),
-                fnum(*max),
+                r.policy.clone(),
+                f.flow.clone(),
+                fnum(f.weight),
+                f.n.to_string(),
+                fnum(f.mean_flow),
+                fnum(f.l2_flow),
+                fnum(f.max_flow),
                 fnum(r.jobs_per_sec),
                 r.peak_alive.to_string(),
             ]);
@@ -396,47 +411,8 @@ fn stream_bench(params: &FlowsParams) -> Table {
     t.note("per-flow flow-time stats from mergeable PerFlowStreamingStats, folded chunk-wise as a sharded collector would");
     t.note("flow membership read through the FlowLog handle (4 bytes/job) — the Job type itself carries no flow id");
 
-    if params.write_bench {
-        write_bench6(&set, &runs);
-    }
+    ctx.write_record(6, &Bench6 { e22_stream: runs });
     t
-}
-
-/// Write `BENCH_6.json` at the repo root: one record per streamed policy
-/// run with nested per-flow rows — what the CI flows-smoke job asserts
-/// against.
-fn write_bench6(set: &FlowSet, runs: &[FlowStreamRun]) {
-    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
-    let path = format!("{root}/BENCH_6.json");
-
-    let mut out = String::from("{\n  \"e22_stream\": [\n");
-    for (i, r) in runs.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"mix\": \"{}\", \"policy\": {:?}, \"n\": {}, \"n_flows\": {}, \"jobs_per_sec\": {:.1}, \"peak_alive\": {}, \"peak_rss_mb\": {:.1}, \"flows\": [\n",
-            set.label(),
-            r.policy.to_string(),
-            r.n,
-            set.n_flows(),
-            r.jobs_per_sec,
-            r.peak_alive,
-            r.peak_rss_mb,
-        ));
-        for (j, (name, w, n, mean, l2, max)) in r.flows.iter().enumerate() {
-            out.push_str(&format!(
-                "      {{\"flow\": {name:?}, \"weight\": {w}, \"n\": {n}, \"mean_flow\": {mean:.4}, \"l2_flow\": {l2:.4}, \"max_flow\": {max:.4}}}{}\n",
-                if j + 1 < r.flows.len() { "," } else { "" },
-            ));
-        }
-        out.push_str(&format!(
-            "    ]}}{}\n",
-            if i + 1 < runs.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-
-    let mut f = std::fs::File::create(&path).expect("create BENCH_6.json");
-    f.write_all(out.as_bytes()).expect("write BENCH_6.json");
-    eprintln!("wrote {path}");
 }
 
 #[cfg(test)]
@@ -448,13 +424,12 @@ mod tests {
             closed_n: 20,
             stream_n: 400,
             chunk: 64,
-            write_bench: false,
         }
     }
 
     #[test]
     fn e22_tables_are_consistent_and_cover_every_mix() {
-        let tables = e22_with(&tiny_params());
+        let tables = e22_with(&tiny_params(), &RunCtx::quick());
         assert_eq!(tables.len(), 3);
         for t in &tables {
             assert!(!t.rows.is_empty(), "empty table {}", t.title);
@@ -472,7 +447,7 @@ mod tests {
 
     #[test]
     fn e22_wrr_is_weight_proportionally_fair_and_rr_is_not() {
-        let tables = e22_with(&tiny_params());
+        let tables = e22_with(&tiny_params(), &RunCtx::quick());
         let fair = &tables[1];
         // On the sharpest skew (8 flows, 16:1), WRR's weighted Jain beats
         // weight-oblivious RR's, and WRR sits near the 1.0 ideal.
@@ -496,13 +471,56 @@ mod tests {
         let run = stream_one(&set, Policy::Rr, &tiny_params());
         assert_eq!(run.n, 4 * 400, "every generated job must complete");
         assert_eq!(run.flows.len(), 4);
-        for (name, w, n, mean, l2, max) in &run.flows {
-            assert_eq!(*n, 400, "flow {name} lost jobs");
-            assert!(*w > 0.0);
+        for f in &run.flows {
+            assert_eq!(f.n, 400, "flow {} lost jobs", f.flow);
+            assert!(f.weight > 0.0);
             assert!(
-                *mean > 0.0 && *l2 >= *mean && *max >= *mean,
-                "flow {name}: mean {mean} l2 {l2} max {max}"
+                f.mean_flow > 0.0 && f.l2_flow >= f.mean_flow && f.max_flow >= f.mean_flow,
+                "flow {}: mean {} l2 {} max {}",
+                f.flow,
+                f.mean_flow,
+                f.l2_flow,
+                f.max_flow
             );
+        }
+    }
+
+    /// Every key CI's flows-smoke step reads from `BENCH_6.json`.
+    #[test]
+    fn bench6_carries_the_keys_ci_reads() {
+        #[derive(serde::Deserialize)]
+        struct Flow {
+            n: u64,
+            weight: f64,
+            mean_flow: f64,
+            l2_flow: f64,
+            max_flow: f64,
+        }
+        #[derive(serde::Deserialize)]
+        struct Run {
+            policy: String,
+            n: u64,
+            n_flows: usize,
+            jobs_per_sec: f64,
+            flows: Vec<Flow>,
+        }
+        #[derive(serde::Deserialize)]
+        struct Ci {
+            e22_stream: Vec<Run>,
+        }
+        let run = stream_one(&mix_four_flows(7), Policy::Rr, &tiny_params());
+        let json = serde_json::to_string_pretty(&Bench6 {
+            e22_stream: vec![run],
+        })
+        .unwrap();
+        let ci: Ci = serde_json::from_str(&json).unwrap();
+        let r = &ci.e22_stream[0];
+        assert_eq!((r.policy.as_str(), r.n_flows, r.flows.len()), ("RR", 4, 4));
+        assert!(r.jobs_per_sec > 0.0);
+        assert_eq!(r.flows.iter().map(|f| f.n).sum::<u64>(), r.n);
+        for f in &r.flows {
+            assert!(f.weight > 0.0 && f.mean_flow > 0.0);
+            assert!(f.l2_flow >= f.mean_flow && f.max_flow >= f.mean_flow);
         }
     }
 
@@ -512,8 +530,9 @@ mod tests {
         let a = stream_one(&set, Policy::Wrr, &tiny_params());
         let b = stream_one(&set, Policy::Wrr, &tiny_params());
         for (x, y) in a.flows.iter().zip(&b.flows) {
-            assert_eq!(x.3.to_bits(), y.3.to_bits(), "flow {} mean differs", x.0);
-            assert_eq!(x.4.to_bits(), y.4.to_bits(), "flow {} l2 differs", x.0);
+            let (m, l2) = (x.mean_flow.to_bits(), x.l2_flow.to_bits());
+            assert_eq!(m, y.mean_flow.to_bits(), "flow {} mean differs", x.flow);
+            assert_eq!(l2, y.l2_flow.to_bits(), "flow {} l2 differs", x.flow);
         }
     }
 }

@@ -46,8 +46,8 @@ pub use e18_queueing::e18;
 pub use e19_adversary_search::e19;
 pub use e20_max_flow::e20;
 pub use e21_hybrid_frontier::e21;
-pub use e22_flows::{e22, e22_with, FlowsParams};
-pub use stream::{stream, stream_with, StreamParams, StreamRun};
+pub use e22_flows::e22;
+pub use stream::stream;
 
 use crate::table::Table;
 

@@ -8,25 +8,26 @@
 //! in expectation) plus O(1) accumulator state. Flow-time statistics come
 //! from the mergeable one-pass accumulators in [`tf_metrics::streaming`]
 //! — the run also exercises their `merge` path by accumulating into a
-//! per-chunk sketch and folding it into the run total every
-//! [`StreamParams::chunk`] completions, the way a sharded collector
-//! would.
+//! per-chunk sketch and folding it into the run total every 65 536
+//! completions, the way a sharded collector would.
 //!
 //! The family is dispatched by name (`experiments stream`) rather than
 //! living in the e1–e20 registry: at its default scale (10⁷ jobs) it is a
 //! throughput/memory benchmark, not a tables-only experiment, and `all`
-//! runs should not pay for it implicitly. Besides the tables it writes
-//! `BENCH_4.json` at the repo root recording jobs/sec, peak RSS
-//! (`VmHWM`), and the streamed ℓ₂ for each run — the record the CI
-//! stream-smoke job asserts against.
+//! runs should not pay for it implicitly. Run by the `experiments` binary
+//! it also writes `BENCH_4.json` at the repo root recording jobs/sec,
+//! peak RSS (`VmHWM`), and the streamed ℓ₂ for each run — the record the
+//! CI stream-smoke job asserts against.
 //!
 //! Scale can be overridden without recompiling via `TF_STREAM_N` and
 //! `TF_STREAM_RHO` (comma-separated lists), which CI uses to keep the
 //! smoke run short.
 
-use std::io::Write as _;
 use std::time::Instant;
 
+use serde::Serialize;
+
+use crate::record::Ratios;
 use crate::table::{fnum, Table};
 use crate::RunCtx;
 use tf_metrics::{FlowStats, StreamingFlowStats, StreamingNorm};
@@ -36,28 +37,26 @@ use tf_workload::{OpenWorkload, SizeDist, StreamBound};
 
 /// Scale knobs for one `stream` family run.
 #[derive(Debug, Clone)]
-pub struct StreamParams {
+struct StreamParams {
     /// Job counts, run in ascending order so the RSS high-water mark of a
     /// smaller run bounds that of a larger one from below.
-    pub ns: Vec<u64>,
+    ns: Vec<u64>,
     /// Target utilizations ρ = λ·E\[p\]/m.
-    pub rhos: Vec<f64>,
+    rhos: Vec<f64>,
     /// Policies to compare (default: RR vs the clairvoyant SRPT yardstick).
-    pub policies: Vec<Policy>,
+    policies: Vec<Policy>,
     /// Base RNG seed (per-run seeds derive from it, so every (n, ρ) cell
     /// sees a different arrival sequence but reruns reproduce exactly).
-    pub seed: u64,
+    seed: u64,
     /// Completions per accumulator chunk before folding into the run
     /// total (exercises the streaming `merge` path on the hot loop).
-    pub chunk: u64,
-    /// Whether to write `BENCH_4.json` (the CLI does; unit tests don't).
-    pub write_bench: bool,
+    chunk: u64,
 }
 
 impl StreamParams {
     /// Paper-scale defaults for the given effort, with `TF_STREAM_N` /
     /// `TF_STREAM_RHO` environment overrides applied.
-    pub fn for_effort(effort: crate::Effort) -> Self {
+    fn for_effort(effort: crate::Effort) -> Self {
         let mut p = StreamParams {
             ns: vec![1_000_000, 10_000_000],
             rhos: match effort {
@@ -67,7 +66,6 @@ impl StreamParams {
             policies: vec![Policy::Rr, Policy::Srpt],
             seed: 0x2015_5AA0,
             chunk: 65_536,
-            write_bench: false,
         };
         if let Some(ns) = env_list("TF_STREAM_N") {
             p.ns = ns.iter().map(|x| *x as u64).collect();
@@ -99,23 +97,23 @@ fn env_list(var: &str) -> Option<Vec<f64>> {
 
 /// One (n, ρ, policy) cell of the sweep.
 #[derive(Debug, Clone)]
-pub struct StreamRun {
+struct StreamRun {
     /// Jobs streamed.
-    pub n: u64,
+    n: u64,
     /// Target utilization.
-    pub rho: f64,
+    rho: f64,
     /// Policy that ran.
-    pub policy: Policy,
+    policy: Policy,
     /// Flow-time summary from the streaming accumulators.
-    pub stats: FlowStats,
+    stats: FlowStats,
     /// Per-job ℓ₂: `(Σ F_j² / n)^{1/2}` from the max-factored sketch.
-    pub l2_normalized: f64,
+    l2_normalized: f64,
     /// Completions per wall-clock second.
-    pub jobs_per_sec: f64,
+    jobs_per_sec: f64,
     /// Engine memory high-water mark (alive jobs).
-    pub peak_alive: usize,
+    peak_alive: usize,
     /// Process `VmHWM` in MiB after this run (0 off Linux).
-    pub peak_rss_mb: f64,
+    peak_rss_mb: f64,
 }
 
 /// Run one cell: stream `n` Poisson(ρ) × Exp(1) jobs through `policy` on
@@ -205,16 +203,12 @@ pub(crate) fn vm_hwm_mb() -> f64 {
 /// paper-scale parameters for the context's effort, plus the
 /// `BENCH_4.json` record.
 pub fn stream(ctx: &RunCtx) -> Vec<Table> {
-    let mut params = StreamParams::for_effort(ctx.effort);
-    // Under `cargo test` the dispatcher test runs this entry point at toy
-    // scale; don't let it clobber the committed benchmark record.
-    params.write_bench = !cfg!(test);
-    stream_with(&params)
+    stream_with(&StreamParams::for_effort(ctx.effort), ctx)
 }
 
-/// Run the sweep at explicit parameters and render the tables. Exposed so
-/// tests can run tiny instances without touching `BENCH_4.json`.
-pub fn stream_with(params: &StreamParams) -> Vec<Table> {
+/// Run the sweep at explicit parameters, render the tables, and hand the
+/// `BENCH_4.json` record to `ctx`.
+fn stream_with(params: &StreamParams, ctx: &RunCtx) -> Vec<Table> {
     let mut runs: Vec<StreamRun> = Vec::new();
     // Ascending n within each (ρ, policy) so the VmHWM flatness reading
     // (see `vm_hwm_mb`) is valid.
@@ -288,9 +282,7 @@ pub fn stream_with(params: &StreamParams) -> Vec<Table> {
         "empirical streamed analogue of the paper's l2 competitiveness: ratio stays O(1) in n",
     );
 
-    if params.write_bench {
-        write_bench4(&runs);
-    }
+    ctx.write_record(4, &bench4(&runs));
 
     let mut tables = vec![main];
     if !ratio.rows.is_empty() {
@@ -299,61 +291,61 @@ pub fn stream_with(params: &StreamParams) -> Vec<Table> {
     tables
 }
 
-/// Write `BENCH_4.json` at the repo root: one record per run plus the
-/// per-policy RSS flatness ratio `hwm(n_max)/hwm(n_min)` (1.0 ≡ perfectly
-/// flat; the CI smoke job asserts it stays under 1.1).
-fn write_bench4(runs: &[StreamRun]) {
-    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
-    let path = format!("{root}/BENCH_4.json");
+/// `BENCH_4.json`: one row per run plus the per-policy RSS flatness
+/// ratio `hwm(n_max)/hwm(n_min)` (1.0 ≡ perfectly flat; the CI smoke job
+/// asserts it stays under 1.1).
+#[derive(Serialize)]
+struct Bench4 {
+    stream: Vec<StreamRow>,
+    rss_flat_ratio: Ratios,
+}
 
-    let mut out = String::from("{\n  \"stream\": [\n");
-    for (i, r) in runs.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"n\": {}, \"rho\": {}, \"policy\": {:?}, \"jobs_per_sec\": {:.1}, \"peak_alive\": {}, \"peak_rss_mb\": {:.1}, \"l2_normalized\": {:.4}, \"mean_flow\": {:.4}, \"p99_flow\": {:.4}}}{}\n",
-            r.n,
-            r.rho,
-            r.policy.to_string(),
-            r.jobs_per_sec,
-            r.peak_alive,
-            r.peak_rss_mb,
-            r.l2_normalized,
-            r.stats.mean,
-            r.stats.p99,
-            if i + 1 < runs.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ],\n  \"rss_flat_ratio\": {\n");
-    let mut lines = Vec::new();
-    let mut seen: Vec<(f64, Policy)> = Vec::new();
+/// One run, as a row of `BENCH_4.json`.
+#[derive(Serialize)]
+struct StreamRow {
+    n: u64,
+    rho: f64,
+    policy: String,
+    jobs_per_sec: f64,
+    peak_alive: usize,
+    peak_rss_mb: f64,
+    l2_normalized: f64,
+    mean_flow: f64,
+    p99_flow: f64,
+}
+
+fn bench4(runs: &[StreamRun]) -> Bench4 {
+    let mut rss_flat_ratio = Ratios::new();
     for r in runs {
-        if seen.iter().any(|(rho, p)| *rho == r.rho && *p == r.policy) {
-            continue;
-        }
-        seen.push((r.rho, r.policy));
         let cell: Vec<&StreamRun> = runs
             .iter()
             .filter(|x| x.rho == r.rho && x.policy == r.policy)
             .collect();
-        if cell.len() < 2 {
-            continue;
-        }
         // Runs execute in ascending n, so first/last bracket the sweep.
         let (lo, hi) = (cell[0], cell[cell.len() - 1]);
-        if lo.peak_rss_mb > 0.0 {
-            lines.push(format!(
-                "    \"{}_rho{}\": {:.4}",
-                hi.policy,
-                hi.rho,
-                hi.peak_rss_mb / lo.peak_rss_mb
-            ));
+        if cell.len() >= 2 && lo.peak_rss_mb > 0.0 {
+            let key = format!("{}_rho{}", hi.policy, hi.rho);
+            rss_flat_ratio.insert(key, hi.peak_rss_mb / lo.peak_rss_mb);
         }
     }
-    out.push_str(&lines.join(",\n"));
-    out.push_str("\n  }\n}\n");
-
-    let mut f = std::fs::File::create(&path).expect("create BENCH_4.json");
-    f.write_all(out.as_bytes()).expect("write BENCH_4.json");
-    eprintln!("wrote {path}");
+    let stream = runs
+        .iter()
+        .map(|r| StreamRow {
+            n: r.n,
+            rho: r.rho,
+            policy: r.policy.to_string(),
+            jobs_per_sec: r.jobs_per_sec,
+            peak_alive: r.peak_alive,
+            peak_rss_mb: r.peak_rss_mb,
+            l2_normalized: r.l2_normalized,
+            mean_flow: r.stats.mean,
+            p99_flow: r.stats.p99,
+        })
+        .collect();
+    Bench4 {
+        stream,
+        rss_flat_ratio,
+    }
 }
 
 #[cfg(test)]
@@ -367,13 +359,12 @@ mod tests {
             policies: vec![Policy::Rr, Policy::Srpt],
             seed: 7,
             chunk: 64,
-            write_bench: false,
         }
     }
 
     #[test]
     fn tiny_sweep_produces_consistent_tables() {
-        let tables = stream_with(&tiny_params());
+        let tables = stream_with(&tiny_params(), &RunCtx::quick());
         assert_eq!(tables.len(), 2);
         // 2 ns × 1 rho × 2 policies.
         assert_eq!(tables[0].rows.len(), 4);
@@ -383,6 +374,32 @@ mod tests {
                 assert_eq!(row.len(), t.headers.len(), "ragged row in {}", t.title);
             }
         }
+    }
+
+    /// Every key CI's stream-smoke step reads from `BENCH_4.json`.
+    #[test]
+    fn bench4_carries_the_keys_ci_reads() {
+        #[derive(serde::Deserialize)]
+        struct Run {
+            jobs_per_sec: f64,
+            peak_rss_mb: f64,
+        }
+        #[derive(serde::Deserialize)]
+        struct Ci {
+            stream: Vec<Run>,
+            rss_flat_ratio: Ratios,
+        }
+        let p = tiny_params();
+        let runs = [500, 2000].map(|n| run_one(n, 0.8, Policy::Rr, &p));
+        let json = serde_json::to_string_pretty(&bench4(&runs)).unwrap();
+        let ci: Ci = serde_json::from_str(&json).unwrap();
+        assert_eq!(ci.stream.len(), 2);
+        assert!(ci
+            .stream
+            .iter()
+            .all(|r| r.jobs_per_sec > 0.0 && r.peak_rss_mb > 0.0));
+        let keys: Vec<&String> = ci.rss_flat_ratio.keys().collect();
+        assert_eq!(keys, ["RR_rho0.8"]);
     }
 
     #[test]

@@ -45,6 +45,7 @@ pub mod experiments;
 pub mod hunt;
 pub mod lbcache;
 pub mod ratio;
+pub mod record;
 pub mod runctx;
 pub mod shard;
 pub mod sweep;

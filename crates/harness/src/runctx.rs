@@ -46,6 +46,9 @@ pub struct RunCtx {
     /// The opened campaign scope; [`CampaignScope::none`] until
     /// [`RunCtx::apply`] runs with a campaign configured.
     scope: CampaignScope,
+    /// Whether [`RunCtx::apply`] ran: only a binary's context writes the
+    /// committed benchmark records ([`RunCtx::write_record`]).
+    applied: bool,
 }
 
 impl Default for RunCtx {
@@ -58,12 +61,13 @@ impl Default for RunCtx {
             trace: SinkSpec::Off,
             campaign: None,
             scope: CampaignScope::none(),
+            applied: false,
         }
     }
 }
 
-/// Equality over the *configuration* fields only — the opened scope is
-/// derived state (an `Arc` handle has no meaningful structural equality).
+/// Equality over the *configuration* fields only — the opened scope and
+/// the applied mark are derived state.
 impl PartialEq for RunCtx {
     fn eq(&self, other: &Self) -> bool {
         self.effort == other.effort
@@ -140,7 +144,8 @@ impl RunCtx {
     /// experiments; the global settings stay in effect afterwards
     /// (tests that flip them back hold the serializing lock in
     /// `tests/determinism.rs`), while the campaign stays scoped to this
-    /// context.
+    /// context. An applied context is a binary's: it also writes the
+    /// committed benchmark records ([`RunCtx::write_record`]).
     ///
     /// # Errors
     /// Only campaign opening does I/O; every other knob is infallible.
@@ -156,7 +161,22 @@ impl RunCtx {
             Some(cfg) => CampaignScope::of(Campaign::open(cfg.clone())?),
             None => CampaignScope::none(),
         };
+        self.applied = true;
         Ok(())
+    }
+
+    /// Write `record` to the committed `BENCH_<n>.json` (see
+    /// [`crate::record`]) if a binary applied this context; for any other
+    /// context — [`crate::run_experiment`], the bench targets, the tests —
+    /// do nothing, so the committed record stays as it was.
+    ///
+    /// # Panics
+    /// If the record cannot be written.
+    pub fn write_record<T: serde::Serialize>(&self, n: u32, record: &T) {
+        if self.applied {
+            let path = crate::record::write(n, record).expect("write the BENCH record");
+            eprintln!("wrote {}", path.display());
+        }
     }
 
     /// The opened campaign handle, if [`RunCtx::apply`] opened one.
