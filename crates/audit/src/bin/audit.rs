@@ -12,9 +12,9 @@
 //! and written to `--out` (default `results/audit/`) as JSON records
 //! that `tf-workload`'s trace loader can replay. Tracing follows the
 //! same `TF_TRACE` conventions as the `experiments` bin, and so does
-//! sharding: `--shard-workers N` spawns N worker copies of this binary,
-//! merges their journals, and replays the merged journal in-process for
-//! the final summary (see docs/DISTRIBUTED.md).
+//! sharding: `--shard-workers N` spawns N worker copies of this binary
+//! and replays their journals in-process for the final summary (see
+//! docs/DISTRIBUTED.md).
 
 use std::path::PathBuf;
 use tf_audit::{run_fuzz_scoped, FuzzConfig};

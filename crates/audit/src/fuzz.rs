@@ -351,7 +351,7 @@ pub fn run_fuzz(cfg: &FuzzConfig) -> FuzzSummary {
 /// replays the counts of clean chunks and recomputes only the chunk
 /// that was in flight — plus any chunk that had violations, which must
 /// re-shrink and re-write its counterexample records. Under a sharded
-/// campaign (`--shard I/N`), chunks owned by other workers are skipped;
+/// campaign (`--shard I/N`), chunks leased by other workers are skipped;
 /// their counts surface only in the coordinator's final replay pass.
 pub fn run_fuzz_scoped(scope: &CampaignScope, cfg: &FuzzConfig) -> FuzzSummary {
     let mut span = tf_obs::span!("audit", "fuzz");

@@ -19,7 +19,6 @@
 use criterion::{BenchmarkId, Criterion};
 use serde::Serialize;
 use std::hint::black_box;
-use std::time::Duration;
 use tf_bench::{bench_rows, bench_trace, bench_trace_integral};
 use tf_harness::hunt::{hunt, HuntConfig};
 use tf_harness::record::{self, speedups, BenchRow, Ratios};
@@ -208,8 +207,6 @@ fn baseline_simulate(
 
 fn bench_engine(c: &mut Criterion) {
     let mut g = c.benchmark_group("perf/engine");
-    g.warm_up_time(Duration::from_millis(300));
-    g.measurement_time(Duration::from_secs(1));
     for &n in &[100usize, 1000] {
         let trace = bench_trace(n, 11);
         for (mode, opts) in [
@@ -229,8 +226,6 @@ fn bench_engine(c: &mut Criterion) {
 
 fn bench_engine_baseline(c: &mut Criterion) {
     let mut g = c.benchmark_group("perf/engine_baseline");
-    g.warm_up_time(Duration::from_millis(300));
-    g.measurement_time(Duration::from_secs(1));
     for &n in &[100usize, 1000] {
         let trace = bench_trace(n, 11);
         for (mode, opts) in [
@@ -252,8 +247,6 @@ fn bench_engine_baseline(c: &mut Criterion) {
 
 fn bench_lower_bound(c: &mut Criterion) {
     let mut g = c.benchmark_group("perf/lower_bound");
-    g.warm_up_time(Duration::from_millis(300));
-    g.measurement_time(Duration::from_secs(1));
     g.sample_size(10);
     // n = 160/320 were unreachable in the PR-1 suite (the SSP oracle
     // needed ~100 ms at n = 80 already); they gate the multi-unit solver.
@@ -274,8 +267,6 @@ fn bench_lower_bound(c: &mut Criterion) {
 /// n gets slow per sample.
 fn bench_lower_bound_ssp(c: &mut Criterion) {
     let mut g = c.benchmark_group("perf/lower_bound_ssp");
-    g.warm_up_time(Duration::from_millis(300));
-    g.measurement_time(Duration::from_secs(1));
     g.sample_size(10);
     let reference = LbRequest {
         method: Method::Reference,
@@ -295,8 +286,6 @@ fn bench_lower_bound_ssp(c: &mut Criterion) {
 /// fan-out path that PR 2 parallelized.
 fn bench_hunt(c: &mut Criterion) {
     let mut g = c.benchmark_group("perf/hunt");
-    g.warm_up_time(Duration::from_millis(300));
-    g.measurement_time(Duration::from_secs(1));
     g.sample_size(10);
     let cfg = HuntConfig {
         steps: 10,

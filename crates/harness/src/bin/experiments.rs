@@ -15,10 +15,9 @@
 //!
 //! `--shard-workers N` runs the campaign sharded: the process becomes a
 //! coordinator that spawns N copies of itself (each with a hidden
-//! `--shard I/N` flag), merges their per-worker journals, then replays
-//! the merged journal in-process to render tables and write the
-//! manifest — byte-identical to a single-process run. See
-//! docs/DISTRIBUTED.md.
+//! `--shard I/N` flag), then replays their per-worker journals
+//! in-process to render tables and write the manifest — byte-identical
+//! to a single-process run. See docs/DISTRIBUTED.md.
 
 use std::io::Write;
 use tf_harness::cli::{self, CliError, CliSpec};

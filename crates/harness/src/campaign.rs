@@ -26,10 +26,13 @@
 //!   Results are JSON-roundtrip-exact (`f64` via ryu), so replayed values
 //!   match recomputed ones bit for bit.
 //! * `journal-<w>.jsonl` — one shard worker's journal (worker mode,
-//!   [`ShardSpec`]); the coordinator merges the shards back into
-//!   `journal.jsonl` deterministically (sorted by short key).
-//! * `leases/<key>.lease` — ownership claims in worker mode, created with
-//!   `O_EXCL` so exactly one worker computes a task; a dead worker's
+//!   [`ShardSpec`]). A resumed or worker-mode [`Campaign::open`] loads
+//!   every journal in the directory — each `journal-<w>.jsonl`, then
+//!   `journal.jsonl`; a later line for a key replaces an earlier one —
+//!   and appends only to its own file.
+//! * `leases/<key>.lease` — claims in worker mode: a worker computes a
+//!   leaf task that no journal holds if and only if it creates the task's
+//!   lease (`O_EXCL`), so exactly one worker computes it; a dead worker's
 //!   uncommitted leases are deleted by the coordinator before respawn.
 //! * `manifest.json` — written once by [`Campaign::finish`] via temp file,
 //!   atomic rename, and directory fsync; records the run key and the
@@ -39,6 +42,9 @@
 //! * `stats.json` — per-run counters ([`RunStats`]); informational,
 //!   deliberately outside the manifest because replay/compute counts differ
 //!   between a fresh run, a resume, and a sharded run of the same work.
+//!
+//! A fresh (non-resume, non-worker) open removes all of these first
+//! (`reset_dir`), so no artifact of an earlier run outlives it.
 //!
 //! ## Degradation
 //!
@@ -64,8 +70,8 @@
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Write as _};
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
@@ -73,10 +79,9 @@ use serde::de::DeserializeOwned;
 use serde::{Deserialize, Serialize};
 use tf_lowerbound::SolveBudget;
 
-/// Which shard of a campaign this process computes: `worker` of `of`
-/// worker processes. Task ownership is `fnv64(short_key) % of == worker`;
-/// non-owned tasks are skipped in the first pass and become stealable in
-/// later passes (see [`Campaign::begin_steal_pass`]).
+/// Which shard worker this process is: `worker` of `of` worker
+/// processes. Every worker traverses the whole task graph and computes a
+/// leaf task only if it wins the task's lease (see [`Campaign::run_leaf`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardSpec {
     /// This worker's index in `0..of`.
@@ -95,11 +100,6 @@ impl ShardSpec {
         };
         (spec.of > 0 && spec.worker < spec.of).then_some(spec)
     }
-
-    /// The worker that owns `short_key`.
-    pub fn owner_of(short_key: &str, of: usize) -> usize {
-        (fingerprint(short_key.bytes()) % of.max(1) as u64) as usize
-    }
 }
 
 impl std::fmt::Display for ShardSpec {
@@ -113,16 +113,16 @@ impl std::fmt::Display for ShardSpec {
 pub struct CampaignCfg {
     /// Directory holding `journal*.jsonl`, `leases/`, and `manifest.json`.
     pub dir: PathBuf,
-    /// Replay completed tasks from an existing journal (`--resume`);
-    /// without it an existing journal is truncated and the campaign
+    /// Replay completed tasks from the existing journals (`--resume`);
+    /// without it earlier runs' artifacts are removed and the campaign
     /// starts fresh.
     pub resume: bool,
     /// Per-task wall-clock deadline (`--task-timeout SECS`); `None`
     /// means tasks run to completion.
     pub task_timeout: Option<Duration>,
-    /// Worker mode: compute only this shard of the key space, journaling
-    /// to `journal-<worker>.jsonl`. `None` = the ordinary single-process
-    /// campaign.
+    /// Worker mode: compute only the leaf tasks whose leases this worker
+    /// wins, journaling to `journal-<worker>.jsonl`. `None` = the
+    /// ordinary single-process campaign.
     pub shard: Option<ShardSpec>,
 }
 
@@ -157,7 +157,7 @@ impl CampaignCfg {
 }
 
 /// A content-addressed task identity: the `short` key is what the journal
-/// and the shard partitioner index by (`prefix:` + 64-bit FNV-1a hex);
+/// and the leases index by (`prefix:` + 64-bit FNV-1a hex);
 /// the `full` descriptor is every input spelled out, stored alongside the
 /// result so replay can verify the hash didn't collide.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -196,7 +196,7 @@ impl TaskKey {
         }
     }
 
-    /// The short (journal/partition) key.
+    /// The short (journal/lease) key.
     pub fn short(&self) -> &str {
         &self.short
     }
@@ -233,15 +233,14 @@ pub(crate) struct JournalLine {
     pub(crate) value: serde_json::Value,
 }
 
-/// The intact lines of a journal's `text`, each parsed and paired with
-/// its raw text. A kill mid-append can truncate only the last line, and
-/// lines from the pre-collision-guard schema have no `full` field; both
-/// are skipped. The one reader of the journal format: [`Campaign::open`]
-/// replays with it and the shard coordinator merges and releases leases
-/// with it.
-pub(crate) fn journal_lines(text: &str) -> impl Iterator<Item = (JournalLine, &str)> {
+/// The intact lines of a journal's `text`, parsed. A kill mid-append
+/// can truncate only the last line, and lines from the
+/// pre-collision-guard schema have no `full` field; both are skipped. The
+/// one reader of the journal format: [`Campaign::open`] replays with it
+/// and the shard coordinator releases leases with it.
+pub(crate) fn journal_lines(text: &str) -> impl Iterator<Item = JournalLine> + '_ {
     text.lines()
-        .filter_map(|line| Some((serde_json::from_str::<JournalLine>(line).ok()?, line)))
+        .filter_map(|line| serde_json::from_str(line).ok())
 }
 
 /// The lease file name of a short key: `<key>.lease`, with every
@@ -292,10 +291,8 @@ pub struct RunStats {
     /// Replays rejected because the stored full descriptor did not match
     /// the requested one (64-bit short-key collision) — recomputed.
     pub collisions: u64,
-    /// Worker mode: tasks computed under a stolen (non-owned) lease.
-    pub stolen: u64,
-    /// Worker mode: tasks skipped because another worker owns or leased
-    /// them.
+    /// Worker mode: leaf tasks skipped because another worker holds their
+    /// lease.
     pub skipped: u64,
 }
 
@@ -309,26 +306,82 @@ pub struct Campaign {
     computed: AtomicU64,
     degradations: AtomicU64,
     collisions: AtomicU64,
-    stolen: AtomicU64,
     skipped: AtomicU64,
-    /// Worker mode: whether non-owned unleased tasks may be claimed.
-    steal: AtomicBool,
-    /// Tasks computed since the last [`Campaign::take_pass_progress`].
-    pass_computed: AtomicU64,
 }
 
 /// fsync a directory so a preceding create/rename within it survives
 /// power loss (ext4 semantics: the rename itself is atomic, but its
 /// durability needs the parent directory synced).
-fn sync_dir(dir: &std::path::Path) -> std::io::Result<()> {
+fn sync_dir(dir: &Path) -> std::io::Result<()> {
     File::open(dir)?.sync_all()
 }
 
+/// Whether `name` is a journal: `journal.jsonl` or a worker's
+/// `journal-<w>.jsonl`.
+fn is_journal(name: &str) -> bool {
+    name == "journal.jsonl" || (name.starts_with("journal-") && name.ends_with(".jsonl"))
+}
+
+/// Remove the artifacts of earlier campaign runs from `dir` — every
+/// journal, the leases, the manifest (and a stale temp copy of it) and
+/// the stats — so a fresh run starts from nothing. Keeps unrelated files.
+pub(crate) fn reset_dir(dir: &Path) -> std::io::Result<()> {
+    std::fs::create_dir_all(dir)?;
+    for entry in std::fs::read_dir(dir)? {
+        let entry = entry?;
+        let name = entry.file_name();
+        let name = name.to_string_lossy();
+        if is_journal(&name)
+            || name == "manifest.json"
+            || name == "stats.json"
+            || name.starts_with("manifest.tmp")
+        {
+            std::fs::remove_file(entry.path())?;
+        }
+    }
+    let leases = dir.join("leases");
+    if leases.is_dir() {
+        std::fs::remove_dir_all(&leases)?;
+    }
+    Ok(())
+}
+
+/// Every journal in `dir` as one map: each `journal-<w>.jsonl`, then
+/// `journal.jsonl` (`-` sorts before `.`), a later line for a key
+/// replacing an earlier one.
+fn load_journals(dir: &Path) -> std::io::Result<HashMap<String, Entry>> {
+    let mut paths: Vec<PathBuf> = std::fs::read_dir(dir)?
+        .filter_map(Result::ok)
+        .filter(|e| is_journal(&e.file_name().to_string_lossy()))
+        .map(|e| e.path())
+        .collect();
+    paths.sort();
+    let mut completed = HashMap::new();
+    for path in paths {
+        // Lossy: a kill mid-append may tear a multi-byte character, and
+        // only the torn line may be lost for it.
+        let text = String::from_utf8_lossy(&std::fs::read(&path)?).into_owned();
+        for l in journal_lines(&text) {
+            if let Ok(raw) = serde_json::to_string(&l.value) {
+                let entry = Entry {
+                    full: l.full,
+                    raw,
+                    persisted: true,
+                };
+                completed.insert(l.key, entry);
+            }
+        }
+    }
+    Ok(completed)
+}
+
 impl Campaign {
-    /// Open (or resume) a campaign in `cfg.dir`. In worker mode
-    /// ([`CampaignCfg::shard`]) the journal is the worker's own shard
-    /// file and resume is implied (a respawned worker must replay what it
-    /// already committed).
+    /// Open (or resume) a campaign in `cfg.dir`. A resumed open replays
+    /// every journal in the directory; a fresh one first removes earlier
+    /// runs' artifacts (`reset_dir`). In worker mode
+    /// ([`CampaignCfg::shard`]) resume is implied (a respawned worker
+    /// must replay what it and the others already committed) and results
+    /// are appended to the worker's own `journal-<w>.jsonl`.
     pub fn open(mut cfg: CampaignCfg) -> std::io::Result<Arc<Campaign>> {
         std::fs::create_dir_all(&cfg.dir)?;
         let path = match cfg.shard {
@@ -339,29 +392,13 @@ impl Campaign {
             }
             None => cfg.dir.join("journal.jsonl"),
         };
-        let mut completed = HashMap::new();
-        if cfg.resume {
-            if let Ok(text) = std::fs::read_to_string(&path) {
-                for (l, _) in journal_lines(&text) {
-                    if let Ok(raw) = serde_json::to_string(&l.value) {
-                        completed.insert(
-                            l.key,
-                            Entry {
-                                full: l.full,
-                                raw,
-                                persisted: true,
-                            },
-                        );
-                    }
-                }
-            }
-        }
-        let file = OpenOptions::new()
-            .create(true)
-            .append(!completed.is_empty() || cfg.resume)
-            .truncate(completed.is_empty() && !cfg.resume)
-            .write(true)
-            .open(&path)?;
+        let completed = if cfg.resume {
+            load_journals(&cfg.dir)?
+        } else {
+            reset_dir(&cfg.dir)?;
+            HashMap::new()
+        };
+        let file = OpenOptions::new().create(true).append(true).open(&path)?;
         // The open may have created the journal file; make the directory
         // entry durable before any task result lands in it.
         sync_dir(&cfg.dir)?;
@@ -376,10 +413,7 @@ impl Campaign {
             computed: AtomicU64::new(0),
             degradations: AtomicU64::new(0),
             collisions: AtomicU64::new(0),
-            stolen: AtomicU64::new(0),
             skipped: AtomicU64::new(0),
-            steal: AtomicBool::new(false),
-            pass_computed: AtomicU64::new(0),
         }))
     }
 
@@ -471,7 +505,6 @@ impl Campaign {
         let v = compute();
         self.record(key, &v, persist(&v));
         self.computed.fetch_add(1, Ordering::Relaxed);
-        self.pass_computed.fetch_add(1, Ordering::Relaxed);
         v
     }
 
@@ -480,41 +513,19 @@ impl Campaign {
         self.cfg.dir.join("leases").join(lease_name(short))
     }
 
-    /// Claim `short` for this worker via `O_EXCL` lease-file creation.
-    /// An existing lease owned by *this* worker is re-claimed (it is a
-    /// stale lease from a previous attempt of the same worker — the
-    /// coordinator deletes a dead worker's uncommitted leases, but the
-    /// worker must also survive leases its own earlier incarnation left).
+    /// Claim `short` for this worker by creating its lease file with
+    /// `O_EXCL`, the content naming the worker. Any failure, an existing
+    /// lease above all, loses the claim; what no worker computes, the
+    /// coordinator's final in-process pass does.
     fn claim(&self, short: &str, worker: usize) -> bool {
-        let path = self.lease_path(short);
-        match OpenOptions::new().write(true).create_new(true).open(&path) {
-            Ok(mut f) => {
-                let _ = f.write_all(worker.to_string().as_bytes());
-                true
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => {
-                std::fs::read_to_string(&path)
-                    .map(|s| s.trim() == worker.to_string())
-                    .unwrap_or(false)
-            }
-            // Fail open: a duplicate compute is safe (values are
-            // deterministic and the shard merge dedups by key).
-            Err(_) => true,
-        }
-    }
-
-    /// Worker mode: allow claiming *non-owned* unleased tasks from now on
-    /// (the work-stealing passes, entered once a worker's own shard is
-    /// drained).
-    pub fn begin_steal_pass(&self) {
-        self.steal.store(true, Ordering::Relaxed);
-    }
-
-    /// Tasks computed since the previous call — the worker pass loop's
-    /// termination condition (a steal pass that computes nothing means
-    /// every remaining task is journaled or leased elsewhere).
-    pub fn take_pass_progress(&self) -> u64 {
-        self.pass_computed.swap(0, Ordering::Relaxed)
+        let lease = OpenOptions::new()
+            .write(true)
+            .create_new(true)
+            .open(self.lease_path(short));
+        lease.is_ok_and(|mut f| {
+            let _ = f.write_all(worker.to_string().as_bytes());
+            true
+        })
     }
 
     /// Replay `key` from the journal, or compute and journal it.
@@ -522,7 +533,7 @@ impl Campaign {
     /// *Structural* semantics for worker mode: a structural key (an
     /// `exp:` wrapper whose body fans out into journaled leaf tasks) is
     /// always **executed** by every worker and never journaled — the
-    /// traversal is what reaches the leaves; the merged final pass
+    /// traversal is what reaches the leaves; the coordinator's final pass
     /// computes and journals the wrapper itself from replayed leaves.
     ///
     /// `T` must round-trip through JSON exactly (every `Serialize` type
@@ -545,9 +556,9 @@ impl Campaign {
     /// Replay, compute, or — in worker mode — skip `key`.
     ///
     /// A *leaf* is the shardable unit. Outside worker mode this is
-    /// exactly [`Campaign::run_structural`]. In worker mode the task runs
-    /// only if this worker owns the key (or is stealing) and wins the
-    /// lease; otherwise `skip` supplies a placeholder result (callers'
+    /// exactly [`Campaign::run_structural`]. In worker mode a task that
+    /// no journal holds runs if and only if this worker wins its lease;
+    /// otherwise `skip` supplies a placeholder result (callers'
     /// aggregation must tolerate it — worker-mode table output is
     /// discarded).
     pub fn run_leaf<T, F, S>(&self, key: &TaskKey, compute: F, skip: S) -> T
@@ -561,10 +572,10 @@ impl Campaign {
 
     /// As [`Campaign::run_leaf`], but the computed value is persisted to
     /// the journal only when `worth_journaling(&value)` holds. Unworthy
-    /// values are memoized in-process (so worker steal passes terminate)
-    /// but recomputed by any later process — e.g. fuzz chunks with
-    /// violations, which must re-shrink and re-write counterexample
-    /// records rather than replay a summary of them.
+    /// values are memoized in-process (a task met twice in one traversal
+    /// computes once) but recomputed by any later process — e.g. fuzz
+    /// chunks with violations, which must re-shrink and re-write
+    /// counterexample records rather than replay a summary of them.
     pub fn run_leaf_if<T, F, P, S>(
         &self,
         key: &TaskKey,
@@ -581,19 +592,13 @@ impl Campaign {
         if let Some(v) = self.replay_as(key) {
             return v;
         }
-        let Some(spec) = self.cfg.shard else {
-            return self.compute_record(key, compute, worth_journaling);
-        };
-        let owned = ShardSpec::owner_of(key.short(), spec.of) == spec.worker;
-        if (owned || self.steal.load(Ordering::Relaxed)) && self.claim(key.short(), spec.worker) {
-            if !owned {
-                self.stolen.fetch_add(1, Ordering::Relaxed);
-                tf_obs::instant!("campaign", "steal");
+        match self.cfg.shard {
+            Some(spec) if !self.claim(key.short(), spec.worker) => {
+                self.skipped.fetch_add(1, Ordering::Relaxed);
+                skip()
             }
-            return self.compute_record(key, compute, worth_journaling);
+            _ => self.compute_record(key, compute, worth_journaling),
         }
-        self.skipped.fetch_add(1, Ordering::Relaxed);
-        skip()
     }
 
     /// Count one lower-bound degradation (budget-exceeded LP solve that
@@ -610,7 +615,6 @@ impl Campaign {
             computed: self.computed.load(Ordering::Relaxed),
             degradations: self.degradations.load(Ordering::Relaxed),
             collisions: self.collisions.load(Ordering::Relaxed),
-            stolen: self.stolen.load(Ordering::Relaxed),
             skipped: self.skipped.load(Ordering::Relaxed),
         }
     }
@@ -652,7 +656,6 @@ impl Campaign {
             ("campaign.computed", s.computed as f64),
             ("campaign.degradations", s.degradations as f64),
             ("campaign.collisions", s.collisions as f64),
-            ("campaign.stolen", s.stolen as f64),
             ("campaign.skipped", s.skipped as f64),
         ])
     }
@@ -660,8 +663,7 @@ impl Campaign {
     /// Flush the journal, write `stats.json`, and write `manifest.json`
     /// via temp-file + atomic rename + directory fsync: its presence
     /// marks a campaign that completed, durably. Not called in worker
-    /// mode (the coordinator's final merged pass writes the one
-    /// manifest).
+    /// mode (the coordinator's final pass writes the one manifest).
     pub fn finish(&self, run_key: &str) -> std::io::Result<Manifest> {
         {
             let mut j = self.journal.lock().unwrap_or_else(PoisonError::into_inner);
@@ -692,7 +694,7 @@ impl Campaign {
 }
 
 /// Read `stats.json` from a finished campaign directory.
-pub fn read_stats(dir: &std::path::Path) -> std::io::Result<RunStats> {
+pub fn read_stats(dir: &Path) -> std::io::Result<RunStats> {
     let text = std::fs::read_to_string(dir.join("stats.json"))?;
     serde_json::from_str(&text).map_err(|e| std::io::Error::other(e.to_string()))
 }
@@ -1007,8 +1009,8 @@ mod tests {
         // Counters live in stats.json, not the manifest.
         let s = read_stats(&dir1).unwrap();
         assert_eq!(s.computed, 2);
-        // A stats.json from before the retry and attempt counters were
-        // dropped loads.
+        // A stats.json from before the retry, attempt and stolen counters
+        // were dropped loads.
         std::fs::write(
             dir2.join("stats.json"),
             r#"{"replays":1,"computed":2,"attempts":2,"retries":0,"degradations":0,
@@ -1021,63 +1023,48 @@ mod tests {
         std::fs::remove_dir_all(&dir2).ok();
     }
 
+    /// Claiming by lease alone: a worker computes a key iff it creates
+    /// the key's lease, so every key is computed once however the
+    /// workers' passes interleave, and a key whose lease the coordinator
+    /// released (its worker died before committing) is recomputed by the
+    /// next worker that reaches it.
     #[test]
-    fn worker_mode_partitions_claims_and_steals() {
+    fn worker_mode_computes_each_leased_key_once() {
         let dir = scratch("worker");
         let keys: Vec<TaskKey> = (0..16).map(|i| key(&format!("task {i}"))).collect();
         let spec0 = ShardSpec { worker: 0, of: 2 };
         let spec1 = ShardSpec { worker: 1, of: 2 };
         let w0 = Campaign::open(CampaignCfg::new(&dir).shard(spec0)).unwrap();
         let w1 = Campaign::open(CampaignCfg::new(&dir).shard(spec1)).unwrap();
+        // Worker 1's lease on the last key, which it never commits: it
+        // dies computing it.
+        let victim = &keys[15];
+        std::fs::write(w0.lease_path(victim.short()), "1").unwrap();
 
-        // Pass 1: each worker computes exactly its owned keys.
-        let mut computed0 = 0;
-        for k in &keys {
-            let v: u32 = w0.run_leaf(k, || 1, || 0);
-            computed0 += v;
-        }
-        for k in &keys {
-            let _: u32 = w1.run_leaf(k, || 1, || 0);
-        }
-        let owned0 = keys
-            .iter()
-            .filter(|k| ShardSpec::owner_of(k.short(), 2) == 0)
-            .count() as u32;
-        assert_eq!(computed0, owned0, "pass 1 computes owned keys only");
-        assert!(
-            owned0 > 0 && (owned0 as usize) < keys.len(),
-            "both shards non-empty"
-        );
-        assert_eq!(
-            w0.take_pass_progress() + w1.take_pass_progress(),
-            keys.len() as u64
-        );
-
-        // Steal pass: everything is journaled or leased — no progress.
-        w0.begin_steal_pass();
-        for k in &keys {
+        // Worker 0 reaches the even keys first, then both pass over all.
+        for k in keys.iter().step_by(2) {
             let _: u32 = w0.run_leaf(k, || 1, || 0);
         }
-        assert_eq!(w0.take_pass_progress(), 0, "nothing left to steal");
-
-        // A third worker joining late (stand-in for a respawn after the
-        // coordinator re-leased a dead worker's keys): delete one lease
-        // and its journal entry, then steal it.
-        drop(w1);
-        let victim = keys
-            .iter()
-            .find(|k| ShardSpec::owner_of(k.short(), 2) == 1)
-            .unwrap();
-        std::fs::remove_file(w0.lease_path(victim.short())).unwrap();
-        let w0b = Campaign::open(CampaignCfg::new(&dir).shard(spec0)).unwrap();
-        w0b.begin_steal_pass();
-        let mut progress = 0u64;
-        for k in &keys {
-            let _: u32 = w0b.run_leaf(k, || 1, || 0);
+        for w in [&w1, &w0] {
+            for k in &keys {
+                let _: u32 = w.run_leaf(k, || 1, || 0);
+            }
         }
-        progress += w0b.take_pass_progress();
-        assert_eq!(progress, 1, "exactly the re-leased key is recomputed");
-        assert_eq!(w0b.stats().stolen, 1);
+        let (s0, s1) = (w0.stats(), w1.stats());
+        assert_eq!((s0.computed, s1.computed), (8, 7), "each key once");
+        assert_eq!((s0.skipped, s1.skipped), (8, 9));
+
+        // The coordinator releases worker 1's uncommitted lease; the
+        // respawned worker 1 replays what both journaled and computes the
+        // one released key.
+        drop(w1);
+        std::fs::remove_file(w0.lease_path(victim.short())).unwrap();
+        let w1b = Campaign::open(CampaignCfg::new(&dir).shard(spec1)).unwrap();
+        for k in &keys {
+            let _: u32 = w1b.run_leaf(k, || 1, || 0);
+        }
+        let s = w1b.stats();
+        assert_eq!((s.computed, s.replays, s.skipped), (1, 15, 0));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1086,16 +1073,121 @@ mod tests {
         let dir = scratch("shardfiles");
         let w0 =
             Campaign::open(CampaignCfg::new(&dir).shard(ShardSpec { worker: 0, of: 2 })).unwrap();
-        // Find a key worker 0 owns so the compute path journals it.
-        let k = (0..64)
-            .map(|i| key(&format!("probe {i}")))
-            .find(|k| ShardSpec::owner_of(k.short(), 2) == 0)
-            .unwrap();
-        let _: u32 = w0.run_leaf(&k, || 3, || 0);
+        let _: u32 = w0.run_leaf(&key("probe"), || 3, || 0);
         drop(w0);
         assert!(dir.join("journal-0.jsonl").exists());
         assert!(!dir.join("journal.jsonl").exists());
         assert!(dir.join("leases").is_dir());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A worker replays every journal in the directory, so a finished
+    /// campaign resumed sharded computes nothing.
+    #[test]
+    fn worker_replays_a_finished_single_process_campaign() {
+        let dir = scratch("finished");
+        let keys: Vec<TaskKey> = (0..8).map(|i| key(&format!("done {i}"))).collect();
+        let c = Campaign::open(CampaignCfg::new(&dir)).unwrap();
+        for k in &keys {
+            let _: u32 = c.run_leaf(k, || 5, || 0);
+        }
+        c.finish("run").unwrap();
+        drop(c);
+        let w =
+            Campaign::open(CampaignCfg::new(&dir).shard(ShardSpec { worker: 1, of: 2 })).unwrap();
+        for k in &keys {
+            let v: u32 = w.run_leaf(k, || panic!("must replay"), || 0);
+            assert_eq!(v, 5);
+        }
+        let s = w.stats();
+        assert_eq!((s.computed, s.replays, s.skipped), (0, 8, 0));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A fresh open removes every artifact of an earlier run — a stale
+    /// manifest would otherwise mark a killed fresh run as complete —
+    /// and keeps unrelated files.
+    #[test]
+    fn fresh_open_removes_earlier_runs_artifacts_only() {
+        let dir = scratch("reset");
+        std::fs::create_dir_all(dir.join("leases")).unwrap();
+        std::fs::write(dir.join("leases").join("x.lease"), "0").unwrap();
+        let stale = [
+            "journal-0.jsonl",
+            "journal-1.jsonl",
+            "manifest.json",
+            "manifest.tmp42",
+            "stats.json",
+        ];
+        for f in stale.iter().chain(&["journal.jsonl", "keepme.txt"]) {
+            std::fs::write(dir.join(f), "{\"key\":\"a\",\"full\":\"a\",\"value\":1}\n").unwrap();
+        }
+        let c = Campaign::open(CampaignCfg::new(&dir)).unwrap();
+        for f in stale {
+            assert!(!dir.join(f).exists(), "{f} survived a fresh open");
+        }
+        assert!(!dir.join("leases").exists());
+        assert!(dir.join("keepme.txt").exists());
+        assert_eq!(std::fs::read(dir.join("journal.jsonl")).unwrap(), b"");
+        let a: u32 = c.run_leaf(&TaskKey::literal("a"), || 2, || 0);
+        assert_eq!(a, 2, "fresh campaign must not replay old results");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The loader over several journals: a torn final line is skipped,
+    /// and a key two workers journaled (a lease raced a kill) replays
+    /// once.
+    #[test]
+    fn loader_skips_torn_lines_and_replays_a_twice_journaled_key_once() {
+        let dir = scratch("loader");
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(
+            dir.join("journal-0.jsonl"),
+            "{\"key\":\"b\",\"full\":\"b\",\"value\":2}\n{\"key\":\"a\",\"full\":\"a\",\"value\":1}\n",
+        )
+        .unwrap();
+        std::fs::write(
+            dir.join("journal-1.jsonl"),
+            "{\"key\":\"a\",\"full\":\"a\",\"value\":1}\n{\"key\":\"c\",\"fu",
+        )
+        .unwrap();
+        let c = Campaign::open(CampaignCfg::new(&dir).resume(true)).unwrap();
+        assert_eq!(c.manifest("run").keys, ["a", "b"]);
+        for (k, want) in [("a", 1), ("b", 2)] {
+            let v: u32 = c.run_leaf(&TaskKey::literal(k), || panic!("{k} must replay"), || 0);
+            assert_eq!(v, want);
+        }
+        let v: u32 = c.run_leaf(&TaskKey::literal("c"), || 3, || 0);
+        assert_eq!(v, 3, "the torn line recomputes");
+        let s = c.stats();
+        assert_eq!((s.replays, s.computed, s.collisions), (2, 1, 0));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Two journals holding one short key under different full
+    /// descriptors: the later journal's line is loaded, and the other
+    /// task's lookup is a counted collision and a recompute.
+    #[test]
+    fn loader_turns_a_cross_journal_conflict_into_a_counted_recompute() {
+        let dir = scratch("conflict");
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(
+            dir.join("journal-0.jsonl"),
+            "{\"key\":\"k\",\"full\":\"task A\",\"value\":1}\n",
+        )
+        .unwrap();
+        std::fs::write(
+            dir.join("journal-1.jsonl"),
+            "{\"key\":\"k\",\"full\":\"task B\",\"value\":2}\n",
+        )
+        .unwrap();
+        let c = Campaign::open(CampaignCfg::new(&dir).resume(true)).unwrap();
+        assert_eq!(c.manifest("run").tasks, 1);
+        let b: u32 = c.run_structural(&TaskKey::with_short("k", "task B"), || panic!("B replays"));
+        assert_eq!(b, 2);
+        let a: u32 = c.run_structural(&TaskKey::with_short("k", "task A"), || 10);
+        assert_eq!(a, 10, "A recomputes");
+        assert_eq!(c.stats().collisions, 1);
         std::fs::remove_dir_all(&dir).ok();
     }
 

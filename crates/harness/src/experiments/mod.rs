@@ -83,19 +83,19 @@ impl Effort {
 
 type ExperimentFn = fn(&RunCtx) -> Vec<Table>;
 
-/// Campaign granularity of one experiment — how the sharded coordinator
-/// partitions it (see [`crate::shard`]).
+/// Campaign granularity of one experiment — the unit shard workers claim
+/// of it (see [`crate::shard`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExpGrain {
-    /// The experiment journals as a single `exp:` task: a shard worker
-    /// that owns the key computes the whole table set; other workers
+    /// The experiment journals as a single `exp:` task: the shard worker
+    /// that wins its lease computes the whole table set; other workers
     /// skip it.
     Whole,
     /// The experiment's body fans out into journaled leaf tasks
     /// (`ratio:`/`hunt:` keys): every worker traverses the experiment
     /// (its structure is cheap) and the leaves shard individually. The
-    /// `exp:` wrapper is journaled only by non-worker runs (the final
-    /// merged pass), which replay the leaves.
+    /// `exp:` wrapper is journaled only by non-worker runs (such as the
+    /// coordinator's final pass), which replay the leaves.
     Leaves,
 }
 

@@ -290,7 +290,7 @@ pub fn hunt(policy: Policy, cfg: &HuntConfig) -> HuntResult {
 
 /// [`hunt`] under a [`CampaignScope`]: each restart journals on
 /// completion and replays on resume; in shard-worker mode restarts
-/// owned by other workers are skipped (their placeholder has a NaN
+/// leased by other workers are skipped (their placeholder has a NaN
 /// ratio, which never wins the best-of aggregation — worker-mode table
 /// output is discarded anyway).
 pub fn hunt_scoped(scope: &CampaignScope, policy: Policy, cfg: &HuntConfig) -> HuntResult {

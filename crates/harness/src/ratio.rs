@@ -46,8 +46,8 @@ pub struct RatioEstimate {
 }
 
 impl RatioEstimate {
-    /// The placeholder a shard worker substitutes for a leaf task it
-    /// does not own (see [`crate::campaign::Campaign::run_leaf`]): every
+    /// The placeholder a shard worker substitutes for a leaf task another
+    /// worker leased (see [`crate::campaign::Campaign::run_leaf`]): every
     /// numeric field is NaN and the provenance says so. Worker-mode
     /// table output is discarded, so the placeholder never reaches a
     /// rendered table.

@@ -1,98 +1,55 @@
 //! Sharded campaign execution: a coordinator that fans one campaign out
-//! across N worker **processes** and deterministically merges their
-//! journals back into the single-process form.
+//! across N worker **processes**, which share the campaign directory and
+//! claim leaf tasks by lease alone.
 //!
 //! ## Protocol
 //!
-//! 1. The coordinator prepares the campaign directory (fresh run: stale
-//!    journals/leases/manifest removed; resume: kept) and spawns N
-//!    workers — re-invocations of the current binary with `--shard i/N`.
+//! 1. The coordinator prepares the campaign directory — a fresh run
+//!    removes earlier runs' artifacts (`campaign::reset_dir`), a
+//!    resume keeps the journals — and deletes every lease: no worker is
+//!    alive yet, so none is held. It then spawns N workers,
+//!    re-invocations of the current binary with `--shard i/N`.
 //! 2. Each worker opens the campaign in worker mode
-//!    ([`crate::campaign::ShardSpec`]): it traverses the full task
-//!    graph, computes the leaf tasks it owns
-//!    (`fnv64(key) % N == i`), journals them to its own crash-safe
-//!    `journal-<i>.jsonl`, and skips the rest. Once its own shard is
-//!    drained it enters *steal* passes — claiming any still-unleased key
-//!    via `O_EXCL` lease files — and exits when a whole pass computes
-//!    nothing (everything journaled or leased elsewhere).
+//!    ([`crate::campaign::ShardSpec`]), replaying every journal in the
+//!    directory, and makes one pass over the full task graph. It
+//!    computes a leaf task that no journal holds if and only if it
+//!    creates the task's `O_EXCL` lease, journals it to its own
+//!    crash-safe `journal-<i>.jsonl`, and skips a task another worker
+//!    holds: a free worker takes the next unclaimed task.
 //! 3. The coordinator babysits the workers. A worker that dies (crash,
 //!    OOM-kill, SIGKILL) has its **uncommitted** leases deleted — leases
 //!    whose key never reached its journal — so the work is re-leasable,
-//!    and is respawned up to `max_respawns` times. Journaled results are
-//!    never recomputed: the respawned worker replays its own shard
-//!    journal on startup.
-//! 4. When all workers have exited successfully, [`merge_shards`]
-//!    combines `journal-*.jsonl` (plus any pre-existing `journal.jsonl`
-//!    from a resumed single-process run) into one `journal.jsonl`,
-//!    **sorted by short key** and deduplicated (first occurrence wins;
-//!    duplicates can exist when a lease raced — values are
-//!    deterministic, so which copy survives is immaterial).
-//! 5. The caller then runs the campaign once more *in process* with
-//!    `--resume` semantics: every task replays from the merged journal,
-//!    tables render exactly as a single-process run would have rendered
-//!    them, and [`crate::campaign::Campaign::finish`] writes the
-//!    manifest. Because the manifest is a function of the sorted task-key
-//!    set only, it is **byte-identical** to the single-process run's.
+//!    and is respawned up to [`MAX_RESPAWNS`] times. Journaled results
+//!    are never recomputed: the respawned worker replays them, and its
+//!    pass claims each released key that no other worker reached first.
+//! 4. When all workers have exited successfully, the caller runs the
+//!    campaign once more *in process* with `--resume` semantics: every
+//!    task replays from the workers' journals, what no worker computed
+//!    (an unjournaled dirty fuzz chunk, say) is computed, tables render
+//!    exactly as a single-process run would have rendered them, and
+//!    [`crate::campaign::Campaign::finish`] writes the manifest. Because
+//!    the manifest is a function of the sorted task-key set only, it is
+//!    **byte-identical** to the single-process run's.
 //!
-//! The merged `journal.jsonl` itself is sorted, whereas a single-process
-//! journal is in completion order — only `manifest.json` is the
-//! byte-comparable artifact.
+//! The journals themselves are in completion order and split across
+//! files — only `manifest.json` is the byte-comparable artifact.
 //!
 //! The campaign binaries (`experiments`, `audit`) run this protocol
 //! through [`run_coordinator`] and [`run_worker`]: a binary hands its own
-//! pass to the worker loop as a closure, and renders its output from the
+//! pass to the worker as a closure, and renders its output from the
 //! context the coordinator returns.
 
-use std::collections::HashMap;
 use std::collections::HashSet;
-use std::io::Write as _;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::{Child, Command, Stdio};
 use std::time::Duration;
 
-use crate::campaign::{journal_lines, lease_name};
+use crate::campaign::{journal_lines, lease_name, reset_dir};
 use crate::cli::CommonCli;
 use crate::runctx::RunCtx;
 
-/// Coordinator configuration.
-#[derive(Debug, Clone)]
-pub struct CoordinatorCfg {
-    /// The campaign directory shared by all workers.
-    pub dir: PathBuf,
-    /// Worker process count (≥ 1).
-    pub workers: usize,
-    /// Times a dead worker slot is respawned before the run fails.
-    pub max_respawns: u32,
-}
-
-impl CoordinatorCfg {
-    /// Coordinator over `dir` with `workers` workers, 3 respawns.
-    pub fn new(dir: impl Into<PathBuf>, workers: usize) -> Self {
-        CoordinatorCfg {
-            dir: dir.into(),
-            workers: workers.max(1),
-            max_respawns: 3,
-        }
-    }
-}
-
-/// What the coordinator did, for operator output.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ShardReport {
-    /// Worker processes in the pool.
-    pub workers: usize,
-    /// Distinct task keys in the merged journal.
-    pub merged_tasks: u64,
-    /// Journal lines dropped as exact duplicates of an earlier shard's
-    /// line (lease races; harmless).
-    pub duplicates: u64,
-    /// Duplicate short keys whose *full descriptors* differed — a
-    /// fingerprint collision across shards. The first occurrence wins;
-    /// the final replay pass detects the mismatch and recomputes.
-    pub conflicts: u64,
-    /// Worker deaths that were re-leased and respawned.
-    pub respawns: u32,
-}
+/// Times a dead worker slot is respawned before the run fails.
+pub const MAX_RESPAWNS: u32 = 3;
 
 /// Why a sharded run failed.
 #[derive(Debug)]
@@ -127,32 +84,6 @@ impl From<std::io::Error> for ShardError {
     }
 }
 
-/// Remove the artifacts of a previous campaign run from `dir` (shard and
-/// merged journals, leases, manifest, stats) so a non-`--resume` sharded
-/// run starts from nothing, like `Campaign::open` truncating the journal
-/// in the single-process case. Keeps unrelated files.
-pub fn reset_dir(dir: &Path) -> std::io::Result<()> {
-    std::fs::create_dir_all(dir)?;
-    for entry in std::fs::read_dir(dir)? {
-        let entry = entry?;
-        let name = entry.file_name();
-        let name = name.to_string_lossy();
-        let stale = name == "journal.jsonl"
-            || name == "manifest.json"
-            || name == "stats.json"
-            || (name.starts_with("journal-") && name.ends_with(".jsonl"))
-            || name.starts_with("manifest.tmp");
-        if stale {
-            std::fs::remove_file(entry.path())?;
-        }
-    }
-    let leases = dir.join("leases");
-    if leases.is_dir() {
-        std::fs::remove_dir_all(&leases)?;
-    }
-    Ok(())
-}
-
 /// Clear stale leases before a (re)spawn wave. On a fresh run the
 /// directory was just reset; on resume, leases from a previous
 /// coordinator are all stale (their workers are gone) — committed keys
@@ -169,15 +100,13 @@ fn clear_leases(dir: &Path) -> std::io::Result<()> {
 /// journal.
 fn committed_leases(path: &Path) -> HashSet<String> {
     let text = std::fs::read_to_string(path).unwrap_or_default();
-    journal_lines(&text)
-        .map(|(l, _)| lease_name(&l.key))
-        .collect()
+    journal_lines(&text).map(|l| lease_name(&l.key)).collect()
 }
 
 /// Delete every lease held by `worker` whose key is NOT in the worker's
 /// journal: the worker died between claiming and committing, so the key
 /// must become claimable again. Committed keys keep their leases (the
-/// result is safe in the journal; the respawned worker replays it).
+/// result is safe in the journal; every worker opened later replays it).
 fn release_uncommitted_leases(dir: &Path, worker: usize) -> std::io::Result<u64> {
     let committed = committed_leases(&dir.join(format!("journal-{worker}.jsonl")));
     let leases = dir.join("leases");
@@ -200,63 +129,6 @@ fn release_uncommitted_leases(dir: &Path, worker: usize) -> std::io::Result<u64>
         }
     }
     Ok(released)
-}
-
-/// Merge all shard journals in `dir` (and any pre-existing merged
-/// `journal.jsonl`) into one `journal.jsonl`: lines sorted by short key,
-/// first occurrence of each key wins. Written atomically (temp + rename)
-/// so a crash mid-merge leaves the shard journals intact for a re-run.
-pub fn merge_shards(dir: &Path) -> std::io::Result<ShardReport> {
-    let mut sources: Vec<PathBuf> = Vec::new();
-    let merged_path = dir.join("journal.jsonl");
-    if merged_path.exists() {
-        sources.push(merged_path.clone());
-    }
-    let mut shard_files: Vec<PathBuf> = std::fs::read_dir(dir)?
-        .filter_map(|e| e.ok())
-        .map(|e| e.path())
-        .filter(|p| {
-            p.file_name()
-                .and_then(|n| n.to_str())
-                .is_some_and(|n| n.starts_with("journal-") && n.ends_with(".jsonl"))
-        })
-        .collect();
-    shard_files.sort();
-    sources.extend(shard_files);
-
-    // key -> (full descriptor, raw line). First occurrence wins; the
-    // iteration order over sources is deterministic (merged journal
-    // first, then shards sorted by worker index).
-    let mut lines: HashMap<String, (String, String)> = HashMap::new();
-    let mut report = ShardReport::default();
-    for src in &sources {
-        let text = std::fs::read_to_string(src)?;
-        for (l, line) in journal_lines(&text) {
-            match lines.get(&l.key) {
-                None => {
-                    lines.insert(l.key, (l.full, line.to_string()));
-                }
-                Some((first_full, _)) if *first_full == l.full => report.duplicates += 1,
-                Some(_) => report.conflicts += 1,
-            }
-        }
-    }
-    let mut keys: Vec<&String> = lines.keys().collect();
-    keys.sort();
-    report.merged_tasks = keys.len() as u64;
-
-    let tmp = dir.join(format!("journal.merge{}", std::process::id()));
-    {
-        let mut f = std::fs::File::create(&tmp)?;
-        for k in &keys {
-            f.write_all(lines[*k].1.as_bytes())?;
-            f.write_all(b"\n")?;
-        }
-        f.sync_all()?;
-    }
-    std::fs::rename(&tmp, &merged_path)?;
-    std::fs::File::open(dir)?.sync_all()?;
-    Ok(report)
 }
 
 /// Filter a binary's own argv (everything after the program name) down
@@ -285,20 +157,22 @@ struct Slot {
     done: bool,
 }
 
-/// Run a sharded campaign: spawn `cfg.workers` workers built by
-/// `make_worker(i)` (a ready-to-spawn `Command`, typically the current
-/// executable with `--shard i/N`), babysit them with re-lease + respawn
-/// on death, and merge the shard journals on success.
+/// Run the workers of a sharded campaign in `dir`: spawn `workers`
+/// workers built by `make_worker(i)` (a ready-to-spawn `Command`,
+/// typically the current executable with `--shard i/N`) and babysit them
+/// with re-lease + respawn on death until all have exited successfully.
+/// Returns the number of respawns.
 ///
-/// The caller is responsible for [`reset_dir`] beforehand (unless
+/// The caller is responsible for `reset_dir` beforehand (unless
 /// resuming) and for running the final in-process replay pass afterwards.
 pub fn run_sharded(
-    cfg: &CoordinatorCfg,
+    dir: &Path,
+    workers: usize,
     make_worker: impl Fn(usize) -> Command,
-) -> Result<ShardReport, ShardError> {
+) -> Result<u32, ShardError> {
     let mut span = tf_obs::span!("shard", "coordinate");
-    span.arg("workers", cfg.workers as f64);
-    clear_leases(&cfg.dir)?;
+    span.arg("workers", workers as f64);
+    clear_leases(dir)?;
 
     let spawn = |i: usize| -> std::io::Result<Child> {
         let mut cmd = make_worker(i);
@@ -309,8 +183,8 @@ pub fn run_sharded(
         cmd.spawn()
     };
 
-    let mut slots: Vec<Slot> = Vec::with_capacity(cfg.workers);
-    for i in 0..cfg.workers {
+    let mut slots: Vec<Slot> = Vec::with_capacity(workers);
+    for i in 0..workers {
         slots.push(Slot {
             child: spawn(i)?,
             respawns: 0,
@@ -335,7 +209,7 @@ pub fn run_sharded(
             all_done = false;
 
             if kill_target == Some(i) {
-                let journal = cfg.dir.join(format!("journal-{i}.jsonl"));
+                let journal = dir.join(format!("journal-{i}.jsonl"));
                 let has_progress = std::fs::metadata(&journal).is_ok_and(|m| m.len() > 0);
                 if has_progress {
                     kill_target = None;
@@ -348,8 +222,8 @@ pub fn run_sharded(
                 None => {}
                 Some(status) if status.success() => slot.done = true,
                 Some(status) => {
-                    let released = release_uncommitted_leases(&cfg.dir, i)?;
-                    if slot.respawns >= cfg.max_respawns {
+                    let released = release_uncommitted_leases(dir, i)?;
+                    if slot.respawns >= MAX_RESPAWNS {
                         // Stop the rest of the pool before failing.
                         for other in slots.iter_mut() {
                             let _ = other.child.kill();
@@ -364,8 +238,8 @@ pub fn run_sharded(
                     tf_obs::instant!("shard", "respawn");
                     eprintln!(
                         "shard: worker {i} died ({status}); released {released} uncommitted \
-                         lease(s), respawning (attempt {}/{})",
-                        slot.respawns, cfg.max_respawns
+                         lease(s), respawning (attempt {}/{MAX_RESPAWNS})",
+                        slot.respawns
                     );
                     slot.child = spawn(i)?;
                 }
@@ -376,42 +250,29 @@ pub fn run_sharded(
         }
         std::thread::sleep(Duration::from_millis(20));
     }
-
-    let mut report = merge_shards(&cfg.dir)?;
-    report.workers = cfg.workers;
-    report.respawns = total_respawns;
-    span.arg("merged_tasks", report.merged_tasks as f64);
-    span.arg("respawns", f64::from(report.respawns));
-    Ok(report)
+    span.arg("respawns", f64::from(total_respawns));
+    Ok(total_respawns)
 }
 
-/// Worker mode (`--shard I/N`, spawned by [`run_coordinator`]): run
-/// `pass` over this worker's own shard, then keep running steal passes
-/// until one computes nothing new, and print the shard's summary line.
-/// Nothing is rendered and no manifest is written: the coordinator owns
-/// the merge, the final pass and the exit status.
+/// Worker mode (`--shard I/N`, spawned by [`run_coordinator`]): make one
+/// `pass` over the task graph, computing the leaf tasks whose leases
+/// this worker wins, and print the shard's summary line. Nothing is
+/// rendered and no manifest is written: the coordinator owns the final
+/// pass and the exit status.
 ///
 /// # Panics
 /// If `ctx` has no open campaign (`--shard` requires `--campaign`).
-pub fn run_worker(ctx: &RunCtx, mut pass: impl FnMut(&RunCtx)) {
+pub fn run_worker(ctx: &RunCtx, pass: impl FnOnce(&RunCtx)) {
     let c = ctx
         .campaign_handle()
         .expect("--shard requires --campaign")
         .clone();
     pass(ctx);
-    let _ = c.take_pass_progress();
-    c.begin_steal_pass();
-    loop {
-        pass(ctx);
-        if c.take_pass_progress() == 0 {
-            break;
-        }
-    }
     let s = c.stats();
     let shard = c.cfg().shard.expect("worker mode");
     eprintln!(
-        "shard {shard}: {} computed, {} replayed, {} stolen, {} skipped",
-        s.computed, s.replays, s.stolen, s.skipped
+        "shard {shard}: {} computed, {} replayed, {} skipped",
+        s.computed, s.replays, s.skipped
     );
     let _ = tf_obs::flush();
 }
@@ -419,8 +280,8 @@ pub fn run_worker(ctx: &RunCtx, mut pass: impl FnMut(&RunCtx)) {
 /// Coordinator mode (`--shard-workers N`): respawn the current binary N
 /// times with `--shard I/N` ([`run_sharded`]), then reopen the campaign
 /// with `--resume` semantics and return that context, so the caller's
-/// final in-process pass replays every task from the merged journal. A
-/// directory that cannot be reset exits with status 2, a worker that
+/// final in-process pass replays every task from the workers' journals.
+/// A directory that cannot be reset exits with status 2, a worker that
 /// keeps dying with status 1.
 ///
 /// # Panics
@@ -439,7 +300,7 @@ pub fn run_coordinator(cli: &CommonCli, workers: usize, trace_stem: &str) -> Run
     }
     let exe = std::env::current_exe().expect("current_exe");
     let base = worker_args(std::env::args().skip(1));
-    let report = run_sharded(&CoordinatorCfg::new(&dir, workers), |i| {
+    let respawns = run_sharded(&dir, workers, |i| {
         let mut cmd = Command::new(&exe);
         cmd.args(&base).arg("--shard").arg(format!("{i}/{workers}"));
         cmd
@@ -452,10 +313,7 @@ pub fn run_coordinator(cli: &CommonCli, workers: usize, trace_stem: &str) -> Run
     let mut resumed = cli.clone();
     resumed.resume = true;
     let ctx = resumed.applied_run_ctx(trace_stem);
-    eprintln!(
-        "shard: {} workers, {} merged tasks, {} duplicates, {} conflicts, {} respawns",
-        report.workers, report.merged_tasks, report.duplicates, report.conflicts, report.respawns
-    );
+    eprintln!("shard: {workers} workers, {respawns} respawns");
     ctx
 }
 
@@ -463,88 +321,13 @@ pub fn run_coordinator(cli: &CommonCli, workers: usize, trace_stem: &str) -> Run
 mod tests {
     use super::*;
     use crate::campaign::{Campaign, CampaignCfg, ShardSpec, TaskKey};
+    use std::path::PathBuf;
 
     fn scratch(name: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!("tf-shard-{}-{name}", std::process::id()));
         let _ = std::fs::remove_dir_all(&d);
         std::fs::create_dir_all(&d).unwrap();
         d
-    }
-
-    #[test]
-    fn merge_sorts_and_dedups() {
-        let dir = scratch("merge");
-        std::fs::write(
-            dir.join("journal-0.jsonl"),
-            "{\"key\":\"b\",\"full\":\"b\",\"value\":2}\n{\"key\":\"a\",\"full\":\"a\",\"value\":1}\n",
-        )
-        .unwrap();
-        std::fs::write(
-            dir.join("journal-1.jsonl"),
-            // duplicate of "a" (lease race) + torn final line
-            "{\"key\":\"a\",\"full\":\"a\",\"value\":1}\n{\"key\":\"c\",\"fu",
-        )
-        .unwrap();
-        let report = merge_shards(&dir).unwrap();
-        assert_eq!(report.merged_tasks, 2);
-        assert_eq!(report.duplicates, 1);
-        assert_eq!(report.conflicts, 0);
-        let merged = std::fs::read_to_string(dir.join("journal.jsonl")).unwrap();
-        let keys: Vec<String> = merged
-            .lines()
-            .map(|l| {
-                let v: serde_json::Value = serde_json::from_str(l).unwrap();
-                v.as_map()
-                    .and_then(|m| serde::map_get(m, "key"))
-                    .and_then(|k| k.as_str())
-                    .unwrap()
-                    .to_string()
-            })
-            .collect();
-        assert_eq!(keys, ["a", "b"], "sorted by short key");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn merge_counts_full_descriptor_conflicts() {
-        let dir = scratch("conflict");
-        std::fs::write(
-            dir.join("journal-0.jsonl"),
-            "{\"key\":\"k\",\"full\":\"task A\",\"value\":1}\n",
-        )
-        .unwrap();
-        std::fs::write(
-            dir.join("journal-1.jsonl"),
-            "{\"key\":\"k\",\"full\":\"task B\",\"value\":2}\n",
-        )
-        .unwrap();
-        let report = merge_shards(&dir).unwrap();
-        assert_eq!(report.merged_tasks, 1);
-        assert_eq!(report.conflicts, 1);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn reset_dir_removes_campaign_artifacts_only() {
-        let dir = scratch("reset");
-        for f in [
-            "journal.jsonl",
-            "journal-0.jsonl",
-            "manifest.json",
-            "stats.json",
-            "keepme.txt",
-        ] {
-            std::fs::write(dir.join(f), "x").unwrap();
-        }
-        std::fs::create_dir_all(dir.join("leases")).unwrap();
-        reset_dir(&dir).unwrap();
-        assert!(dir.join("keepme.txt").exists());
-        assert!(!dir.join("journal.jsonl").exists());
-        assert!(!dir.join("journal-0.jsonl").exists());
-        assert!(!dir.join("manifest.json").exists());
-        assert!(!dir.join("stats.json").exists());
-        assert!(!dir.join("leases").exists());
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -566,12 +349,12 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// End-to-end in-process: worker-mode campaigns over a random-ish
-    /// partition produce shard journals that merge + replay into the
-    /// same manifest as a single-process run (the proptest in
-    /// `tests/shard_merge.rs` randomizes this further).
+    /// End-to-end in-process: worker-mode campaigns write journals that
+    /// the coordinator's final `--resume` pass replays into the same
+    /// manifest as a single-process run (the proptest in
+    /// `tests/shard_replay.rs` randomizes this further).
     #[test]
-    fn shard_merge_replay_matches_single_process_manifest() {
+    fn worker_journals_replay_to_the_single_process_manifest() {
         let single = scratch("single");
         let sharded = scratch("sharded");
         let keys: Vec<TaskKey> = (0..12)
@@ -584,15 +367,28 @@ mod tests {
         }
         let m_single = c.finish("run").unwrap();
 
-        for w in 0..3 {
-            let cw =
+        let workers: Vec<_> = (0..3)
+            .map(|w| {
                 Campaign::open(CampaignCfg::new(&sharded).shard(ShardSpec { worker: w, of: 3 }))
-                    .unwrap();
-            for (i, k) in keys.iter().enumerate() {
-                let _: usize = cw.run_leaf(k, || i * i, || usize::MAX);
+                    .unwrap()
+            })
+            .collect();
+        // Interleaved single steps, worker w starting its pass at task
+        // 4w, as workers busy with earlier tasks would.
+        for step in 0..keys.len() {
+            for (w, cw) in workers.iter().enumerate() {
+                let i = (step + 4 * w) % keys.len();
+                let _: usize = cw.run_leaf(&keys[i], || i * i, || usize::MAX);
             }
         }
-        merge_shards(&sharded).unwrap();
+        let computed: Vec<u64> = workers.iter().map(|c| c.stats().computed).collect();
+        assert_eq!(
+            computed,
+            [4, 4, 4],
+            "each task computed once, by its lease winner"
+        );
+        drop(workers);
+
         let fin = Campaign::open(CampaignCfg::new(&sharded).resume(true)).unwrap();
         for (i, k) in keys.iter().enumerate() {
             let v: usize = fin.run_structural(k, || panic!("must replay"));

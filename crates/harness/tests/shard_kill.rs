@@ -3,8 +3,10 @@
 //! coordinator's `TF_SHARD_KILL` test hook — must produce a manifest
 //! byte-identical to a single-process campaign and the same tables
 //! (modulo the one intentional wall-clock cell, masked the same way as
-//! `tests/campaign_resume.rs`).
+//! `tests/campaign_resume.rs`); and a finished campaign, sharded or not,
+//! resumed sharded must recompute nothing.
 
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
@@ -76,8 +78,8 @@ fn four_way_shard_with_killed_worker_matches_single_process() {
         "the kill hook must have fired: {stderr}"
     );
     assert!(
-        stderr.contains("merged"),
-        "the coordinator must report the merge: {stderr}"
+        stderr.contains("shard: 4 workers, "),
+        "the coordinator must print its summary: {stderr}"
     );
 
     let manifest_a = std::fs::read(single.join("manifest.json")).expect("single manifest");
@@ -96,4 +98,64 @@ fn four_way_shard_with_killed_worker_matches_single_process() {
 
     std::fs::remove_dir_all(&single).ok();
     std::fs::remove_dir_all(&sharded).ok();
+}
+
+/// Line count of every non-empty `journal*.jsonl` in `dir` (a worker
+/// that journals nothing leaves an empty file).
+fn journal_lines(dir: &Path) -> BTreeMap<String, usize> {
+    std::fs::read_dir(dir)
+        .expect("campaign dir")
+        .map(|e| e.expect("dir entry").path())
+        .filter_map(|p| {
+            let name = p.file_name()?.to_str()?.to_string();
+            let lines = std::fs::read_to_string(&p).ok()?.lines().count();
+            (name.starts_with("journal") && name.ends_with(".jsonl") && lines > 0)
+                .then_some((name, lines))
+        })
+        .collect()
+}
+
+/// A finished campaign — 2-way sharded, or single-process — rerun with
+/// `--resume --shard-workers 2` replays everything: no journal gains a
+/// line and the manifest is byte-unchanged.
+#[test]
+fn resumed_finished_campaign_recomputes_nothing() {
+    let first_runs: [(&str, &[&str]); 2] = [
+        ("resume-sharded", &["--shard-workers", "2"]),
+        ("resume-single", &[]),
+    ];
+    for (name, first) in first_runs {
+        let dir = scratch(name);
+        let e2 = |extra: &[&str]| {
+            let mut cmd = Command::new(env!("CARGO_BIN_EXE_experiments"));
+            cmd.args([
+                "e2",
+                "--quick",
+                "--no-cache",
+                "--threads",
+                "1",
+                "--campaign",
+            ])
+            .arg(&dir)
+            .args(extra);
+            run(&mut cmd)
+        };
+        e2(first);
+        let lines = journal_lines(&dir);
+        let manifest = std::fs::read(dir.join("manifest.json")).expect("manifest");
+        assert!(lines.values().sum::<usize>() > 0, "{name}: {lines:?}");
+
+        e2(&["--resume", "--shard-workers", "2"]);
+        assert_eq!(
+            journal_lines(&dir),
+            lines,
+            "{name}: the resume journaled new lines"
+        );
+        assert_eq!(
+            std::fs::read(dir.join("manifest.json")).expect("manifest"),
+            manifest,
+            "{name}: the resume changed the manifest"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }
