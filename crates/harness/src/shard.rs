@@ -40,11 +40,12 @@
 //! context the coordinator returns.
 
 use std::collections::HashSet;
+use std::io::Write;
 use std::path::Path;
 use std::process::{Child, Command, Stdio};
 use std::time::Duration;
 
-use crate::campaign::{journal_lines, lease_name, reset_dir};
+use crate::campaign::{journal_lines, lease_name, reset_dir, RunStats, ShardSpec};
 use crate::cli::CommonCli;
 use crate::runctx::RunCtx;
 
@@ -82,6 +83,28 @@ impl From<std::io::Error> for ShardError {
     fn from(e: std::io::Error) -> Self {
         ShardError::Io(e)
     }
+}
+
+/// Write `line` and a newline to `out` in one `write_all`. Stderr is
+/// unbuffered and `eprintln!` writes each literal piece and argument on
+/// its own, so lines that workers and the coordinator print at the same
+/// time would interleave mid-line; one write per line keeps them whole.
+fn write_line(out: &mut impl Write, mut line: String) -> std::io::Result<()> {
+    line.push('\n');
+    out.write_all(line.as_bytes())
+}
+
+/// Print `line` on stderr in one write (see [`write_line`]).
+fn say(line: String) {
+    let _ = write_line(&mut std::io::stderr(), line);
+}
+
+/// A worker's summary line, `shard i/N: C computed, R replayed, S skipped`.
+fn summary(shard: ShardSpec, s: &RunStats) -> String {
+    format!(
+        "shard {shard}: {} computed, {} replayed, {} skipped",
+        s.computed, s.replays, s.skipped
+    )
 }
 
 /// Clear stale leases before a (re)spawn wave. On a fresh run the
@@ -214,7 +237,9 @@ pub fn run_sharded(
                 if has_progress {
                     kill_target = None;
                     let _ = slot.child.kill();
-                    eprintln!("shard: killed worker {i} (TF_SHARD_KILL test hook)");
+                    say(format!(
+                        "shard: killed worker {i} (TF_SHARD_KILL test hook)"
+                    ));
                 }
             }
 
@@ -236,11 +261,11 @@ pub fn run_sharded(
                     slot.respawns += 1;
                     total_respawns += 1;
                     tf_obs::instant!("shard", "respawn");
-                    eprintln!(
+                    say(format!(
                         "shard: worker {i} died ({status}); released {released} uncommitted \
                          lease(s), respawning (attempt {}/{MAX_RESPAWNS})",
                         slot.respawns
-                    );
+                    ));
                     slot.child = spawn(i)?;
                 }
             }
@@ -268,12 +293,7 @@ pub fn run_worker(ctx: &RunCtx, pass: impl FnOnce(&RunCtx)) {
         .expect("--shard requires --campaign")
         .clone();
     pass(ctx);
-    let s = c.stats();
-    let shard = c.cfg().shard.expect("worker mode");
-    eprintln!(
-        "shard {shard}: {} computed, {} replayed, {} skipped",
-        s.computed, s.replays, s.skipped
-    );
+    say(summary(c.cfg().shard.expect("worker mode"), &c.stats()));
     let _ = tf_obs::flush();
 }
 
@@ -294,7 +314,7 @@ pub fn run_coordinator(cli: &CommonCli, workers: usize, trace_stem: &str) -> Run
         .expect("validated: --shard-workers requires --campaign");
     if !cli.resume {
         if let Err(e) = reset_dir(&dir) {
-            eprintln!("cannot reset campaign directory: {e}");
+            say(format!("cannot reset campaign directory: {e}"));
             std::process::exit(2);
         }
     }
@@ -306,21 +326,21 @@ pub fn run_coordinator(cli: &CommonCli, workers: usize, trace_stem: &str) -> Run
         cmd
     })
     .unwrap_or_else(|e| {
-        eprintln!("sharded run failed: {e}");
+        say(format!("sharded run failed: {e}"));
         std::process::exit(1);
     });
 
     let mut resumed = cli.clone();
     resumed.resume = true;
     let ctx = resumed.applied_run_ctx(trace_stem);
-    eprintln!("shard: {workers} workers, {respawns} respawns");
+    say(format!("shard: {workers} workers, {respawns} respawns"));
     ctx
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::campaign::{Campaign, CampaignCfg, ShardSpec, TaskKey};
+    use crate::campaign::{Campaign, CampaignCfg, TaskKey};
     use std::path::PathBuf;
 
     fn scratch(name: &str) -> PathBuf {
@@ -328,6 +348,55 @@ mod tests {
         let _ = std::fs::remove_dir_all(&d);
         std::fs::create_dir_all(&d).unwrap();
         d
+    }
+
+    /// A writer that records what it is given and counts `write` calls,
+    /// as an unbuffered stderr turns each into one system call.
+    #[derive(Default)]
+    struct Calls {
+        bytes: Vec<u8>,
+        writes: usize,
+    }
+
+    impl Write for Calls {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_summary_line_is_one_write() {
+        let (shard, s) = (
+            ShardSpec { worker: 3, of: 4 },
+            RunStats {
+                replays: 41,
+                ..RunStats::default()
+            },
+        );
+        let mut whole = Calls::default();
+        write_line(&mut whole, summary(shard, &s)).unwrap();
+        assert_eq!(
+            whole.bytes,
+            b"shard 3/4: 0 computed, 41 replayed, 0 skipped\n"
+        );
+        assert_eq!(whole.writes, 1, "one write per line");
+        // `eprintln!`'s form, `write_fmt` on an unbuffered writer, writes
+        // each piece on its own: another process can land between them.
+        let mut pieces = Calls::default();
+        writeln!(
+            pieces,
+            "shard {shard}: {} computed, {} replayed, {} skipped",
+            s.computed, s.replays, s.skipped
+        )
+        .unwrap();
+        assert_eq!(pieces.bytes, whole.bytes);
+        assert!(pieces.writes > 1, "{} writes", pieces.writes);
     }
 
     #[test]

@@ -33,6 +33,7 @@ use tf_simcore::{AliveJob, MachineConfig, RateAllocator};
 #[derive(Debug, Default, Clone)]
 pub struct AgedRoundRobin {
     weights: Vec<f64>, // scratch
+    order: Vec<usize>, // scratch for `water_fill`
 }
 
 impl AgedRoundRobin {
@@ -50,7 +51,13 @@ impl RateAllocator for AgedRoundRobin {
     fn allocate(&mut self, now: f64, alive: &[AliveJob], cfg: &MachineConfig, rates: &mut [f64]) {
         self.weights.clear();
         self.weights.extend(alive.iter().map(|a| a.age_at(now)));
-        water_fill(&self.weights, cfg.total_cap(), cfg.job_cap(), rates);
+        water_fill(
+            &self.weights,
+            cfg.total_cap(),
+            cfg.job_cap(),
+            &mut self.order,
+            rates,
+        );
     }
 
     fn continuous(&self) -> bool {

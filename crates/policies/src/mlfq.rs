@@ -26,6 +26,8 @@
 //! assert!(s.completion[1] < s.completion[0]);
 //! ```
 
+use std::cell::RefCell;
+
 use tf_simcore::{AliveJob, MachineConfig, RateAllocator};
 
 /// Fractional MLFQ with geometric level widths.
@@ -36,7 +38,17 @@ pub struct Mlfq {
     /// Geometric growth of level widths (> 1); level `l` spans attained
     /// service `[quantum·(base^l − 1)/(base − 1), …)`.
     pub base: f64,
-    order: Vec<usize>, // scratch
+    scratch: RefCell<Scratch>,
+}
+
+/// What `allocate` and `review_in` reuse from call to call: the alive
+/// jobs' levels, their indices sorted by level, and the rates `review_in`
+/// recomputes.
+#[derive(Debug, Default, Clone)]
+struct Scratch {
+    levels: Vec<u32>,
+    order: Vec<usize>,
+    rates: Vec<f64>,
 }
 
 impl Mlfq {
@@ -47,7 +59,7 @@ impl Mlfq {
         Mlfq {
             quantum,
             base,
-            order: Vec::new(),
+            scratch: RefCell::default(),
         }
     }
 
@@ -64,11 +76,22 @@ impl Mlfq {
         self.quantum * (self.base.powi(l as i32 + 1) - 1.0) / (self.base - 1.0)
     }
 
-    fn compute(&mut self, alive: &[AliveJob], cfg: &MachineConfig, rates: &mut [f64]) {
-        self.order.clear();
-        self.order.extend(0..alive.len());
-        let levels: Vec<u32> = alive.iter().map(|a| self.level(a.attained)).collect();
-        self.order.sort_by(|&a, &b| {
+    /// Compute the level-cascade rates into `rates`, with the levels and
+    /// the level order going to `levels` and `order`; shared by `allocate`
+    /// and `review_in`.
+    fn compute(
+        &self,
+        levels: &mut Vec<u32>,
+        order: &mut Vec<usize>,
+        alive: &[AliveJob],
+        cfg: &MachineConfig,
+        rates: &mut [f64],
+    ) {
+        levels.clear();
+        levels.extend(alive.iter().map(|a| self.level(a.attained)));
+        order.clear();
+        order.extend(0..alive.len());
+        order.sort_by(|&a, &b| {
             levels[a]
                 .cmp(&levels[b])
                 .then_with(|| alive[a].seq.cmp(&alive[b].seq))
@@ -76,15 +99,15 @@ impl Mlfq {
         let mut capacity = cfg.total_cap();
         let cap = cfg.job_cap();
         let mut g0 = 0;
-        while g0 < self.order.len() && capacity > 0.0 {
-            let lv = levels[self.order[g0]];
+        while g0 < order.len() && capacity > 0.0 {
+            let lv = levels[order[g0]];
             let mut g1 = g0 + 1;
-            while g1 < self.order.len() && levels[self.order[g1]] == lv {
+            while g1 < order.len() && levels[order[g1]] == lv {
                 g1 += 1;
             }
             let g = (g1 - g0) as f64;
             let share = (capacity / g).min(cap);
-            for &i in &self.order[g0..g1] {
+            for &i in &order[g0..g1] {
                 rates[i] = share;
             }
             capacity -= share * g;
@@ -105,16 +128,25 @@ impl RateAllocator for Mlfq {
     }
 
     fn allocate(&mut self, _now: f64, alive: &[AliveJob], cfg: &MachineConfig, rates: &mut [f64]) {
-        self.compute(alive, cfg, rates);
+        let mut scratch = self.scratch.borrow_mut();
+        let Scratch { levels, order, .. } = &mut *scratch;
+        self.compute(levels, order, alive, cfg, rates);
     }
 
     fn review_in(&self, _now: f64, alive: &[AliveJob], cfg: &MachineConfig) -> Option<f64> {
-        // Next level crossing among jobs currently receiving service.
-        let mut me = self.clone();
-        let mut rates = vec![0.0; alive.len()];
-        me.compute(alive, cfg, &mut rates);
+        // Next level crossing among jobs currently receiving service, at
+        // the rates recomputed into the scratch.
+        let mut scratch = self.scratch.borrow_mut();
+        let Scratch {
+            levels,
+            order,
+            rates,
+        } = &mut *scratch;
+        rates.clear();
+        rates.resize(alive.len(), 0.0);
+        self.compute(levels, order, alive, cfg, rates);
         let mut best: Option<f64> = None;
-        for (a, &r) in alive.iter().zip(&rates) {
+        for (a, &r) in alive.iter().zip(rates.iter()) {
             if r > 1e-12 {
                 let l = self.level(a.attained);
                 let dt = (self.boundary(l) - a.attained) / r;

@@ -61,6 +61,7 @@ impl RateAllocator for RoundRobin {
 #[derive(Debug, Default, Clone)]
 pub struct WeightedRoundRobin {
     weights: Vec<f64>, // scratch
+    order: Vec<usize>, // scratch for `water_fill`
 }
 
 impl WeightedRoundRobin {
@@ -91,7 +92,13 @@ impl RateAllocator for WeightedRoundRobin {
         }
         self.weights.clear();
         self.weights.extend(alive.iter().map(|a| a.weight));
-        water_fill(&self.weights, cfg.total_cap(), cfg.job_cap(), rates);
+        water_fill(
+            &self.weights,
+            cfg.total_cap(),
+            cfg.job_cap(),
+            &mut self.order,
+            rates,
+        );
     }
 }
 

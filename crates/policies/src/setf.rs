@@ -13,6 +13,8 @@
 //! assert!((s.completion[0] - 6.0).abs() < 1e-6);
 //! ```
 
+use std::cell::RefCell;
+
 use tf_simcore::{AliveJob, MachineConfig, RateAllocator};
 
 /// SETF: strict priority to the jobs that have received the least service
@@ -31,7 +33,15 @@ use tf_simcore::{AliveJob, MachineConfig, RateAllocator};
 /// [`RateAllocator::review_in`].
 #[derive(Debug, Default, Clone)]
 pub struct Setf {
-    order: Vec<usize>, // scratch: indices sorted by attained
+    scratch: RefCell<Scratch>,
+}
+
+/// What `allocate` and `review_in` reuse from call to call: the indices
+/// sorted by attained service, and the rates `review_in` recomputes.
+#[derive(Debug, Default, Clone)]
+struct Scratch {
+    order: Vec<usize>,
+    rates: Vec<f64>,
 }
 
 impl Setf {
@@ -47,11 +57,12 @@ impl Setf {
         1e-7 * (1.0 + a.abs().max(b.abs()))
     }
 
-    /// Compute grouped rates; shared by `allocate` and `review_in`.
-    fn compute(&mut self, alive: &[AliveJob], cfg: &MachineConfig, rates: &mut [f64]) {
-        self.order.clear();
-        self.order.extend(0..alive.len());
-        self.order.sort_by(|&a, &b| {
+    /// Compute grouped rates into `rates`, leaving the attainment order
+    /// in `order`; shared by `allocate` and `review_in`.
+    fn compute(order: &mut Vec<usize>, alive: &[AliveJob], cfg: &MachineConfig, rates: &mut [f64]) {
+        order.clear();
+        order.extend(0..alive.len());
+        order.sort_by(|&a, &b| {
             alive[a]
                 .attained
                 .partial_cmp(&alive[b].attained)
@@ -61,12 +72,12 @@ impl Setf {
         let mut capacity = cfg.total_cap();
         let cap = cfg.job_cap();
         let mut g0 = 0;
-        while g0 < self.order.len() {
+        while g0 < order.len() {
             // Find the group [g0, g1) of equal attainment.
-            let base = alive[self.order[g0]].attained;
+            let base = alive[order[g0]].attained;
             let mut g1 = g0 + 1;
-            while g1 < self.order.len() {
-                let nxt = alive[self.order[g1]].attained;
+            while g1 < order.len() {
+                let nxt = alive[order[g1]].attained;
                 if (nxt - base).abs() <= Self::tie_tol(base, nxt) {
                     g1 += 1;
                 } else {
@@ -78,7 +89,7 @@ impl Setf {
             if share <= 0.0 {
                 break;
             }
-            for &i in &self.order[g0..g1] {
+            for &i in &order[g0..g1] {
                 rates[i] = share;
             }
             capacity -= share * g;
@@ -93,17 +104,19 @@ impl RateAllocator for Setf {
     }
 
     fn allocate(&mut self, _now: f64, alive: &[AliveJob], cfg: &MachineConfig, rates: &mut [f64]) {
-        self.compute(alive, cfg, rates);
+        Self::compute(&mut self.scratch.get_mut().order, alive, cfg, rates);
     }
 
     fn review_in(&self, _now: f64, alive: &[AliveJob], cfg: &MachineConfig) -> Option<f64> {
-        // Recompute rates (cheap) and find the earliest catch-up between
-        // adjacent attainment groups with differing rates.
-        let mut me = self.clone();
-        let mut rates = vec![0.0; alive.len()];
-        me.compute(alive, cfg, &mut rates);
+        // Recompute rates (cheap) into the scratch and find the earliest
+        // catch-up between adjacent attainment groups with differing rates.
+        let mut scratch = self.scratch.borrow_mut();
+        let Scratch { order, rates } = &mut *scratch;
+        rates.clear();
+        rates.resize(alive.len(), 0.0);
+        Self::compute(order, alive, cfg, rates);
         let mut best: Option<f64> = None;
-        for w in me.order.windows(2) {
+        for w in order.windows(2) {
             let (lo, hi) = (w[0], w[1]);
             let gap = alive[hi].attained - alive[lo].attained;
             if gap <= Self::tie_tol(alive[lo].attained, alive[hi].attained) {
